@@ -20,6 +20,7 @@ comparing the bitsets lexicographically statement 0 first.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -370,8 +371,42 @@ def closure(r: Relation, rules=("semigraphoid",)) -> Relation:
     return closed
 
 
+@lru_cache(maxsize=None)
+def _premise_index(n: int, rules: tuple[str, ...]):
+    """Rule instances of ``rules`` in id order, who uses each statement, premise counts.
+
+    Instance id t is the position of (rule, premises, conclusions) in the
+    concatenation of each rule's sorted instance tuple, in the order of
+    ``rules``; users[s] holds the ids of the instances with premise s, and
+    byte t of the counts is the number of distinct premises of instance t.
+    """
+    instances = []
+    for rule in rules:
+        if rule == "rule17":
+            instances += [(rule, *inst) for inst in (_rule17_instances(n) if n >= 4 else ())]
+        else:
+            instances += [(rule, *inst) for inst in _axiom_instances(n)[rule]]
+    users = [[] for _ in range(num_statements(n))]
+    counts = bytearray(len(instances))
+    for t, (_, prem, _) in enumerate(instances):
+        for p in set(prem):
+            users[p].append(t)
+            counts[t] += 1
+    return tuple(instances), tuple(map(tuple, users)), bytes(counts)
+
+
 def closure_report(r: Relation, rules=("semigraphoid",)):
-    """Closure plus a dict counting how many statements each rule added."""
+    """Closure plus a dict counting how many statements each rule added.
+
+    The closure is the fixpoint of full passes over all rule instances in id
+    order (see _premise_index), where an instance whose premises hold adds
+    its missing conclusions.  Rather than scanning every instance, the passes
+    are replayed from the premise index: an instance is queued once, when
+    its last premise is present, into the current pass if its id is larger
+    than that of the instance that added the premise (or the premise was in
+    r), else into the next pass.  Instances fire in the same order as in full
+    passes, so ``fired`` counts are those of full passes.
+    """
     rules = tuple(rules)
     for rule in rules:
         if rule not in HORN_RULES:
@@ -380,29 +415,38 @@ def closure_report(r: Relation, rules=("semigraphoid",)):
     fired = {rule: 0 for rule in rules}
     if n < 3:
         return r, fired
-    tagged = []
-    axiom_instances = _axiom_instances(n)
-    for rule in rules:
-        instances = _rule17_instances(n) if rule == "rule17" else axiom_instances[rule]
-        if rule == "rule17" and n < 4:
-            instances = ()
-        for prem, concl in instances:
-            pmask = 0
-            for p in prem:
-                pmask |= 1 << p
-            cmask = 0
-            for c in concl:
-                cmask |= 1 << c
-            tagged.append((rule, pmask, cmask))
+    instances, users, counts = _premise_index(n, rules)
+    missing = bytearray(counts)  # premises of each instance not yet present
+    have = bytearray(num_statements(n))
+    current = []
+    for s in _bit_positions(r.bits):
+        have[s] = 1
+        for t in users[s]:
+            missing[t] -= 1
+            if not missing[t]:
+                current.append(t)
+    heapq.heapify(current)
     bits = r.bits
-    changed = True
-    while changed:
-        changed = False
-        for rule, pmask, cmask in tagged:
-            if bits & pmask == pmask and bits & cmask != cmask:
-                fired[rule] += (cmask & ~bits).bit_count()
-                bits |= cmask
-                changed = True
+    while current:
+        later = []
+        while current:
+            t = heapq.heappop(current)
+            rule, _, concl = instances[t]
+            for c in concl:
+                if have[c]:
+                    continue
+                have[c] = 1
+                bits |= 1 << c
+                fired[rule] += 1
+                for u in users[c]:
+                    missing[u] -= 1
+                    if not missing[u]:
+                        if u > t:
+                            heapq.heappush(current, u)
+                        else:
+                            later.append(u)
+        heapq.heapify(later)
+        current = later
     return Relation(n, bits), fired
 
 
@@ -525,15 +569,29 @@ def parse_relation(text: str) -> Relation:
         raise ValueError(f"line 1: expected 'n <count>', got {lines[0]!r}")
     n = int(toks[1])
     if len(lines) > 1 and lines[1].startswith("hex"):
-        hexstr = lines[1].split()[1] if len(lines[1].split()) > 1 else ""
-        raw = np.frombuffer(bytes.fromhex(hexstr), dtype=np.uint8)
-        arr = np.unpackbits(raw)[: num_statements(n)]
-        bits = 0
-        for s in np.flatnonzero(arr):
-            bits |= 1 << int(s)
-        return Relation(n, bits)
+        return _parse_hex(n, lines[1:])
     stmts = [_parse_statement_line(ln, no + 2) for no, ln in enumerate(lines[1:])]
     return Relation.from_statements(n, stmts)
+
+
+def _parse_hex(n: int, lines: list[str]) -> Relation:
+    """The 'hex <digits>' line: exactly ceil(m / 8) bytes for m statements, zero padding."""
+    if len(lines) > 1:
+        raise ValueError(f"line 3: unexpected text after the hex line: {lines[1]!r}")
+    toks = lines[0].split()
+    if toks[0] != "hex" or len(toks) > 2:
+        raise ValueError(f"line 2: expected 'hex <digits>', got {lines[0]!r}")
+    try:
+        raw = bytes.fromhex(toks[1] if len(toks) == 2 else "")
+    except ValueError:
+        raise ValueError(f"line 2: malformed hex digits {lines[0]!r}") from None
+    m = num_statements(n)
+    if len(raw) != -(-m // 8):
+        raise ValueError(f"line 2: {m} statements need {-(-m // 8)} hex bytes, got {len(raw)}")
+    arr = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+    if arr[m:].any():
+        raise ValueError(f"line 2: padding bits beyond statement {m - 1} are set")
+    return Relation(n, int.from_bytes(np.packbits(arr[:m], bitorder="little").tobytes(), "little"))
 
 
 def _parse_statement_line(line: str, line_no: int) -> Statement:

@@ -186,10 +186,11 @@ def cmd_verify(args) -> int:
         g, h = graphs.parse_pair_file(fh.read())
     if a.shape[0] != g.n:
         raise ValueError(f"matrix size {a.shape[0]} does not match n={g.n}")
-    if not matrices.is_pd(a):
+    try:
+        res = matrices.membership_residual(a, g, h)
+    except NotPositiveDefinite:
         _non_pd_diagnostics(a)
         return 1
-    res = matrices.membership_residual(a, g, h)
     rmax = 0.0 if res.size == 0 else float(np.abs(res.astype(float)).max())
     member = rmax <= args.tol
     print(f"max residual: {rmax:.6e}")

@@ -372,10 +372,10 @@ def find_model_point(g: Graph, h: Graph, seed: int = 0, residual_tol: float = 1e
         rng = np.random.default_rng([seed, restart])
         x = rng.uniform(-init_scale / n, init_scale / n, size=len(free))
         a = _build_corr(n, free, x)
-        L = _cholesky(a)
+        L = matrices.cholesky_or_none(a)
         if L is None:
             continue
-        inv = _chol_inverse(L)
+        inv = matrices.chol_inverse(L)
         r = residuals(inv)
         iters = 0
         stall = 0
@@ -413,9 +413,9 @@ def find_model_point(g: Graph, h: Graph, seed: int = 0, residual_tol: float = 1e
                     alpha *= 0.5
                     continue
                 an = _build_corr(n, free, xn)
-                Ln = _cholesky(an)
+                Ln = matrices.cholesky_or_none(an)
                 if Ln is not None:
-                    invn = _chol_inverse(Ln)
+                    invn = matrices.chol_inverse(Ln)
                     rn = residuals(invn)
                     if 0.5 * (rn @ rn) <= fval + 1e-4 * alpha * slope:
                         x, a, inv, r = xn, an, invn, rn
@@ -434,19 +434,6 @@ def find_model_point(g: Graph, h: Graph, seed: int = 0, residual_tol: float = 1e
     if best is None:
         best = FindPointResult(np.eye(n), np.inf, False, seed, restarts)
     return best
-
-
-def _cholesky(a):
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _chol_inverse(L):
-    n = L.shape[0]
-    inv_l = np.linalg.solve(L, np.eye(n))
-    return inv_l.T @ inv_l
 
 
 def _point_jacobian(inv, free, targets):

@@ -324,8 +324,9 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
 def parse_pair_file(text: str) -> tuple[Graph, Graph]:
     """Parse the three-line pair format: ``n <count>``, ``G <i>-<j> ...``, ``H ...``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 3:
-        raise ValueError("pair file needs three non-blank lines: n, G, H")
+    if len(lines) != 3:
+        raise ValueError(f"pair file needs exactly three non-blank lines (n, G, H), "
+                         f"found {len(lines)}")
     n = _parse_n_line(lines[0])
     g = _parse_edge_line(lines[1], "G", n, line_no=2)
     h = _parse_edge_line(lines[2], "H", n, line_no=3)

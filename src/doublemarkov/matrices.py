@@ -12,13 +12,14 @@ distinguished index first and K ascending after it.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotPositiveDefinite
-from .graphs import Graph
+from .graphs import Graph, pairs_lex
 from . import ci
 
 DEFAULT_TOL = 1e-8
@@ -97,31 +98,57 @@ def det(a: np.ndarray):
     return float(np.linalg.det(a))
 
 
-def _cholesky_or_none(a: np.ndarray):
+def cholesky_or_none(a: np.ndarray):
+    """Lower Cholesky factor of a float matrix, None where LAPACK refuses it."""
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return None
 
 
-def leading_minors_exact(a: np.ndarray) -> list[Fraction]:
-    return [_det_exact(a[: k + 1, : k + 1]) for k in range(a.shape[0])]
+def chol_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of L L^T through the inverse of its lower triangular factor L."""
+    inv_l = np.linalg.solve(L, np.eye(L.shape[0]))
+    return inv_l.T @ inv_l
+
+
+def _pd_factor(a: np.ndarray, pivot_tol: float = PIVOT_TOL):
+    """Cholesky factor of float a if every pivot clears the is_pd threshold, else None."""
+    L = cholesky_or_none(a)
+    if L is None:
+        return None
+    scale = max(1.0, float(np.abs(a).max()))
+    return L if (np.diag(L) ** 2 > pivot_tol * scale).all() else None
+
+
+def _pivots_positive_exact(a: np.ndarray) -> bool:
+    """Symmetric fraction elimination without row swaps: PD iff every pivot is > 0."""
+    m = [[Fraction(x) for x in row] for row in a]
+    n = len(m)
+    for c in range(n):
+        piv = m[c][c]
+        if piv <= 0:
+            return False
+        top = m[c]
+        for r in range(c + 1, n):
+            f = m[r][c] / piv
+            if f:
+                row = m[r]
+                for t in range(c + 1, n):
+                    row[t] -= f * top[t]
+    return True
 
 
 def is_pd(a, pivot_tol: float = PIVOT_TOL) -> bool:
-    """Positive definiteness; Cholesky pivots (exact: Sylvester minors).
+    """Positive definiteness; Cholesky pivots (exact: elimination pivots).
 
     Float mode requires every Cholesky pivot to exceed
     pivot_tol * max(1, max|entry|), so barely singular matrices are rejected.
     """
     a = as_sym(a)
     if is_exact(a):
-        return all(m > 0 for m in leading_minors_exact(a))
-    L = _cholesky_or_none(a)
-    if L is None:
-        return False
-    scale = max(1.0, float(np.abs(a).max()))
-    return bool((np.diag(L) ** 2 > pivot_tol * scale).all())
+        return _pivots_positive_exact(a)
+    return _pd_factor(a, pivot_tol) is not None
 
 
 def _require_pd(a):
@@ -130,13 +157,15 @@ def _require_pd(a):
 
 
 def inverse(a) -> np.ndarray:
-    """Inverse of a positive definite matrix; float mode goes via Cholesky."""
+    """Inverse of a positive definite matrix; float mode goes via one Cholesky."""
     a = as_sym(a)
-    _require_pd(a)
     if is_exact(a):
+        _require_pd(a)
         return _inverse_exact(a)
-    c, low = scipy.linalg.cho_factor(a)
-    inv = scipy.linalg.cho_solve((c, low), np.eye(a.shape[0]))
+    L = _pd_factor(a)
+    if L is None:
+        raise NotPositiveDefinite("matrix is not positive definite")
+    inv = chol_inverse(L)
     return (inv + inv.T) / 2
 
 
@@ -174,35 +203,86 @@ def almost_principal_minor(a, i: int, j: int, K=()):
     return det(a[np.ix_(rows, cols)])
 
 
+@lru_cache(maxsize=None)
+def _statement_entries(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per statement index (ij|K): the bitmask of K over 0-based vertices, i-1 and j-1.
+
+    Bit t of the index's subset rank is the t-th vertex other than i and j,
+    so the mask is the rank with zero bits inserted at i-1 and j-1.
+    """
+    pairs = np.array(pairs_lex(n), dtype=np.intp).reshape(-1, 2) - 1
+    i0, j0 = pairs[:, :1], pairs[:, 1:]
+    rank = np.arange(1 << max(n - 2, 0), dtype=np.intp)[None, :]
+    masks = (rank & ((1 << i0) - 1)
+             | (rank >> i0 & ((1 << (j0 - i0 - 1)) - 1)) << (i0 + 1)
+             | (rank >> (j0 - 1)) << (j0 + 1))
+    return (masks.ravel(), np.broadcast_to(i0, masks.shape).ravel(),
+            np.broadcast_to(j0, masks.shape).ravel())
+
+
+def _minor_sweep(a: np.ndarray) -> np.ndarray:
+    """Every almost-principal minor M_K[i, j] = det(a[iK, jK]), one array per set K.
+
+    Entry m of the result belongs to the set K whose bitmask over 0-based
+    vertices is m; entries with i or j in K are zero.  With S_K the Schur
+    complement of a_KK, M_K = det(a_KK) S_K, so pivoting S on a vertex k
+    outside K (the rank-1 update S - S[:, k] S[k, :] / S[k, k]) reads, by
+    Sylvester's identity,
+
+        M_{K+k} = (M_K[k, k] M_K - M_K[:, k] M_K[k, :]) / det(a_KK),
+
+    with det(a_{K+k, K+k}) = M_K[k, k].  The sets with largest vertex k are
+    one batched update of the sets [0, 2^k) before them, for k = 0..n-1.
+    On a matrix of Python ints (dtype object) every division is exact and
+    done as floor division, so exact mode never leaves the integers.  Memory
+    is 2^n n^2 entries.
+    """
+    n = a.shape[0]
+    divide = np.floor_divide if a.dtype == object else np.true_divide
+    M = np.empty((1 << n, n, n), dtype=a.dtype)
+    dets = np.empty(1 << n, dtype=a.dtype)
+    M[0] = a
+    dets[0] = 1
+    for k in range(n):
+        half = 1 << k
+        par, out = M[:half], M[half:2 * half]
+        piv = par[:, k, k]
+        np.multiply(par[:, :, k, None], par[:, None, k, :], out=out)
+        np.subtract(piv[:, None, None] * par, out, out=out)
+        divide(out, dets[:half, None, None], out=out)
+        dets[half:2 * half] = piv
+    return M
+
+
 def relation_of_matrix(a, tol: float = DEFAULT_TOL) -> ci.Relation:
     """CI relation <a>: statements whose almost-principal minor vanishes.
 
-    Float entries use |minor| <= tol * sqrt(prod of diagonal entries over
-    the minor's rows and columns), which is invariant under diagonal
-    rescaling D a D and, unlike a column-norm scale, does not degenerate on
-    1x1 minors (where the only column is the tested entry itself).  Exact
-    entries use minor == 0.
+    All minors come from one sweep over the conditioning sets K
+    (_minor_sweep), not from one determinant per statement.  Float entries
+    use |minor| <= tol * sqrt(prod of diagonal entries over the minor's rows
+    and columns), which is invariant under diagonal rescaling D a D and,
+    unlike a column-norm scale, does not degenerate on 1x1 minors (where the
+    only column is the tested entry itself); the sweep runs on the
+    correlation matrix, where that scale is 1 and the test reads
+    |det(R_KK) (S_K)_ij| <= tol for the Schur complement S_K of R_KK.  Exact
+    entries use minor == 0, swept on the matrix times the least common
+    denominator of its entries, which scales every minor by a power of it.
     """
     a = as_sym(a)
     _require_pd(a)
     n = a.shape[0]
-    exact = is_exact(a)
-    diag = None if exact else np.diag(a).astype(float)
-    bits = 0
-    for idx in range(ci.num_statements(n)):
-        s = ci.statement_at(n, idx)
-        ks = sorted(s.K)
-        rows = [s.i - 1] + [v - 1 for v in ks]
-        cols = [s.j - 1] + [v - 1 for v in ks]
-        d = det(a[np.ix_(rows, cols)])
-        if exact:
-            hit = d == 0
-        else:
-            scale = float(np.sqrt(np.prod(diag[rows]) * np.prod(diag[cols])))
-            hit = abs(d) <= tol * (scale if scale > 0 else 1.0)
-        if hit:
-            bits |= 1 << idx
-    return ci.Relation(n, bits)
+    masks, rows, cols = _statement_entries(n)
+    if is_exact(a):
+        entries = [Fraction(x) for x in a.flat]
+        lcd = math.lcm(*(x.denominator for x in entries))
+        ints = np.array([x.numerator * (lcd // x.denominator) for x in entries],
+                        dtype=object).reshape(n, n)
+        hits = _minor_sweep(ints)[masks, rows, cols] == 0
+    else:
+        minors = _minor_sweep(to_correlation(a)[1])[masks, rows, cols]
+        hits = np.abs(minors) <= tol
+    packed = np.packbits(hits, bitorder="little").tobytes()
+    return ci.Relation(n, int.from_bytes(packed, "little"))
 
 
 def to_correlation(a) -> tuple[np.ndarray, np.ndarray]:
@@ -302,9 +382,9 @@ def parse_matrix(text: str) -> np.ndarray:
         n = int(lines[0].split()[0])
     except (ValueError, IndexError):
         raise ValueError(f"line 1: expected the matrix size, got {lines[0]!r}") from None
-    if len(lines) < n + 1:
+    if len(lines) != n + 1:
         raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
-    rows = [ln.split() for ln in lines[1 : n + 1]]
+    rows = [ln.split() for ln in lines[1:]]
     for no, row in enumerate(rows, start=2):
         if len(row) != n:
             raise ValueError(f"line {no}: expected {n} entries, found {len(row)}")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,6 +270,59 @@ def test_closure_is_extensive_monotone_idempotent(r, rules):
     assert c.issubset(closure(bigger, rules))
 
 
+def _closure_by_full_passes(r, rules):
+    """Closure by definition: full passes over every instance until nothing changes."""
+    fired = {rule: 0 for rule in rules}
+    if r.n < 3:
+        return r, fired
+    tagged = []
+    for rule in rules:
+        if rule == "rule17":
+            instances = ci._rule17_instances(r.n) if r.n >= 4 else ()
+        else:
+            instances = ci._axiom_instances(r.n)[rule]
+        for prem, concl in instances:
+            tagged.append((rule, sum(1 << p for p in prem), sum(1 << c for c in concl)))
+    bits = r.bits
+    changed = True
+    while changed:
+        changed = False
+        for rule, pmask, cmask in tagged:
+            if bits & pmask == pmask and bits & cmask != cmask:
+                fired[rule] += (cmask & ~bits).bit_count()
+                bits |= cmask
+                changed = True
+    return Relation(r.n, bits), fired
+
+
+ALL_RULE_SETS = [rules for k in range(1, len(ci.HORN_RULES) + 1)
+                 for rules in itertools.combinations(ci.HORN_RULES, k)]
+
+
+@st.composite
+def sparse_relations(draw, sizes=(3, 4, 5, 6)):
+    n = draw(st.sampled_from(sizes))
+    m = num_statements(n)
+    idxs = draw(st.lists(st.integers(0, m - 1), max_size=m // 4))
+    return Relation(n, sum({1 << s for s in idxs}))
+
+
+@pytest.mark.parametrize("rules", ALL_RULE_SETS, ids=",".join)
+@given(r=sparse_relations())
+@settings(deadline=None, max_examples=40)
+def test_closure_report_matches_full_passes(rules, r):
+    assert closure_report(r, rules) == _closure_by_full_passes(r, rules)
+    # the rule order is part of the replay order
+    assert closure_report(r, rules[::-1]) == _closure_by_full_passes(r, rules[::-1])
+
+
+def test_closure_report_matches_full_passes_on_paper_examples():
+    for g, h in [(VNR_G, VNR_H), (INC_G, INC_H), (NS_G, NS_G)]:
+        r = double_markov_relation(g, h)
+        for rules in ALL_RULE_SETS:
+            assert closure_report(r, rules) == _closure_by_full_passes(r, rules)
+
+
 def test_closure_fixpoint_on_full():
     assert closure(full_relation(4), ci.HORN_RULES) == full_relation(4)
 
@@ -324,6 +379,25 @@ def test_parse_relation_errors():
         parse_relation("")
     with pytest.raises(ValueError, match="line 2"):
         parse_relation("n 4\n(1 1 |)\n")
+
+
+@pytest.mark.parametrize("text,msg", [
+    ("n 4\nhex ff\n", "need 3 hex bytes, got 1"),         # 8 bits for 24 statements
+    ("n 4\nhex ffffffff\n", "need 3 hex bytes, got 4"),
+    ("n 3\nhex 01\n", "padding bits"),                     # bit 7 of 6 statements
+    ("n 3\nhex fc\n(1 2 |)\n", "after the hex line"),
+    ("n 3\nhex zz\n", "malformed hex"),
+    ("n 3\nhex fc 00\n", "expected 'hex <digits>'"),
+])
+def test_parse_relation_rejects_malformed_hex(text, msg):
+    with pytest.raises(ValueError, match=msg):
+        parse_relation(text)
+
+
+def test_parse_relation_hex_uses_every_bit():
+    assert parse_relation("n 3\nhex fc\n") == full_relation(3)
+    assert parse_relation("n 4\nhex 000001\n") == Relation(4, 1 << 23)
+    assert parse_relation("n 1\nhex\n") == Relation(1, 0)
 
 
 def test_maximal_statements_mark_non_edges():

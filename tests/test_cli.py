@@ -162,3 +162,27 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["analyze"])
     assert exc.value.code == 2
+
+
+def test_trailing_or_short_inputs_are_usage_errors(tmp_path, capsys):
+    mat = write(tmp_path, "extra.mat", "2\n1 0\n0 1\n1 1\n")
+    pair2 = write(tmp_path, "p2.pair", "n 2\nG 1-2\nH 1-2\n")
+    assert main(["verify", mat, pair2]) == 2
+    eye = write(tmp_path, "eye.mat", "2\n1 0\n0 1\n")
+    extra_pair = write(tmp_path, "extra.pair", "n 2\nG 1-2\nH 1-2\nH\n")
+    assert main(["verify", eye, extra_pair]) == 2
+    short_hex = write(tmp_path, "short.rel", "n 4\nhex ff\n")
+    assert main(["closure", short_hex]) == 2
+    errors = capsys.readouterr().err
+    assert "expected 2 matrix rows" in errors and "three" in errors and "hex bytes" in errors
+
+
+def test_cli_import_does_not_load_scipy():
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import doublemarkov.cli, sys; "
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

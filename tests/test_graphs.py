@@ -214,6 +214,7 @@ def test_pair_file_roundtrip():
     ("n 4\nG 1_2\nH\n", "1_2"),
     ("m 4\nG\nH\n", "n <count>"),
     ("n 4\nG 1-2\n", "three"),
+    ("n 4\nG 1-2\nH\nH 1-3\n", "found 4"),  # trailing lines after H
 ])
 def test_pair_file_errors(bad, msg):
     with pytest.raises(ValueError, match=msg.replace("(", "[(]")):

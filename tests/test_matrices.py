@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from doublemarkov import Graph, complete_graph, empty_graph
-from doublemarkov.ci import Relation, dual, full_relation, marginal
+from doublemarkov.ci import Relation, all_statements, dual, full_relation, marginal
 from doublemarkov.errors import NotPositiveDefinite
 from doublemarkov.matrices import (
     almost_principal_minor,
     as_sym,
     conditional_matrix,
+    det,
     direct_sum_matrix,
     format_matrix,
     hadamard,
@@ -25,6 +26,7 @@ from doublemarkov.matrices import (
     to_correlation,
 )
 from doublemarkov.ci import check_axioms, direct_sum_relations, relation_of_graph
+from doublemarkov.graphs import graph_from_edge_mask
 
 from conftest import graphical_pd, random_graph, random_pd
 
@@ -290,3 +292,133 @@ def test_matrix_io_roundtrip():
 def test_as_sym_rejects_asymmetric():
     with pytest.raises(ValueError):
         as_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+# -- oracles for the Schur-complement sweep and the single-factor checks -------
+
+def _relation_by_minors(a, tol=1e-8):
+    """relation_of_matrix by definition: one almost-principal minor per statement."""
+    a = as_sym(a)
+    n = a.shape[0]
+    exact = a.dtype == object
+    diag = None if exact else np.diag(a)
+    bits = 0
+    for idx, s in enumerate(all_statements(n)):
+        d = almost_principal_minor(a, s.i, s.j, s.K)
+        if exact:
+            hit = d == 0
+        else:
+            rows = [s.i - 1] + [v - 1 for v in sorted(s.K)]
+            cols = [s.j - 1] + [v - 1 for v in sorted(s.K)]
+            hit = abs(d) <= tol * float(np.sqrt(np.prod(diag[rows]) * np.prod(diag[cols])))
+        bits |= int(hit) << idx
+    return Relation(n, bits)
+
+
+def test_sweep_matches_minors_on_all_graphical_matrices_up_to_4():
+    rng = np.random.default_rng(45)
+    for n in (2, 3, 4):
+        for mask in range(1 << n * (n - 1) // 2):
+            a = graphical_pd(graph_from_edge_mask(n, mask), rng)
+            assert relation_of_matrix(a) == _relation_by_minors(a)
+
+
+def test_sweep_matches_minors_on_seeded_matrices_up_to_7():
+    rng = np.random.default_rng(47)
+    for n in range(2, 8):
+        for _ in range(6):
+            for a in (graphical_pd(random_graph(n, rng), rng), random_pd(n, rng)):
+                assert relation_of_matrix(a) == _relation_by_minors(a)
+
+
+def test_sweep_matches_minors_under_rescaling():
+    rng = np.random.default_rng(49)
+    for n in range(2, 8):
+        for _ in range(4):
+            a = graphical_pd(random_graph(n, rng), rng)
+            d = np.diag(10.0 ** rng.uniform(-3, 3, size=n))
+            scaled = d @ a @ d
+            assert relation_of_matrix(scaled) == _relation_by_minors(scaled) \
+                == relation_of_matrix(a)
+
+
+def test_sweep_matches_minors_at_every_threshold():
+    # thresholds between consecutive normalized minors check their magnitudes
+    rng = np.random.default_rng(57)
+    for n in (3, 5, 6):
+        a = random_pd(n, rng, spread=2.0)
+        d = np.sqrt(np.diag(a))
+        normalized = [
+            abs(almost_principal_minor(a, s.i, s.j, s.K))
+            / (d[s.i - 1] * d[s.j - 1] * np.prod(d[[v - 1 for v in s.K]]) ** 2)
+            for s in all_statements(n)]
+        ordered = sorted(normalized)
+        cuts = [np.sqrt(lo * hi) for lo, hi in zip(ordered, ordered[1:])
+                if hi > lo * (1 + 1e-6)]
+        assert len(cuts) > len(ordered) // 2
+        for tol in cuts:
+            want = sum(1 << idx for idx, v in enumerate(normalized) if v <= tol)
+            assert relation_of_matrix(a, tol) == Relation(n, want)
+
+
+def _graph_pattern_rational(g, rng):
+    """Exact inverse of an integer diagonally dominant matrix patterned on g."""
+    k = [[0] * g.n for _ in range(g.n)]
+    for i, j in g.edges:
+        k[i - 1][j - 1] = k[j - 1][i - 1] = int(rng.integers(1, 5)) * int(rng.choice([-1, 1]))
+    for i in range(g.n):
+        k[i][i] = sum(abs(x) for x in k[i]) + int(rng.integers(1, 4))
+    return inverse(rational_matrix(k))
+
+
+def test_sweep_matches_minors_exact_up_to_5():
+    rng = np.random.default_rng(51)
+    for n in range(2, 6):
+        for _ in range(4):
+            g = random_graph(n, rng)
+            a = _graph_pattern_rational(g, rng)
+            assert relation_of_matrix(a) == _relation_by_minors(a) == relation_of_graph(g)
+    # integer entries in an object array are exact too
+    ints = np.array([[2, 1, 0], [1, 2, 0], [0, 0, 1]], dtype=object)
+    assert relation_of_matrix(ints) == _relation_by_minors(ints)
+
+
+def test_exact_is_pd_matches_sylvester_minors():
+    rng = np.random.default_rng(53)
+    seen = set()
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        q = [[Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 3))) for _ in range(n)]
+             for _ in range(n)]
+        for i in range(n):
+            q[i][i] = Fraction(int(rng.integers(-1, 5)))
+            for j in range(i):
+                q[i][j] = q[j][i]
+        m = rational_matrix(q)
+        sylvester = all(det(m[: k + 1, : k + 1]) > 0 for k in range(n))
+        assert is_pd(m) == sylvester
+        seen.add(sylvester)
+    assert seen == {True, False}
+
+
+def test_float_inverse_agrees_with_is_pd():
+    rng = np.random.default_rng(55)
+    for n in (1, 3, 6):
+        a = random_pd(n, rng)
+        assert np.allclose(inverse(a) @ a, np.eye(n))
+        assert np.array_equal(inverse(a), inverse(a).T)
+    # PD in exact arithmetic, but below the pivot threshold in float mode
+    near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
+    assert not is_pd(near)
+    with pytest.raises(NotPositiveDefinite):
+        inverse(near)
+
+
+@pytest.mark.parametrize("text", [
+    "2\n1 0\n0 1\n1 1\n",         # a row too many
+    "1\n1\n\n# trailing note\n",  # non-blank text after row n
+])
+def test_parse_matrix_rejects_trailing_lines(text):
+    with pytest.raises(ValueError, match="expected"):
+        parse_matrix(text)
+    assert parse_matrix("2\n1 0\n0 1\n\n   \n").shape == (2, 2)
