@@ -138,7 +138,7 @@ def _adjugate(a: np.ndarray) -> np.ndarray:
         sub = a[rows]
         for c in range(m):
             cols = idx[:c] + idx[c + 1 :]
-            cof[r, c] = (-1) ** (r + c) * np.linalg.det(sub[:, cols])
+            cof[r, c] = (-1) ** (r + c) * matrices.det(sub[:, cols])
     return cof.T
 
 
