@@ -10,7 +10,10 @@ Frozen statement index (file format compatibility depends on it):
 
 where pair_rank is the lexicographic rank of {i, j} among all pairs and
 subset_rank encodes K inside the increasing enumeration m_0 < m_1 < ... of
-the vertices other than i and j as sum of 2^t over m_t in K.
+the vertices other than i and j as sum of 2^t over m_t in K.  This
+encoding lives in exactly two places: the table _statement_entries (index
+-> K bitmask, i - 1, j - 1) and its vectorized inverse _index_of.  Every
+relation, rule table and permutation map here is a gather over them.
 
 The hex serialization packs bit s of the relation into bit 7 - (s mod 8) of
 byte s // 8, so the hex digit stream reads left to right in statement
@@ -27,8 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import graphs
-from .graphs import Graph, pair_rank, pairs_lex
+from .graphs import Graph, _bits, _check_vertex, pairs_lex
 
 MAX_GROUND_SET = 16
 HORN_RULES = ("semigraphoid", "intersection", "composition", "rule17")
@@ -65,32 +67,68 @@ def num_statements(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _rest(n: int, i: int, j: int) -> tuple[int, ...]:
-    return tuple(v for v in range(1, n + 1) if v != i and v != j)
+def _statement_entries(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per statement index (ij|K): the bitmask of K over 0-based vertices, i-1 and j-1.
+
+    Bit t of the index's subset rank is the t-th vertex other than i and j,
+    so the mask is the rank with zero bits inserted at i-1 and j-1.
+    """
+    pairs = np.array(pairs_lex(n), dtype=np.intp).reshape(-1, 2) - 1
+    i0, j0 = pairs[:, :1], pairs[:, 1:]
+    rank = np.arange(1 << max(n - 2, 0), dtype=np.intp)[None, :]
+    masks = (rank & ((1 << i0) - 1)
+             | (rank >> i0 & ((1 << (j0 - i0 - 1)) - 1)) << (i0 + 1)
+             | (rank >> (j0 - 1)) << (j0 + 1))
+    return _read_only(masks.ravel(), np.broadcast_to(i0, masks.shape).ravel(),
+                      np.broadcast_to(j0, masks.shape).ravel())
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Freeze arrays that a cache hands to every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _index_of(n: int, a, b, kmask):
+    """Index of (ab|K), vectorized: the inverse of _statement_entries.
+
+    a and b are distinct 0-based vertices in either order and kmask is the
+    bitmask of K; the bits of a and b are squeezed out of it to give the
+    subset rank.
+    """
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    pair = lo * (2 * n - lo - 1) // 2 + hi - lo - 1
+    rank = (kmask & ((1 << lo) - 1)
+            | (kmask >> (lo + 1) & ((1 << (hi - lo - 1)) - 1)) << lo
+            | kmask >> (hi + 1) << (hi - 1))
+    return pair << max(n - 2, 0) | rank
+
+
+def _statement(kmask: int, i0: int, j0: int) -> Statement:
+    return Statement(i0 + 1, j0 + 1, frozenset(v + 1 for v in _bits(kmask)))
+
+
+def _vertex_mask(n: int, stmt: Statement) -> int:
+    """Bitmask of i, j and K, checked distinct and in 1..n; _index_of drops i and j."""
+    vertices = (stmt.i, stmt.j, *stmt.K)
+    mask = sum(1 << (v - 1) for v in set(vertices) if 0 < v <= n)
+    if mask.bit_count() != len(vertices):
+        raise ValueError(f"statement {stmt} does not fit ground set 1..{n}")
+    return mask
 
 
 def statement_index(n: int, stmt: Statement) -> int:
-    rest = _rest(n, stmt.i, stmt.j)
-    kbits = 0
-    for t, m in enumerate(rest):
-        if m in stmt.K:
-            kbits |= 1 << t
-    if len(stmt.K) != kbits.bit_count():
-        raise ValueError(f"statement {stmt} does not fit ground set 1..{n}")
-    return pair_rank(n, stmt.i, stmt.j) * (1 << (n - 2)) + kbits
+    return int(_index_of(n, stmt.i - 1, stmt.j - 1, _vertex_mask(n, stmt)))
 
 
 def statement_at(n: int, index: int) -> Statement:
-    block = 1 << (n - 2)
-    i, j = pairs_lex(n)[index // block]
-    kbits = index % block
-    rest = _rest(n, i, j)
-    return Statement(i, j, frozenset(rest[t] for t in range(len(rest)) if kbits >> t & 1))
+    return _statement(*(int(col[index]) for col in _statement_entries(n)))
 
 
 @lru_cache(maxsize=8)
 def all_statements(n: int) -> tuple[Statement, ...]:
-    return tuple(statement_at(n, s) for s in range(num_statements(n)))
+    return tuple(map(_statement, *(col.tolist() for col in _statement_entries(n))))
 
 
 @dataclass(frozen=True)
@@ -108,15 +146,13 @@ class Relation:
 
     @staticmethod
     def from_statements(n: int, statements) -> "Relation":
-        bits = 0
-        for s in statements:
-            if not isinstance(s, Statement):
-                s = make_statement(*s)
-            bits |= 1 << statement_index(n, s)
-        return Relation(n, bits)
+        stmts = [s if isinstance(s, Statement) else make_statement(*s) for s in statements]
+        cols = np.array([(s.i - 1, s.j - 1, _vertex_mask(n, s)) for s in stmts], dtype=np.intp)
+        return Relation(n, sum(1 << t for t in set(_index_of(n, *cols.reshape(-1, 3).T).tolist())))
 
     def statements(self) -> tuple[Statement, ...]:
-        return tuple(statement_at(self.n, s) for s in _bit_positions(self.bits))
+        held = np.flatnonzero(_to_bool_array(self))
+        return tuple(map(_statement, *(col[held].tolist() for col in _statement_entries(self.n))))
 
     def has(self, i: int, j: int, K=()) -> bool:
         return bool(self.bits >> statement_index(self.n, make_statement(i, j, K)) & 1)
@@ -150,13 +186,6 @@ class Relation:
         return f"Relation(n={self.n}, {{{shown}{more}}})"
 
 
-def _bit_positions(bits: int):
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
 def empty_relation(n: int) -> Relation:
     return Relation(n, 0)
 
@@ -167,91 +196,83 @@ def full_relation(n: int) -> Relation:
     return Relation(n, (1 << num_statements(n)) - 1)
 
 
+def _to_bool_array(r: Relation) -> np.ndarray:
+    """Membership of every statement, in index order."""
+    m = num_statements(r.n)
+    raw = np.frombuffer(r.bits.to_bytes(-(-m // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=m, bitorder="little").view(bool)
+
+
+def _from_bool_array(n: int, hits: np.ndarray) -> Relation:
+    packed = np.packbits(hits, bitorder="little").tobytes()
+    return Relation(n, int.from_bytes(packed, "little"))
+
+
+def _reachability(g: Graph) -> np.ndarray:
+    """reach[K, u, v]: u and v are joined in g minus the vertices of bitmask K.
+
+    Each squaring of (adjacency + identity) doubles the path length covered,
+    so ceil(log2(n - 1)) squarings reach every path.
+    """
+    n = g.n
+    free = (np.arange(1 << n)[:, None] >> np.arange(n) & 1) == 0
+    adj = np.array([[m >> v & 1 for v in range(n)] for m in g.adj], dtype=bool)
+    reach = ((adj | np.eye(n, dtype=bool)) & free[:, :, None] & free[:, None, :]).view(np.uint8)
+    for _ in range(max(n - 2, 0).bit_length()):
+        reach = (reach @ reach != 0).view(np.uint8)
+    return reach.view(bool)
+
+
 def relation_of_graph(g: Graph) -> Relation:
     """Separation relation <G>: all (ij|K) with K separating i and j in g."""
-    n = g.n
-    bits = 0
-    for i, j in pairs_lex(n):
-        rest = _rest(n, i, j)
-        base = pair_rank(n, i, j) * (1 << max(n - 2, 0))
-        for kbits in range(1 << len(rest)):
-            K = [rest[t] for t in range(len(rest)) if kbits >> t & 1]
-            if graphs.separates(g, i, j, K):
-                bits |= 1 << (base + kbits)
-    return Relation(n, bits)
+    masks, i0, j0 = _statement_entries(g.n)
+    return _from_bool_array(g.n, ~_reachability(g)[masks, i0, j0])
 
 
 def dual(r: Relation) -> Relation:
     """Complement every conditioning set: (ij|K) -> (ij|N \\ ijK)."""
     n = r.n
-    if n < 2:
-        return r
-    block = 1 << (n - 2)
-    full = block - 1
-    bits = 0
-    for s in _bit_positions(r.bits):
-        base = s - s % block
-        bits |= 1 << (base + (full ^ s % block))
-    return Relation(n, bits)
+    masks, i0, j0 = _statement_entries(n)
+    return _from_bool_array(n, _to_bool_array(r)[_index_of(n, i0, j0, ~masks & ((1 << n) - 1))])
 
 
-def _relabel_down(v: int, k: int) -> int:
-    return v - 1 if v > k else v
+def _minor(r: Relation, k: int, given: bool) -> Relation:
+    """(ij|K) on 1..n-1 such that r holds it with labels from k up shifted
+    back up by one, and with k added to K when ``given``."""
+    _check_vertex(r.n, k)
+    k0 = k - 1
+    masks, i0, j0 = _statement_entries(r.n - 1)
+    lifted = masks & ((1 << k0) - 1) | masks >> k0 << (k0 + 1) | given << k0
+    up = [v + (v >= k0) for v in (i0, j0)]
+    return _from_bool_array(r.n - 1, _to_bool_array(r)[_index_of(r.n, *up, lifted)])
 
 
 def marginal(r: Relation, k: int) -> Relation:
     """Keep statements avoiding k entirely; result lives on 1..n-1."""
-    graphs._check_vertex(r.n, k)
-    out = []
-    for s in r.statements():
-        if k == s.i or k == s.j or k in s.K:
-            continue
-        out.append(Statement(
-            _relabel_down(s.i, k), _relabel_down(s.j, k),
-            frozenset(_relabel_down(v, k) for v in s.K)))
-    return Relation.from_statements(r.n - 1, out)
+    return _minor(r, k, given=False)
 
 
 def conditional(r: Relation, k: int) -> Relation:
     """Keep (ij|K) with (ij|kK) in r; result lives on 1..n-1."""
-    graphs._check_vertex(r.n, k)
-    out = []
-    for s in r.statements():
-        if k == s.i or k == s.j or k not in s.K:
-            continue
-        out.append(Statement(
-            _relabel_down(s.i, k), _relabel_down(s.j, k),
-            frozenset(_relabel_down(v, k) for v in s.K - {k})))
-    return Relation.from_statements(r.n - 1, out)
+    return _minor(r, k, given=True)
 
 
 def direct_sum_relations(r: Relation, r2: Relation) -> Relation:
-    """Direct sum on the concatenated ground set; second block offset by r.n."""
+    """Direct sum on the concatenated ground set; second block offset by r.n.
+
+    Cross pairs hold in any context, a pair inside one block iff its block holds it.
+    """
     n, m = r.n, r2.n
     if n + m > MAX_GROUND_SET:
         raise ValueError(f"combined ground set {n + m} exceeds {MAX_GROUND_SET}")
-    N = range(1, n + 1)
-    M = range(n + 1, n + m + 1)
-    out = []
-    # cross pairs, any context
-    for i in N:
-        for j in M:
-            rest = _rest(n + m, i, j)
-            for kbits in range(1 << len(rest)):
-                out.append(Statement(i, j, frozenset(
-                    rest[t] for t in range(len(rest)) if kbits >> t & 1)))
-    # lifted statements with arbitrary context from the other block
-    for s in r.statements():
-        for lbits in range(1 << m):
-            L = frozenset(n + t + 1 for t in range(m) if lbits >> t & 1)
-            out.append(Statement(s.i, s.j, s.K | L))
-    for s in r2.statements():
-        i, j = s.i + n, s.j + n
-        K = frozenset(v + n for v in s.K)
-        for lbits in range(1 << n):
-            L = frozenset(t + 1 for t in range(n) if lbits >> t & 1)
-            out.append(Statement(i, j, K | L))
-    return Relation.from_statements(n + m, out)
+    masks, i0, j0 = _statement_entries(n + m)
+    hits = (i0 < n) & (j0 >= n)
+    first, second = j0 < n, i0 >= n
+    hits[first] = _to_bool_array(r)[
+        _index_of(n, i0[first], j0[first], masks[first] & ((1 << n) - 1))]
+    hits[second] = _to_bool_array(r2)[
+        _index_of(m, i0[second] - n, j0[second] - n, masks[second] >> n)]
+    return _from_bool_array(n + m, hits)
 
 
 def double_markov_relation(g: Graph, h: Graph) -> Relation:
@@ -281,13 +302,21 @@ class AxiomViolation:
         return f"[{self.rule}] {prem} without {glue.join(map(repr, self.missing))}"
 
 
-def _idx(n, i, j, K) -> int:
-    return statement_index(n, make_statement(i, j, K))
+def _instance_table(prem: np.ndarray, concl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (premises, conclusions) deduplicated and sorted lexicographically."""
+    rows = np.unique(np.column_stack([prem, concl]), axis=0)
+    return _read_only(rows[:, :prem.shape[1]], rows[:, prem.shape[1]:])
+
+
+def _ordered_tuples(n: int, k: int) -> tuple[np.ndarray, ...]:
+    """Columns of all ordered k-tuples of distinct 0-based vertices."""
+    return tuple(np.array(list(itertools.permutations(range(n), k)), dtype=np.intp)
+                 .reshape(-1, k).T)
 
 
 @lru_cache(maxsize=8)
 def _axiom_instances(n: int):
-    """Per rule: tuples (premise index tuple, conclusion index tuple), deduplicated.
+    """Per rule: (premise indices, conclusion indices), two columns each, one row per instance.
 
     Instantiated over ordered triples (i, j, k) and contexts K avoiding them:
 
@@ -295,28 +324,25 @@ def _axiom_instances(n: int):
         intersection       (ij|kK) & (ik|jK) =>  (ij|K) & (ik|K)
         composition        (ij|K) & (ik|K)   =>  (ij|kK) & (ik|jK)
         weak-transitivity  (ij|K) & (ij|kK)  =>  (ik|K) or (jk|K)
+
+    Rows are sorted and unique; their order is the instance order of
+    check_axioms and of the closure.
     """
-    rules = {"semigraphoid": set(), "intersection": set(), "composition": set(),
-             "weak-transitivity": set()}
-    verts = range(1, n + 1)
-    for i, j, k in itertools.permutations(verts, 3):
-        rest = [v for v in verts if v not in (i, j, k)]
-        for kb in range(1 << len(rest)):
-            K = frozenset(rest[t] for t in range(len(rest)) if kb >> t & 1)
-            jK, kK = K | {j}, K | {k}
-            rules["semigraphoid"].add((
-                (_idx(n, i, j, K), _idx(n, i, k, jK)),
-                (_idx(n, i, k, K), _idx(n, i, j, kK))))
-            rules["intersection"].add((
-                (_idx(n, i, j, kK), _idx(n, i, k, jK)),
-                (_idx(n, i, j, K), _idx(n, i, k, K))))
-            rules["composition"].add((
-                (_idx(n, i, j, K), _idx(n, i, k, K)),
-                (_idx(n, i, j, kK), _idx(n, i, k, jK))))
-            rules["weak-transitivity"].add((
-                (_idx(n, i, j, K), _idx(n, i, j, kK)),
-                (_idx(n, i, k, K), _idx(n, j, k, K))))
-    return {name: tuple(sorted(inst)) for name, inst in rules.items()}
+    i, j, k = (col[:, None] for col in _ordered_tuples(n, 3))
+    K = np.arange(1 << n)[None, :]
+    keep = (K >> i | K >> j | K >> k) & 1 == 0
+    i, j, k, K = (np.broadcast_to(x, keep.shape)[keep] for x in (i, j, k, K))
+    jK, kK = K | 1 << j, K | 1 << k
+    ij, ik, jk = _index_of(n, i, j, K), _index_of(n, i, k, K), _index_of(n, j, k, K)
+    ij_k, ik_j = _index_of(n, i, j, kK), _index_of(n, i, k, jK)
+    pairs = {
+        "semigraphoid": ((ij, ik_j), (ik, ij_k)),
+        "intersection": ((ij_k, ik_j), (ij, ik)),
+        "composition": ((ij, ik), (ij_k, ik_j)),
+        "weak-transitivity": ((ij, ij_k), (ik, jk)),
+    }
+    return {rule: _instance_table(np.column_stack(prem), np.column_stack(concl))
+            for rule, (prem, concl) in pairs.items()}
 
 
 @lru_cache(maxsize=8)
@@ -325,13 +351,14 @@ def _rule17_instances(n: int):
 
     The conditioning sets are exactly the printed patterns on the quadruple;
     vertices outside {a, b, c, d} never enter a context (literal embedding).
+    Each row's four premises are sorted.
     """
-    out = set()
-    for a, b, c, d in itertools.permutations(range(1, n + 1), 4):
-        prem = (_idx(n, a, b, ()), _idx(n, c, d, ()),
-                _idx(n, a, c, (b, d)), _idx(n, b, d, (a, c)))
-        out.add((tuple(sorted(prem)), (_idx(n, a, c, ()),)))
-    return tuple(sorted(out))
+    a, b, c, d = _ordered_tuples(n, 4)
+    bit = [1 << v for v in (a, b, c, d)]
+    prem = np.column_stack([_index_of(n, a, b, 0), _index_of(n, c, d, 0),
+                            _index_of(n, a, c, bit[1] | bit[3]),
+                            _index_of(n, b, d, bit[0] | bit[2])])
+    return _instance_table(np.sort(prem, axis=1), _index_of(n, a, c, 0)[:, None])
 
 
 def check_axioms(r: Relation) -> list[AxiomViolation]:
@@ -339,20 +366,18 @@ def check_axioms(r: Relation) -> list[AxiomViolation]:
     n = r.n
     if n < 3:
         return []
-    bits = r.bits
+    held = _to_bool_array(r)
+    stmts = all_statements(n)
     violations = []
-    for rule, instances in _axiom_instances(n).items():
+    for rule, (prem, concl) in _axiom_instances(n).items():
         disjunctive = rule == "weak-transitivity"
-        for prem, concl in instances:
-            if all(bits >> p & 1 for p in prem):
-                absent = [c for c in concl if not bits >> c & 1]
-                bad = len(absent) == len(concl) if disjunctive else bool(absent)
-                if bad:
-                    report = concl if disjunctive else tuple(absent)
-                    violations.append(AxiomViolation(
-                        rule,
-                        tuple(statement_at(n, p) for p in prem),
-                        tuple(statement_at(n, c) for c in report)))
+        present = held[concl]
+        bad = held[prem].all(axis=1) & ~(present.any(axis=1) if disjunctive
+                                         else present.all(axis=1))
+        for t in np.flatnonzero(bad):
+            missing = concl[t] if disjunctive else concl[t][~present[t]]
+            violations.append(AxiomViolation(
+                rule, tuple(stmts[p] for p in prem[t]), tuple(stmts[c] for c in missing)))
     return violations
 
 
@@ -373,26 +398,28 @@ def closure(r: Relation, rules=("semigraphoid",)) -> Relation:
 
 @lru_cache(maxsize=None)
 def _premise_index(n: int, rules: tuple[str, ...]):
-    """Rule instances of ``rules`` in id order, who uses each statement, premise counts.
+    """Rule and conclusions of each instance in id order, who uses each statement, premise counts.
 
-    Instance id t is the position of (rule, premises, conclusions) in the
-    concatenation of each rule's sorted instance tuple, in the order of
-    ``rules``; users[s] holds the ids of the instances with premise s, and
-    byte t of the counts is the number of distinct premises of instance t.
+    Instance id t is the row position in the concatenation of the rules'
+    instance tables, in the order of ``rules``; users[s] holds the ids of
+    the instances with premise s, and byte t of the counts is the number of
+    distinct premises of instance t.
     """
-    instances = []
-    for rule in rules:
-        if rule == "rule17":
-            instances += [(rule, *inst) for inst in (_rule17_instances(n) if n >= 4 else ())]
-        else:
-            instances += [(rule, *inst) for inst in _axiom_instances(n)[rule]]
-    users = [[] for _ in range(num_statements(n))]
-    counts = bytearray(len(instances))
-    for t, (_, prem, _) in enumerate(instances):
-        for p in set(prem):
-            users[p].append(t)
-            counts[t] += 1
-    return tuple(instances), tuple(map(tuple, users)), bytes(counts)
+    tables = [_rule17_instances(n) if rule == "rule17" else _axiom_instances(n)[rule]
+              for rule in rules]
+    total = sum(len(prem) for prem, _ in tables)
+    rule_of, concls, keys = [], [], []
+    for rule, (prem, concl) in zip(rules, tables):
+        ids = np.arange(len(rule_of), len(rule_of) + len(prem))[:, None]
+        keys.append((prem * total + ids).ravel())
+        rule_of += [rule] * len(prem)
+        concls += concl.tolist()
+    # every (premise, instance) use once, by premise and then by instance id
+    stmt_of, id_of = np.divmod(np.unique(np.concatenate(keys)), total)
+    bounds = np.cumsum(np.bincount(stmt_of, minlength=num_statements(n)))[:-1]
+    users = tuple(tuple(part.tolist()) for part in np.split(id_of, bounds))
+    counts = np.bincount(id_of, minlength=total).astype(np.uint8).tobytes()
+    return rule_of, concls, users, counts
 
 
 def closure_report(r: Relation, rules=("semigraphoid",)):
@@ -413,13 +440,13 @@ def closure_report(r: Relation, rules=("semigraphoid",)):
             raise ValueError(f"unknown Horn rule {rule!r}; valid: {HORN_RULES}")
     n = r.n
     fired = {rule: 0 for rule in rules}
-    if n < 3:
+    if n < 3 or not rules:
         return r, fired
-    instances, users, counts = _premise_index(n, rules)
+    rule_of, concls, users, counts = _premise_index(n, rules)
     missing = bytearray(counts)  # premises of each instance not yet present
     have = bytearray(num_statements(n))
     current = []
-    for s in _bit_positions(r.bits):
+    for s in _bits(r.bits):
         have[s] = 1
         for t in users[s]:
             missing[t] -= 1
@@ -431,13 +458,12 @@ def closure_report(r: Relation, rules=("semigraphoid",)):
         later = []
         while current:
             t = heapq.heappop(current)
-            rule, _, concl = instances[t]
-            for c in concl:
+            for c in concls[t]:
                 if have[c]:
                     continue
                 have[c] = 1
                 bits |= 1 << c
-                fired[rule] += 1
+                fired[rule_of[t]] += 1
                 for u in users[c]:
                     missing[u] -= 1
                     if not missing[u]:
@@ -453,12 +479,12 @@ def closure_report(r: Relation, rules=("semigraphoid",)):
 def is_upward_stable(r: Relation) -> bool:
     """(ij|L) implies (ij|kL) for every k outside ijL."""
     n = r.n
-    for s in r.statements():
-        for k in range(1, n + 1):
-            if k in (s.i, s.j) or k in s.K:
-                continue
-            if not r.has(s.i, s.j, s.K | {k}):
-                return False
+    held = _to_bool_array(r)
+    masks, i0, j0 = _statement_entries(n)
+    for k in range(n):
+        grow = held & (masks >> k & 1 == 0) & (i0 != k) & (j0 != k)
+        if not held[_index_of(n, i0[grow], j0[grow], masks[grow] | 1 << k)].all():
+            return False
     return True
 
 
@@ -471,46 +497,40 @@ def recognize_markov(r: Relation):
     if not is_upward_stable(r) or check_axioms(r):
         return None
     n = r.n
-    edges = []
-    for i, j in pairs_lex(n):
-        if not r.has(i, j, frozenset(_rest(n, i, j))):
-            edges.append((i, j))
+    everything = frozenset(range(1, n + 1))
+    edges = [(i, j) for i, j in pairs_lex(n) if not r.has(i, j, everything - {i, j})]
     g = Graph.from_edges(n, edges)
     return g if relation_of_graph(g) == r else None
 
 
 # -- canonical forms ----------------------------------------------------------
 
+def _permuted_indices(n: int, perms) -> np.ndarray:
+    """Row p, column s: the index of statement s relabelled by perms[p] (0-based images)."""
+    masks, i0, j0 = _statement_entries(n)
+    perms = np.asarray(perms, dtype=np.int32).reshape(-1, n)
+    moved = np.zeros((len(perms), len(masks)), dtype=np.int32)
+    for v in range(n):
+        moved |= (masks.astype(np.int32) >> v & 1) << perms[:, v, None]
+    return _index_of(n, perms[:, i0], perms[:, j0], moved)
+
+
 @lru_cache(maxsize=4)
 def _perm_index_maps(n: int) -> np.ndarray:
     """Row p: statement index s maps to row-p permutation of statement s."""
-    perms = list(itertools.permutations(range(1, n + 1)))
-    stmts = all_statements(n)
-    maps = np.empty((len(perms), len(stmts)), dtype=np.int32)
-    for p, perm in enumerate(perms):
-        for s, st in enumerate(stmts):
-            img = make_statement(perm[st.i - 1], perm[st.j - 1],
-                                 frozenset(perm[v - 1] for v in st.K))
-            maps[p, s] = statement_index(n, img)
-    return maps
-
-
-def _to_bool_array(r: Relation) -> np.ndarray:
-    m = num_statements(r.n)
-    arr = np.zeros(m, dtype=bool)
-    for s in _bit_positions(r.bits):
-        arr[s] = True
-    return arr
+    perms = list(itertools.permutations(range(n)))
+    # 720 permutations per block keep the temporaries small at n = 7
+    return _read_only(np.concatenate([_permuted_indices(n, perms[b:b + 720])
+                                      for b in range(0, len(perms), 720)]))[0]
 
 
 def permute_relation(r: Relation, perm) -> Relation:
     """Relabel vertices: v -> perm[v-1] (1-based image tuple)."""
-    out = 0
-    for s in r.statements():
-        img = make_statement(perm[s.i - 1], perm[s.j - 1],
-                             frozenset(perm[v - 1] for v in s.K))
-        out |= 1 << statement_index(r.n, img)
-    return Relation(r.n, out)
+    if sorted(perm) != list(range(1, r.n + 1)):
+        raise ValueError(f"{tuple(perm)} is not a permutation of 1..{r.n}")
+    hits = np.zeros(num_statements(r.n), dtype=bool)
+    hits[_permuted_indices(r.n, np.subtract(perm, 1))[0]] = _to_bool_array(r)
+    return _from_bool_array(r.n, hits)
 
 
 def _packed_min_over_perms(arr: np.ndarray, maps: np.ndarray) -> bytes:
@@ -591,7 +611,7 @@ def _parse_hex(n: int, lines: list[str]) -> Relation:
     arr = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
     if arr[m:].any():
         raise ValueError(f"line 2: padding bits beyond statement {m - 1} are set")
-    return Relation(n, int.from_bytes(np.packbits(arr[:m], bitorder="little").tobytes(), "little"))
+    return _from_bool_array(n, arr[:m])
 
 
 def _parse_statement_line(line: str, line_no: int) -> Statement:

@@ -22,6 +22,8 @@ import numpy as np
 from . import ci, graphs, matrices
 from .graphs import Graph
 
+PAIR_CHUNK = 2_000_000  # graph pairs canonicalized per numpy batch in enumerate_inequivalent
+
 
 @dataclass(frozen=True)
 class Family:
@@ -316,8 +318,7 @@ def _edge_perm_table(n: int, perm, npairs: int) -> np.ndarray:
     return table
 
 
-def enumerate_inequivalent(n: int, connected_only: bool = True,
-                           chunk: int = 2_000_000) -> EnumerationResult:
+def enumerate_inequivalent(n: int, connected_only: bool = True) -> EnumerationResult:
     """Count double Markov CI structures modulo isomorphy and duality.
 
     Iterates ordered pairs of (connected) labeled graphs, canonicalizes the
@@ -343,8 +344,8 @@ def enumerate_inequivalent(n: int, connected_only: bool = True,
     shift = np.int64(npairs)
     canon_codes = set()
     num = len(masks)
-    for start in range(0, num * num, chunk):
-        stop = min(start + chunk, num * num)
+    for start in range(0, num * num, PAIR_CHUNK):
+        stop = min(start + PAIR_CHUNK, num * num)
         idx = np.arange(start, stop)
         gm = masks[idx // num]
         hm = masks[idx % num]

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,7 +46,7 @@ def _edge_list(g: graphs.Graph) -> list[list[int]]:
     return [list(e) for e in g.edges]
 
 
-def build_report(g, h, seed: int = 0, tol: float = 1e-8, want_point: bool = False,
+def build_report(g, h, seed: int = 0, want_point: bool = False,
                  cap: int = graphs.DEFAULT_PATH_CAP) -> ModelReport:
     dec = geometry.decompose(g, h)
     bounds = geometry.dimension_bound(g, h)
@@ -63,7 +65,7 @@ def build_report(g, h, seed: int = 0, tol: float = 1e-8, want_point: bool = Fals
             for v in violations
         ],
     }
-    unique = ideal.unique_path_hypothesis(g, h, cap=cap)
+    unique = ideal.unique_path_hypothesis(g, h)
     ideal_part = {"unique_path": unique}
     if unique:
         gens = ideal.sci_monomial_generators(g, h, cap=cap)
@@ -156,8 +158,7 @@ def _print_report(rep: ModelReport, out=None):
 def cmd_analyze(args) -> int:
     with open(args.pair_file) as fh:
         g, h = graphs.parse_pair_file(fh.read())
-    rep = build_report(g, h, seed=args.seed, tol=args.tol,
-                       want_point=args.point, cap=args.cap)
+    rep = build_report(g, h, seed=args.seed, want_point=args.point, cap=args.cap)
     _print_report(rep)
     if args.json:
         with open(args.json, "w") as fh:
@@ -203,20 +204,18 @@ def _non_pd_diagnostics(a):
     af = a.astype(float)
     n = af.shape[0]
     for k in range(n):
-        if np.linalg.det(af[: k + 1, : k + 1]) <= 0:
+        if matrices.det(af[: k + 1, : k + 1]) <= 0:
             print(f"first failing leading principal minor: order {k + 1}")
             break
-    print(f"determinant: {np.linalg.det(af):.17g}")
+    print(f"determinant: {matrices.det(af):.17g}")
     if n <= 12:
-        import itertools as it
-
         scale = max(1.0, float(np.abs(af).max())) ** n
         vanished = 0
         total = 0
         for r in range(1, n):
-            for S in it.combinations(range(n), r):
+            for S in itertools.combinations(range(n), r):
                 total += 1
-                if abs(np.linalg.det(af[np.ix_(S, S)])) <= 1e-9 * scale:
+                if abs(matrices.det(af[np.ix_(S, S)])) <= 1e-9 * scale:
                     vanished += 1
         kind = "all nonzero" if vanished == 0 else f"{vanished} vanish"
         print(f"proper principal minors: {total} checked, {kind}")
@@ -234,6 +233,7 @@ def cmd_closure(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="doublemarkov",
@@ -244,7 +244,6 @@ def make_parser() -> argparse.ArgumentParser:
     pa.add_argument("pair_file")
     pa.add_argument("--json", metavar="PATH", help="also write the report as JSON")
     pa.add_argument("--seed", type=int, default=0)
-    pa.add_argument("--tol", type=float, default=1e-8)
     pa.add_argument("--point", action="store_true",
                     help="search for a numerical model point")
     pa.add_argument("--cap", type=int, default=graphs.DEFAULT_PATH_CAP,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import graphs, matrices
+from . import graphs, ideal, matrices
 from .errors import NotPositiveDefinite
 from .graphs import Graph
 
@@ -239,9 +239,9 @@ class ConnectednessCertificate:
     def check(self, g: Graph, h: Graph) -> bool:
         """Re-verify this certificate against the pair it was issued for."""
         if self.kind == "UniquePath":
-            return _unique_paths(g, h)
+            return ideal.unique_path_hypothesis(g, h)
         if self.kind == "UniquePathSwapped":
-            return _unique_paths(h, g)
+            return ideal.unique_path_hypothesis(h, g)
         if self.kind == "Hub":
             return _is_hub(g, h, self.witness)
         if self.kind == "HubSwapped":
@@ -249,12 +249,6 @@ class ConnectednessCertificate:
         if self.kind == "SmallIntersection":
             return graphs.edge_intersection(g, h).num_edges <= 3
         return self.kind == "Unknown"
-
-
-def _unique_paths(g: Graph, h: Graph) -> bool:
-    return all(
-        graphs.count_paths_up_to(h, k, l, 2) <= 1 for k, l in g.non_edges()
-    )
 
 
 def _is_hub(g: Graph, h: Graph, i: int | None) -> bool:
@@ -285,9 +279,9 @@ def connectedness_certificate(g: Graph, h: Graph) -> ConnectednessCertificate:
     """
     if g.n != h.n:
         raise ValueError("graphs live on different vertex sets")
-    if _unique_paths(g, h):
+    if ideal.unique_path_hypothesis(g, h):
         return ConnectednessCertificate("UniquePath")
-    if _unique_paths(h, g):
+    if ideal.unique_path_hypothesis(h, g):
         return ConnectednessCertificate("UniquePathSwapped")
     hub = find_hub(g, h)
     if hub is not None:

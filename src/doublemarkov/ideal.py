@@ -208,7 +208,7 @@ def path_expansion(h: Graph, k: int, l: int, cap: int = DEFAULT_PATH_CAP) -> lis
     return out
 
 
-def unique_path_hypothesis(g: Graph, h: Graph, cap: int = DEFAULT_PATH_CAP) -> bool:
+def unique_path_hypothesis(g: Graph, h: Graph) -> bool:
     """At most one h-path between the endpoints of every non-edge of g."""
     if g.n != h.n:
         raise ValueError("graphs live on different vertex sets")
@@ -249,7 +249,7 @@ def sci_monomial_generators(g: Graph, h: Graph, cap: int = DEFAULT_PATH_CAP) -> 
     """
     if g.n != h.n:
         raise ValueError("graphs live on different vertex sets")
-    if not unique_path_hypothesis(g, h, cap=cap):
+    if not unique_path_hypothesis(g, h):
         raise UniquePathRequired(
             "some non-edge of G has several connecting paths in H")
     gens = [frozenset([e]) for e in h.non_edges()]
@@ -292,7 +292,7 @@ def inverse_graphical_recognition(g: Graph, h: Graph, cap: int = DEFAULT_PATH_CA
     equals the inverse graphical model of the common-edge graph and G' is g
     plus all shared non-edges.  Returns None when the criterion fails.
     """
-    if not unique_path_hypothesis(g, h, cap=cap):
+    if not unique_path_hypothesis(g, h):
         raise UniquePathRequired(
             "some non-edge of G has several connecting paths in H")
     g_non = set(g.non_edges())

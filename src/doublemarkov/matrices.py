@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import NotPositiveDefinite
-from .graphs import Graph, pairs_lex
+from .graphs import Graph
 from . import ci
 
 DEFAULT_TOL = 1e-8
@@ -203,23 +202,6 @@ def almost_principal_minor(a, i: int, j: int, K=()):
     return det(a[np.ix_(rows, cols)])
 
 
-@lru_cache(maxsize=None)
-def _statement_entries(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per statement index (ij|K): the bitmask of K over 0-based vertices, i-1 and j-1.
-
-    Bit t of the index's subset rank is the t-th vertex other than i and j,
-    so the mask is the rank with zero bits inserted at i-1 and j-1.
-    """
-    pairs = np.array(pairs_lex(n), dtype=np.intp).reshape(-1, 2) - 1
-    i0, j0 = pairs[:, :1], pairs[:, 1:]
-    rank = np.arange(1 << max(n - 2, 0), dtype=np.intp)[None, :]
-    masks = (rank & ((1 << i0) - 1)
-             | (rank >> i0 & ((1 << (j0 - i0 - 1)) - 1)) << (i0 + 1)
-             | (rank >> (j0 - 1)) << (j0 + 1))
-    return (masks.ravel(), np.broadcast_to(i0, masks.shape).ravel(),
-            np.broadcast_to(j0, masks.shape).ravel())
-
-
 def _minor_sweep(a: np.ndarray) -> np.ndarray:
     """Every almost-principal minor M_K[i, j] = det(a[iK, jK]), one array per set K.
 
@@ -271,7 +253,7 @@ def relation_of_matrix(a, tol: float = DEFAULT_TOL) -> ci.Relation:
     a = as_sym(a)
     _require_pd(a)
     n = a.shape[0]
-    masks, rows, cols = _statement_entries(n)
+    masks, rows, cols = ci._statement_entries(n)
     if is_exact(a):
         entries = [Fraction(x) for x in a.flat]
         lcd = math.lcm(*(x.denominator for x in entries))
@@ -281,8 +263,7 @@ def relation_of_matrix(a, tol: float = DEFAULT_TOL) -> ci.Relation:
     else:
         minors = _minor_sweep(to_correlation(a)[1])[masks, rows, cols]
         hits = np.abs(minors) <= tol
-    packed = np.packbits(hits, bitorder="little").tobytes()
-    return ci.Relation(n, int.from_bytes(packed, "little"))
+    return ci._from_bool_array(n, hits)
 
 
 def to_correlation(a) -> tuple[np.ndarray, np.ndarray]:

@@ -38,7 +38,7 @@ from doublemarkov.graphs import (
     pairs_lex,
 )
 
-from conftest import oracle_separates, random_graph
+from conftest import oracle_all_paths, oracle_separates, random_graph
 
 P3 = Graph.from_edges(3, [(1, 2), (2, 3)])
 
@@ -71,6 +71,21 @@ def test_statement_index_roundtrip():
             assert statement_index(n, statement_at(n, idx)) == idx
 
 
+def test_statement_index_follows_the_frozen_formula():
+    # index(i, j, K) = pair_rank(i, j) * 2^(n-2) + sum of 2^t over the t-th
+    # vertex other than i and j lying in K
+    for n in (2, 3, 4, 6):
+        expected = []
+        for i, j in pairs_lex(n):
+            rest = [v for v in range(1, n + 1) if v not in (i, j)]
+            for kbits in range(1 << (n - 2)):
+                expected.append(make_statement(
+                    i, j, [rest[t] for t in range(n - 2) if kbits >> t & 1]))
+        assert ci.all_statements(n) == tuple(expected)
+        assert [statement_index(n, s) for s in expected] == list(range(len(expected)))
+        assert [statement_at(n, t) for t in range(len(expected))] == expected
+
+
 def test_full_relation_counts():
     assert len(full_relation(3)) == 6
     assert len(full_relation(4)) == 24
@@ -99,6 +114,18 @@ def test_relation_of_graph_against_separation_oracle():
         for idx in range(num_statements(5)):
             s = statement_at(5, idx)
             assert (s in r) == oracle_separates(g.edges, s.i, s.j, s.K)
+
+
+def test_relation_of_graph_against_separation_oracle_large():
+    rng = np.random.default_rng(61)
+    for n in (6, 7, 8):
+        path_graph = Graph.from_edges(n, [(v, v + 1) for v in range(1, n)])
+        for g in (path_graph, random_graph(n, rng, 0.25), random_graph(n, rng, 0.5)):
+            paths = {(i, j): oracle_all_paths(g.edges, i, j) for i, j in pairs_lex(n)}
+            want = Relation.from_statements(n, [
+                s for s in ci.all_statements(n)
+                if all(set(path[1:-1]) & s.K for path in paths[s.i, s.j])])
+            assert relation_of_graph(g) == want
 
 
 def test_dual_examples():
@@ -270,6 +297,59 @@ def test_closure_is_extensive_monotone_idempotent(r, rules):
     assert c.issubset(closure(bigger, rules))
 
 
+def _index(n, i, j, K=()):
+    return statement_index(n, make_statement(i, j, K))
+
+
+def _reference_axiom_instances(n):
+    """The instance rows built one statement at a time, as sorted tuples."""
+    rules = {"semigraphoid": set(), "intersection": set(), "composition": set(),
+             "weak-transitivity": set()}
+    verts = range(1, n + 1)
+    for i, j, k in itertools.permutations(verts, 3):
+        rest = [v for v in verts if v not in (i, j, k)]
+        for kb in range(1 << len(rest)):
+            K = frozenset(rest[t] for t in range(len(rest)) if kb >> t & 1)
+            jK, kK = K | {j}, K | {k}
+            rules["semigraphoid"].add((
+                (_index(n, i, j, K), _index(n, i, k, jK)),
+                (_index(n, i, k, K), _index(n, i, j, kK))))
+            rules["intersection"].add((
+                (_index(n, i, j, kK), _index(n, i, k, jK)),
+                (_index(n, i, j, K), _index(n, i, k, K))))
+            rules["composition"].add((
+                (_index(n, i, j, K), _index(n, i, k, K)),
+                (_index(n, i, j, kK), _index(n, i, k, jK))))
+            rules["weak-transitivity"].add((
+                (_index(n, i, j, K), _index(n, i, j, kK)),
+                (_index(n, i, k, K), _index(n, j, k, K))))
+    return {name: sorted(inst) for name, inst in rules.items()}
+
+
+def _reference_rule17_instances(n):
+    out = set()
+    for a, b, c, d in itertools.permutations(range(1, n + 1), 4):
+        prem = (_index(n, a, b), _index(n, c, d),
+                _index(n, a, c, (b, d)), _index(n, b, d, (a, c)))
+        out.add((tuple(sorted(prem)), (_index(n, a, c),)))
+    return sorted(out)
+
+
+def _rows(table):
+    prem, concl = table
+    return [(tuple(p), tuple(c)) for p, c in zip(prem.tolist(), concl.tolist())]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_instance_tables_match_per_statement_builders(n):
+    tables = ci._axiom_instances(n)
+    reference = _reference_axiom_instances(n)
+    assert list(tables) == list(reference)
+    for rule, rows in reference.items():
+        assert _rows(tables[rule]) == rows
+    assert _rows(ci._rule17_instances(n)) == _reference_rule17_instances(n)
+
+
 def _closure_by_full_passes(r, rules):
     """Closure by definition: full passes over every instance until nothing changes."""
     fired = {rule: 0 for rule in rules}
@@ -278,11 +358,11 @@ def _closure_by_full_passes(r, rules):
     tagged = []
     for rule in rules:
         if rule == "rule17":
-            instances = ci._rule17_instances(r.n) if r.n >= 4 else ()
+            prem, concl = ci._rule17_instances(r.n)
         else:
-            instances = ci._axiom_instances(r.n)[rule]
-        for prem, concl in instances:
-            tagged.append((rule, sum(1 << p for p in prem), sum(1 << c for c in concl)))
+            prem, concl = ci._axiom_instances(r.n)[rule]
+        for p_row, c_row in zip(prem.tolist(), concl.tolist()):
+            tagged.append((rule, sum(1 << p for p in p_row), sum(1 << c for c in c_row)))
     bits = r.bits
     changed = True
     while changed:
@@ -357,6 +437,31 @@ def test_canonical_form_invariance():
             dual(r), modulo_duality=True)
         c_no_dual = canonical_form(r, modulo_duality=False)
         assert c_no_dual == canonical_form(permute_relation(r, perm), modulo_duality=False)
+
+
+def _reference_permute(n, stmt, perm):
+    return _index(n, perm[stmt.i - 1], perm[stmt.j - 1], [perm[v - 1] for v in stmt.K])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_perm_index_maps_match_per_statement_builder(n):
+    stmts = ci.all_statements(n)
+    want = [[_reference_permute(n, s, perm) for s in stmts]
+            for perm in itertools.permutations(range(1, n + 1))]
+    assert ci._perm_index_maps(n).tolist() == want
+
+
+def test_permute_relation_matches_per_statement_builder():
+    rng = np.random.default_rng(67)
+    for n in (2, 3, 4, 5, 6, 7):
+        for _ in range(5):
+            r = Relation(n, int.from_bytes(rng.bytes(num_statements(n) // 8 + 1), "little")
+                         % (1 << num_statements(n)))
+            perm = tuple(int(v) for v in rng.permutation(np.arange(1, n + 1)))
+            want = sum(1 << _reference_permute(n, s, perm) for s in r.statements())
+            assert permute_relation(r, perm) == Relation(n, want)
+    with pytest.raises(ValueError, match="not a permutation"):
+        permute_relation(full_relation(3), (1, 1, 2))
 
 
 def test_canonical_form_size_limit():

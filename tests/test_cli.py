@@ -164,6 +164,22 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_analyze_has_no_tolerance_option(tmp_path, capsys):
+    # the report has no tolerance-dependent part, so analyze takes no --tol;
+    # verify keeps its own
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", STAR_PATH, "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    eye = write(tmp_path, "eye.mat", "2\n1 0\n0 1\n")
+    pair = write(tmp_path, "p.pair", "n 2\nG\nH\n")
+    assert main(["verify", eye, pair, "--tol", "1e-3"]) == 0
+
+
+def test_parser_is_built_once():
+    assert cli.make_parser() is cli.make_parser()
+
+
 def test_trailing_or_short_inputs_are_usage_errors(tmp_path, capsys):
     mat = write(tmp_path, "extra.mat", "2\n1 0\n0 1\n1 1\n")
     pair2 = write(tmp_path, "p2.pair", "n 2\nG 1-2\nH 1-2\n")
