@@ -95,9 +95,10 @@ def _index_of(n: int, a, b, kmask):
 
     a and b are distinct 0-based vertices in either order and kmask is the
     bitmask of K; the bits of a and b are squeezed out of it to give the
-    subset rank.
+    subset rank.  Plain arithmetic keeps a scalar call in Python ints.
     """
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    lo = a + (b - a) * (b < a)
+    hi = a + b - lo
     pair = lo * (2 * n - lo - 1) // 2 + hi - lo - 1
     rank = (kmask & ((1 << lo) - 1)
             | (kmask >> (lo + 1) & ((1 << (hi - lo - 1)) - 1)) << lo

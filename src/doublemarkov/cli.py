@@ -39,7 +39,7 @@ class ModelReport:
     model_point: dict | None
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
+        return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
 
 
 def _edge_list(g: graphs.Graph) -> list[list[int]]:

@@ -1,9 +1,12 @@
 """Dense symmetric matrix layer: definiteness, minors, CI extraction.
 
-Matrices are plain numpy arrays.  Float arrays go through LAPACK; arrays of
-dtype object holding ``fractions.Fraction`` entries run through exact
-rational routines (Sylvester minors, fraction-free elimination) so paper
-examples can be checked without rounding.
+Matrices are plain numpy arrays.  Float arrays go through LAPACK.  Arrays of
+dtype object holding ``fractions.Fraction`` or int entries are exact: they
+are scaled by the least common denominator of their entries to Python ints
+(_integer_form), and det, is_pd and inverse all read their answers off one
+fraction-free integer elimination (_eliminate), while relation_of_matrix
+sweeps the same integer form, so paper examples are checked without
+rounding.
 
 Frozen minor convention: the almost-principal minor for (ij|K) is the
 determinant of the submatrix with row set iK and column set jK, the
@@ -37,9 +40,7 @@ def as_sym(a, name: str = "matrix") -> np.ndarray:
     if is_exact(a):
         if not all(a[i, j] == a[j, i] for i in range(a.shape[0]) for j in range(i)):
             raise ValueError(f"{name} must be symmetric")
-        if a.shape[0] > 1 and not all(
-            isinstance(x, (Fraction, int)) for x in a.flat
-        ):
+        if not all(isinstance(x, (Fraction, int)) for x in a.flat):
             raise ValueError(f"exact {name} entries must be Fraction or int")
     else:
         a = a.astype(float)
@@ -67,25 +68,48 @@ def rational_matrix(rows) -> np.ndarray:
     return as_sym(out)
 
 
-def _det_exact(a: np.ndarray) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in a]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] * inv
-            if f:
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
+def _integer_form(a: np.ndarray) -> tuple[list[list[int]], int]:
+    """Rows of a times the least common denominator of its entries, as ints, and that LCD."""
+    entries = [Fraction(x) for x in a.flat]
+    lcd = math.lcm(*(x.denominator for x in entries))
+    ints = [x.numerator * (lcd // x.denominator) for x in entries]
+    n = a.shape[0]
+    return [ints[i * n:(i + 1) * n] for i in range(n)], lcd
+
+
+def _eliminate(rows: list[list[int]], augment: bool):
+    """Fraction-free (Bareiss) elimination of an integer matrix A: (pivots, swaps, rows).
+
+    Each step takes the first row with a nonzero entry in the pivot column
+    and updates row i to (p_k * row_i - row_i[k] * row_k) // p_{k-1}; every
+    division is exact, so the pass never leaves the integers.  pivots starts
+    with p_0 = 1 and, when swaps is 0, its k-th entry is the k-th leading
+    principal minor of A.  The last pivot is det(A) times (-1)^swaps, or 0
+    where A is singular (the pass stops there).  With augment the pass runs
+    Gauss-Jordan on [A | I], clearing above the pivots too, and the right
+    block of the returned rows ends as that last pivot times the inverse of A.
+    Only entries right of the pivot column are kept up to date.
+    """
+    n = len(rows)
+    m = [row + [int(i == j) for j in range(n)] if augment else list(row)
+         for i, row in enumerate(rows)]
+    pivots, swaps = [1], 0
+    for k in range(n):
+        p = next((r for r in range(k, n) if m[r][k]), None)
+        if p is None:
+            pivots.append(0)
+            break
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            swaps += 1
+        top, piv, prev = m[k], m[k][k], pivots[-1]
+        for i in range(n) if augment else range(k + 1, n):
+            if i != k:
+                row, f = m[i], m[i][k]
+                row[k + 1:] = [(piv * x - f * y) // prev
+                               for x, y in zip(row[k + 1:], top[k + 1:])]
+        pivots.append(piv)
+    return pivots, swaps, m
 
 
 def det(a: np.ndarray):
@@ -93,7 +117,9 @@ def det(a: np.ndarray):
     if a.shape[0] == 0:
         return Fraction(1) if is_exact(a) else 1.0
     if is_exact(a):
-        return _det_exact(a)
+        rows, lcd = _integer_form(a)
+        pivots, swaps, _ = _eliminate(rows, augment=False)
+        return Fraction((-1) ** swaps * pivots[-1], lcd ** len(rows))
     return float(np.linalg.det(a))
 
 
@@ -120,33 +146,16 @@ def _pd_factor(a: np.ndarray, pivot_tol: float = PIVOT_TOL):
     return L if (np.diag(L) ** 2 > pivot_tol * scale).all() else None
 
 
-def _pivots_positive_exact(a: np.ndarray) -> bool:
-    """Symmetric fraction elimination without row swaps: PD iff every pivot is > 0."""
-    m = [[Fraction(x) for x in row] for row in a]
-    n = len(m)
-    for c in range(n):
-        piv = m[c][c]
-        if piv <= 0:
-            return False
-        top = m[c]
-        for r in range(c + 1, n):
-            f = m[r][c] / piv
-            if f:
-                row = m[r]
-                for t in range(c + 1, n):
-                    row[t] -= f * top[t]
-    return True
-
-
 def is_pd(a, pivot_tol: float = PIVOT_TOL) -> bool:
-    """Positive definiteness; Cholesky pivots (exact: elimination pivots).
+    """Positive definiteness; Cholesky pivots (exact: Sylvester's criterion).
 
     Float mode requires every Cholesky pivot to exceed
     pivot_tol * max(1, max|entry|), so barely singular matrices are rejected.
     """
     a = as_sym(a)
     if is_exact(a):
-        return _pivots_positive_exact(a)
+        pivots, swaps, _ = _eliminate(_integer_form(a)[0], augment=False)
+        return swaps == 0 and min(pivots) > 0
     return _pd_factor(a, pivot_tol) is not None
 
 
@@ -156,36 +165,25 @@ def _require_pd(a):
 
 
 def inverse(a) -> np.ndarray:
-    """Inverse of a positive definite matrix; float mode goes via one Cholesky."""
+    """Inverse of a positive definite matrix; float mode goes via one Cholesky.
+
+    Exact mode reads the definiteness verdict and the entries off one
+    augmented elimination of the integer form.
+    """
     a = as_sym(a)
     if is_exact(a):
-        _require_pd(a)
-        return _inverse_exact(a)
+        rows, lcd = _integer_form(a)
+        pivots, swaps, m = _eliminate(rows, augment=True)
+        if swaps or min(pivots) <= 0:
+            raise NotPositiveDefinite("matrix is not positive definite")
+        n, d = len(rows), pivots[-1]
+        return np.array([Fraction(x * lcd, d) for row in m for x in row[n:]],
+                        dtype=object).reshape(n, n)
     L = _pd_factor(a)
     if L is None:
         raise NotPositiveDefinite("matrix is not positive definite")
     inv = chol_inverse(L)
     return (inv + inv.T) / 2
-
-
-def _inverse_exact(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    m = [[Fraction(a[i, j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if m[r][c] != 0)
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = m[i][j + n]
-    return out
 
 
 def almost_principal_minor(a, i: int, j: int, K=()):
@@ -255,10 +253,7 @@ def relation_of_matrix(a, tol: float = DEFAULT_TOL) -> ci.Relation:
     n = a.shape[0]
     masks, rows, cols = ci._statement_entries(n)
     if is_exact(a):
-        entries = [Fraction(x) for x in a.flat]
-        lcd = math.lcm(*(x.denominator for x in entries))
-        ints = np.array([x.numerator * (lcd // x.denominator) for x in entries],
-                        dtype=object).reshape(n, n)
+        ints = np.array(_integer_form(a)[0], dtype=object).reshape(n, n)
         hits = _minor_sweep(ints)[masks, rows, cols] == 0
     else:
         minors = _minor_sweep(to_correlation(a)[1])[masks, rows, cols]

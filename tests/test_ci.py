@@ -86,6 +86,13 @@ def test_statement_index_follows_the_frozen_formula():
         assert [statement_at(n, t) for t in range(len(expected))] == expected
 
 
+def test_scalar_index_of_stays_a_python_int():
+    for a, b in ((0, 3), (3, 0)):
+        idx = ci._index_of(5, a, b, 0b00110)
+        assert type(idx) is int
+        assert idx == statement_index(5, make_statement(1, 4, [2, 3]))
+
+
 def test_full_relation_counts():
     assert len(full_relation(3)) == 6
     assert len(full_relation(4)) == 24

@@ -383,7 +383,17 @@ def test_sweep_matches_minors_exact_up_to_5():
     assert relation_of_matrix(ints) == _relation_by_minors(ints)
 
 
-def test_exact_is_pd_matches_sylvester_minors():
+@pytest.fixture
+def sympy():
+    """The independent exact oracle: sympy is a test-only dependency."""
+    return pytest.importorskip("sympy")
+
+
+def _as_fraction(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
+def test_exact_is_pd_matches_sylvester_minors(sympy):
     rng = np.random.default_rng(53)
     seen = set()
     for _ in range(60):
@@ -395,10 +405,60 @@ def test_exact_is_pd_matches_sylvester_minors():
             for j in range(i):
                 q[i][j] = q[j][i]
         m = rational_matrix(q)
-        sylvester = all(det(m[: k + 1, : k + 1]) > 0 for k in range(n))
+        sylvester = all(sympy.Matrix(q)[: k + 1, : k + 1].det() > 0 for k in range(n))
         assert is_pd(m) == sylvester
         seen.add(sylvester)
     assert seen == {True, False}
+
+
+def _random_rational(rng, rows, cols):
+    return [[Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4))) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def test_exact_det_matches_sympy_on_non_symmetric_matrices(sympy):
+    rng = np.random.default_rng(59)
+    cases = [[[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]]
+    for _ in range(150):
+        n = int(rng.integers(1, 6))
+        q = _random_rational(rng, n, n)
+        if n > 1 and rng.random() < 0.3:
+            # a row that combines two others makes the matrix singular
+            q[-1] = [2 * x - y for x, y in zip(q[0], q[1])]
+        if rng.random() < 0.3:
+            q[0][0] = Fraction(0)  # forces a row swap at the first step
+        cases.append(q)
+    singular = 0
+    for q in cases:
+        got = det(np.array(q, dtype=object))
+        assert isinstance(got, Fraction)
+        assert got == _as_fraction(sympy.Matrix(q).det())
+        singular += got == 0
+    assert det(np.array(cases[0], dtype=object)) == -1
+    assert singular > 10
+
+
+def test_exact_inverse_matches_sympy_on_pd_matrices(sympy):
+    rng = np.random.default_rng(61)
+    for n in range(1, 7):
+        for _ in range(8):
+            b = sympy.Matrix(_random_rational(rng, n, n))
+            q = b.T * b + sympy.eye(n) * sympy.Rational(int(rng.integers(1, 4)), 5)
+            a = rational_matrix([[_as_fraction(x) for x in q.row(i)] for i in range(n)])
+            want = q.inv()
+            got = inverse(a)
+            assert got.dtype == object
+            assert all(got[i, j] == _as_fraction(want[i, j])
+                       for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("entry", [0.5, None])
+def test_exact_one_by_one_entries_are_type_checked(entry):
+    a = np.array([[entry]], dtype=object)
+    with pytest.raises(ValueError, match="Fraction or int"):
+        as_sym(a)
+    with pytest.raises(ValueError, match="Fraction or int"):
+        is_pd(a)
 
 
 def test_float_inverse_agrees_with_is_pd():
