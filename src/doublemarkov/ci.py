@@ -112,9 +112,13 @@ def _statement(kmask: int, i0: int, j0: int) -> Statement:
 
 def _vertex_mask(n: int, stmt: Statement) -> int:
     """Bitmask of i, j and K, checked distinct and in 1..n; _index_of drops i and j."""
-    vertices = (stmt.i, stmt.j, *stmt.K)
-    mask = sum(1 << (v - 1) for v in set(vertices) if 0 < v <= n)
-    if mask.bit_count() != len(vertices):
+    i, j = stmt.i, stmt.j
+    mask = 1 << (i - 1) | 1 << (j - 1) if 0 < i <= n and 0 < j <= n else 0
+    for v in stmt.K:
+        if 0 < v <= n:
+            mask |= 1 << (v - 1)
+    # a repeated or out-of-range vertex leaves fewer bits than vertices
+    if mask.bit_count() != len(stmt.K) + 2:
         raise ValueError(f"statement {stmt} does not fit ground set 1..{n}")
     return mask
 

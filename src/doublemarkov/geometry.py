@@ -23,12 +23,9 @@ from .graphs import Graph
 RANK_TOL = 1e-8
 
 
-def _sym_positions(n: int, correlation_mode: bool) -> list[tuple[int, int]]:
-    return [(s, t) for s in range(1, n + 1) for t in range(s + correlation_mode, n + 1)]
-
-
-def _vech(a: np.ndarray, positions) -> np.ndarray:
-    return np.array([a[s - 1, t - 1] for s, t in positions])
+def _sym_index(n: int, correlation_mode: bool) -> tuple[np.ndarray, np.ndarray]:
+    """0-based rows and columns of the positions (s, t), s <= t (s < t), in lex order."""
+    return np.triu_indices(n, int(correlation_mode))
 
 
 def numerical_rank(a: np.ndarray, rank_tol: float = RANK_TOL) -> int:
@@ -54,41 +51,40 @@ def tangent_basis_concentration(p, g: Graph) -> TangentBasis:
 
     These span the tangent space of the concentration-constrained model at
     the positive definite point p (image of the coordinate directions under
-    the differential of matrix inversion).
+    the differential of matrix inversion).  A diagonal generator 2 P^i P_i
+    is the same sum with j = i.
     """
     p = matrices.as_sym(p)
     if not matrices.is_pd(p):
         raise NotPositiveDefinite("tangent basis needs a positive definite point")
     if p.shape[0] != g.n:
         raise ValueError("matrix size does not match the graph")
-    tags, gens = [], []
-    for i in range(1, g.n + 1):
-        col = p[:, i - 1]
-        tags.append(("diag", i))
-        gens.append(2 * np.outer(col, col))
-    for i, j in g.edges:
-        ci_, cj = p[:, i - 1], p[:, j - 1]
-        tags.append(("edge", (i, j)))
-        gens.append(np.outer(ci_, cj) + np.outer(cj, ci_))
-    return TangentBasis(p, tuple(tags), tuple(gens))
+    tags = [("diag", i) for i in range(1, g.n + 1)] + [("edge", e) for e in g.edges]
+    ii, jj = _endpoints(g.n, g.edges)
+    outer = p.T[ii, :, None] * p.T[jj, None, :]
+    return TangentBasis(p, tuple(tags), tuple(outer + outer.transpose(0, 2, 1)))
+
+
+def _index_pairs(pairs) -> np.ndarray:
+    """(2, len(pairs)) array of the 0-based rows and columns of 1-based pairs (i, j)."""
+    return (np.array(pairs, dtype=np.intp).reshape(-1, 2) - 1).T
+
+
+def _endpoints(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """0-based endpoints of the diagonal pairs (i, i), then of the edges."""
+    diag = np.arange(n)
+    i, j = _index_pairs(edges)
+    return np.concatenate([diag, i]), np.concatenate([diag, j])
 
 
 def _basis_matrix(mats, n: int) -> np.ndarray:
-    positions = _sym_positions(n, correlation_mode=False)
-    if not mats:
-        return np.zeros((0, len(positions)))
-    return np.stack([_vech(m, positions) for m in mats])
+    """Rows vech(m) of the symmetric matrices m, over the positions s <= t."""
+    s, t = _sym_index(n, False)
+    return np.reshape(mats, (-1, n, n))[:, s, t]
 
 
 def span_dimension(basis: TangentBasis, rank_tol: float = RANK_TOL) -> int:
     return numerical_rank(_basis_matrix(basis.generators, basis.point.shape[0]), rank_tol)
-
-
-def _e_sym(n: int, i: int, j: int) -> np.ndarray:
-    out = np.zeros((n, n))
-    out[i - 1, j - 1] += 1.0
-    out[j - 1, i - 1] += 1.0
-    return out
 
 
 def is_transverse_at(p, g: Graph, h: Graph, rank_tol: float = RANK_TOL,
@@ -105,9 +101,13 @@ def is_transverse_at(p, g: Graph, h: Graph, rank_tol: float = RANK_TOL,
         raise ValueError("point is not on the model; residual too large")
     n = g.n
     conc = tangent_basis_concentration(p, g).generators
-    cov = [_e_sym(n, i, i) for i in range(1, n + 1)]
-    cov += [_e_sym(n, i, j) for i, j in h.edges]
-    stack = _basis_matrix(list(conc) + cov, n)
+    # covariance directions E_ii and E_ij + E_ji for the edges ij of h
+    ii, jj = _endpoints(n, h.edges)
+    cov = np.zeros((len(ii), n, n))
+    q = np.arange(len(ii))
+    cov[q, ii, jj] += 1.0
+    cov[q, jj, ii] += 1.0
+    stack = _basis_matrix(np.concatenate([conc, cov]), n)
     return numerical_rank(stack, rank_tol) == n * (n + 1) // 2
 
 
@@ -124,68 +124,61 @@ class PseudoJacobian:
         return numerical_rank(self.rows, rank_tol)
 
 
-def _adjugate(a: np.ndarray) -> np.ndarray:
-    """Adjugate via cofactors; works at singular points where inv() would not."""
-    m = a.shape[0]
-    if m == 0:
-        return np.zeros((0, 0))
-    if m == 1:
-        return np.array([[1.0]])
-    cof = np.empty((m, m))
-    idx = list(range(m))
-    for r in range(m):
-        rows = idx[:r] + idx[r + 1 :]
-        sub = a[rows]
-        for c in range(m):
-            cols = idx[:c] + idx[c + 1 :]
-            cof[r, c] = (-1) ** (r + c) * matrices.det(sub[:, cols])
-    return cof.T
-
-
-def _minor_gradient(a: np.ndarray, k: int, l: int, positions) -> np.ndarray:
-    """Gradient of det(a with row k and column l deleted) in the sigma coordinates."""
-    n = a.shape[0]
-    rows = [v for v in range(n) if v != k - 1]
-    cols = [v for v in range(n) if v != l - 1]
-    adj = _adjugate(a[np.ix_(rows, cols)])
-    cof = adj.T
-    rpos = {v: t for t, v in enumerate(rows)}
-    cpos = {v: t for t, v in enumerate(cols)}
-    grad = np.zeros(len(positions))
-    for m, (s, t) in enumerate(positions):
-        s0, t0 = s - 1, t - 1
-        val = 0.0
-        if s0 in rpos and t0 in cpos:
-            val += cof[rpos[s0], cpos[t0]]
-        if s != t and t0 in rpos and s0 in cpos:
-            val += cof[rpos[t0], cpos[s0]]
-        grad[m] = val
-    return grad
-
-
 def stacked_jacobian(a, g: Graph, h: Graph, correlation_mode: bool = False) -> PseudoJacobian:
     """Jacobian of the defining equations at any symmetric matrix a.
 
     Rows: gradients of det(a_{N\\k, N\\l}) for non-edges kl of g (cofactor
     formula), then gradients of the entries a_ij for non-edges ij of h.
+
+    The gradient of the minor at position (s, t) is its cofactor at (s, t)
+    plus, off the diagonal, its cofactor at (t, s); a cofactor of the minor
+    is a signed determinant of a with rows {k, r} and columns {l, c}
+    removed.  All of them, for every non-edge of g, are one stack through
+    one matrices.det call, so they work at singular points too.
     """
     a = matrices.as_sym(a).astype(float)
-    if g.n != h.n or g.n != a.shape[0]:
+    n = g.n
+    if n != h.n or n != a.shape[0]:
         raise ValueError("matrix and graphs must share the ground set")
-    positions = tuple(_sym_positions(g.n, correlation_mode))
-    pos_index = {p: m for m, p in enumerate(positions)}
-    rows, labels = [], []
-    for k, l in g.non_edges():
-        rows.append(_minor_gradient(a, k, l, positions))
-        labels.append(("minor", (k, l)))
-    for i, j in h.non_edges():
-        row = np.zeros(len(positions))
-        if (i, j) in pos_index:
-            row[pos_index[(i, j)]] = 1.0
-        rows.append(row)
-        labels.append(("entry", (i, j)))
-    mat = np.stack(rows) if rows else np.zeros((0, len(positions)))
-    return PseudoJacobian(mat, tuple(labels), positions, correlation_mode)
+    s, t = _sym_index(n, correlation_mode)
+    positions = tuple(zip((s + 1).tolist(), (t + 1).tolist()))
+    column = np.full((n, n), -1)
+    column[s, t] = np.arange(len(s))
+    minor_pairs, entry_pairs = g.non_edges(), h.non_edges()
+    rows = np.zeros((len(minor_pairs) + len(entry_pairs), len(s)))
+    if minor_pairs:
+        k, l = _index_pairs(minor_pairs)[:, :, None]
+        rows[:len(k)] = _minor_gradients(a, k, l, s, t)
+    i, j = _index_pairs(entry_pairs)
+    rows[len(minor_pairs) + np.arange(len(i)), column[i, j]] = 1.0
+    labels = [("minor", e) for e in minor_pairs] + [("entry", e) for e in entry_pairs]
+    return PseudoJacobian(rows, tuple(labels), positions, correlation_mode)
+
+
+def _minor_gradients(a: np.ndarray, k, l, s, t) -> np.ndarray:
+    """Rows of d det(a without row k, column l) / d sigma_st, one per (k, l).
+
+    k and l are (N, 1) arrays of 0-based removed rows and columns, s and t
+    the 0-based positions.  Row r of the (n-1)-square minor is row
+    r + (r >= k) of a; a cofactor removes one more row and column.
+    """
+    n = a.shape[0]
+    m = n - 1
+    others = np.array([[v for v in range(m) if v != r] for r in range(m)], dtype=np.intp)
+    rows = (np.arange(m) + (np.arange(m) >= k))[:, others]   # (N, m, m - 1)
+    cols = (np.arange(m) + (np.arange(m) >= l))[:, others]
+    stack = a[rows[:, :, None, :, None], cols[:, None, :, None, :]]
+    stack = stack.reshape(len(k) * m * m, m - 1, m - 1)
+    sign = np.where(np.add.outer(np.arange(m), np.arange(m)) % 2, -1.0, 1.0)
+    cof = (sign * matrices.det(stack).reshape(-1, m, m)).reshape(len(k), m * m)
+
+    def term(u, v, present):
+        # cofactor at minor row/column of the a-indices u, v (0 where removed)
+        at = np.where(present, (u - (u > k)) * m + v - (v > l), 0)
+        return np.where(present, np.take_along_axis(cof, at, 1), 0.0)
+
+    # summed from 0.0 in the order of the cofactor expansion, signed zeros included
+    return 0.0 + term(s, t, (s != k) & (t != l)) + term(t, s, (s != t) & (t != k) & (s != l))
 
 
 def local_tangent_dimension(a, g: Graph, h: Graph, correlation_mode: bool = False,
@@ -328,11 +321,11 @@ class FindPointResult:
     iterations: int = field(default=0)
 
 
-def _build_corr(n: int, free: list[tuple[int, int]], x: np.ndarray) -> np.ndarray:
+def _build_corr(n: int, fi: np.ndarray, fj: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Unit-diagonal matrix with x at the 0-based free positions (fi, fj) and (fj, fi)."""
     a = np.eye(n)
-    for val, (i, j) in zip(x, free):
-        a[i - 1, j - 1] = val
-        a[j - 1, i - 1] = val
+    a[fi, fj] = x
+    a[fj, fi] = x
     return a
 
 
@@ -355,22 +348,18 @@ def find_model_point(g: Graph, h: Graph, seed: int = 0, residual_tol: float = 1e
     if g.n != h.n:
         raise ValueError("graphs live on different vertex sets")
     n = g.n
-    free = list(h.edges)
-    targets = [(k - 1, l - 1) for k, l in g.non_edges()]
+    fi, fj = _index_pairs(h.edges)
+    tk, tl = _index_pairs(g.non_edges())
     best = None
-
-    def residuals(inv):
-        return np.array([inv[k, l] for k, l in targets])
-
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
-        x = rng.uniform(-init_scale / n, init_scale / n, size=len(free))
-        a = _build_corr(n, free, x)
+        x = rng.uniform(-init_scale / n, init_scale / n, size=len(fi))
+        a = _build_corr(n, fi, fj, x)
         L = matrices.cholesky_or_none(a)
         if L is None:
             continue
         inv = matrices.chol_inverse(L)
-        r = residuals(inv)
+        r = inv[tk, tl]
         iters = 0
         stall = 0
         best_rmax = np.inf
@@ -385,7 +374,7 @@ def find_model_point(g: Graph, h: Graph, seed: int = 0, residual_tol: float = 1e
                 stall += 1
                 if stall >= 30:  # crawling along the feasible-box boundary
                     break
-            jac = _point_jacobian(inv, free, targets)
+            jac = _point_jacobian(inv, fi, fj, tk, tl)
             # rcond cut kills near-null step components that would otherwise
             # drift the iterate toward the cone boundary
             d, *_ = np.linalg.lstsq(jac, -r, rcond=1e-8)
@@ -406,11 +395,11 @@ def find_model_point(g: Graph, h: Graph, seed: int = 0, residual_tol: float = 1e
                 if xn.size and np.abs(xn).max() >= entry_cap:
                     alpha *= 0.5
                     continue
-                an = _build_corr(n, free, xn)
+                an = _build_corr(n, fi, fj, xn)
                 Ln = matrices.cholesky_or_none(an)
                 if Ln is not None:
                     invn = matrices.chol_inverse(Ln)
-                    rn = residuals(invn)
+                    rn = invn[tk, tl]
                     if 0.5 * (rn @ rn) <= fval + 1e-4 * alpha * slope:
                         x, a, inv, r = xn, an, invn, rn
                         accepted = True
@@ -430,11 +419,11 @@ def find_model_point(g: Graph, h: Graph, seed: int = 0, residual_tol: float = 1e
     return best
 
 
-def _point_jacobian(inv, free, targets):
-    """d(inv)_kl / d sigma_st = -(inv E^st inv)_kl, rows over targets."""
-    jac = np.empty((len(targets), len(free)))
-    for m, (s, t) in enumerate(free):
-        s0, t0 = s - 1, t - 1
-        for q, (k, l) in enumerate(targets):
-            jac[q, m] = -(inv[k, s0] * inv[t0, l] + inv[k, t0] * inv[s0, l])
-    return jac
+def _point_jacobian(inv, fi, fj, tk, tl):
+    """d(inv)_kl / d sigma_st = -(inv E^st inv)_kl.
+
+    Rows run over the 0-based targets (tk, tl), columns over the free
+    positions (fi, fj).
+    """
+    k, l = tk[:, None], tl[:, None]
+    return -(inv[k, fi] * inv[fj, l] + inv[k, fj] * inv[fi, l])

@@ -113,7 +113,18 @@ def _eliminate(rows: list[list[int]], augment: bool):
 
 
 def det(a: np.ndarray):
+    """Determinant of a square matrix, exact for exact input.
+
+    A float stack of shape (k, m, m) gives the array of its k determinants
+    from one batched LAPACK call, bitwise equal to k single calls; an empty
+    stack gives an empty array and a (k, 0, 0) stack k ones.  Exact stacks
+    are refused.
+    """
     a = np.asarray(a)
+    if a.ndim == 3:
+        if is_exact(a):
+            raise ValueError("exact det takes one matrix, not a stack")
+        return np.linalg.det(a)
     if a.shape[0] == 0:
         return Fraction(1) if is_exact(a) else 1.0
     if is_exact(a):
@@ -133,7 +144,7 @@ def cholesky_or_none(a: np.ndarray):
 
 def chol_inverse(L: np.ndarray) -> np.ndarray:
     """Inverse of L L^T through the inverse of its lower triangular factor L."""
-    inv_l = np.linalg.solve(L, np.eye(L.shape[0]))
+    inv_l = np.linalg.inv(L)
     return inv_l.T @ inv_l
 
 
@@ -216,9 +227,15 @@ def _minor_sweep(a: np.ndarray) -> np.ndarray:
     On a matrix of Python ints (dtype object) every division is exact and
     done as floor division, so exact mode never leaves the integers.  Memory
     is 2^n n^2 entries.
+
+    Exact mode also checks Sylvester's criterion on the way: step k reads
+    the leading minor det(a[:k+1, :k+1]) as its last pivot and raises
+    NotPositiveDefinite unless it is > 0, so every later divisor, a
+    principal minor of a positive definite leading block, is nonzero.
     """
     n = a.shape[0]
-    divide = np.floor_divide if a.dtype == object else np.true_divide
+    exact = a.dtype == object
+    divide = np.floor_divide if exact else np.true_divide
     M = np.empty((1 << n, n, n), dtype=a.dtype)
     dets = np.empty(1 << n, dtype=a.dtype)
     M[0] = a
@@ -227,6 +244,8 @@ def _minor_sweep(a: np.ndarray) -> np.ndarray:
         half = 1 << k
         par, out = M[:half], M[half:2 * half]
         piv = par[:, k, k]
+        if exact and piv[-1] <= 0:
+            raise NotPositiveDefinite("matrix is not positive definite")
         np.multiply(par[:, :, k, None], par[:, None, k, :], out=out)
         np.subtract(piv[:, None, None] * par, out, out=out)
         divide(out, dets[:half, None, None], out=out)
@@ -246,16 +265,18 @@ def relation_of_matrix(a, tol: float = DEFAULT_TOL) -> ci.Relation:
     correlation matrix, where that scale is 1 and the test reads
     |det(R_KK) (S_K)_ij| <= tol for the Schur complement S_K of R_KK.  Exact
     entries use minor == 0, swept on the matrix times the least common
-    denominator of its entries, which scales every minor by a power of it.
+    denominator of its entries, which scales every minor by a power of it;
+    that sweep also decides definiteness (Sylvester's criterion), where
+    float entries go through the Cholesky test of is_pd.
     """
     a = as_sym(a)
-    _require_pd(a)
     n = a.shape[0]
     masks, rows, cols = ci._statement_entries(n)
     if is_exact(a):
         ints = np.array(_integer_form(a)[0], dtype=object).reshape(n, n)
         hits = _minor_sweep(ints)[masks, rows, cols] == 0
     else:
+        _require_pd(a)
         minors = _minor_sweep(to_correlation(a)[1])[masks, rows, cols]
         hits = np.abs(minors) <= tol
     return ci._from_bool_array(n, hits)

@@ -93,6 +93,17 @@ def test_scalar_index_of_stays_a_python_int():
         assert idx == statement_index(5, make_statement(1, 4, [2, 3]))
 
 
+@pytest.mark.parametrize("i, j, K", [
+    (1, 1, ()), (1, 2, (2,)), (1, 2, (1, 3)), (0, 2, ()), (1, 5, ()), (1, 2, (5,)), (1, 2, (0,)),
+])
+def test_statement_index_refuses_statements_off_the_ground_set(i, j, K):
+    stmt = ci.Statement(i, j, frozenset(K))
+    with pytest.raises(ValueError, match=r"does not fit ground set 1\.\.4"):
+        statement_index(4, stmt)
+    with pytest.raises(ValueError, match="does not fit"):
+        Relation.from_statements(4, [stmt])
+
+
 def test_full_relation_counts():
     assert len(full_relation(3)) == 6
     assert len(full_relation(4)) == 24

@@ -73,6 +73,25 @@ def test_analyze_point_reproducible(tmp_path):
     assert rep["model_point"]["residual"] <= 1e-10
 
 
+def test_analyze_point_is_identical_across_processes(tmp_path):
+    # separate interpreters with different hash seeds must write the same bytes
+    import subprocess
+    import sys
+
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    outs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"point{hash_seed}.json"
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        subprocess.run([sys.executable, "-m", "doublemarkov.cli", "analyze", STAR_PATH,
+                        "--point", "--seed", "11", "--json", str(out)],
+                       env=env, check=True, stdout=subprocess.DEVNULL)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    point = json.loads(outs[0])["model_point"]
+    assert point["converged"] is True and len(point["matrix"]) == 4
+
+
 def test_analyze_malformed_edge(tmp_path, capsys):
     pair = write(tmp_path, "bad.pair", "n 4\nG 1-1\nH\n")
     assert main(["analyze", pair]) == 2

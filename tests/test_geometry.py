@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from doublemarkov import Graph, complete_graph, empty_graph
+from doublemarkov import geometry, matrices
 from doublemarkov.errors import NotPositiveDefinite
 from doublemarkov.geometry import (
     ConnectednessCertificate,
@@ -272,3 +273,141 @@ def test_numerical_rank_threshold():
     assert numerical_rank(m) == 2
     assert numerical_rank(m, rank_tol=1e-15) == 3
     assert numerical_rank(np.zeros((2, 2))) == 0
+
+
+# -- loop forms of the array kernels, kept as references ------------------------
+
+def _loop_positions(n, correlation_mode):
+    return [(s, t) for s in range(1, n + 1) for t in range(s + correlation_mode, n + 1)]
+
+
+def _loop_vech(a, positions):
+    return np.array([a[s - 1, t - 1] for s, t in positions])
+
+
+def _loop_adjugate(a):
+    m = a.shape[0]
+    if m == 1:
+        return np.array([[1.0]])
+    cof = np.empty((m, m))
+    idx = list(range(m))
+    for r in range(m):
+        rows = idx[:r] + idx[r + 1:]
+        sub = a[rows]
+        for c in range(m):
+            cols = idx[:c] + idx[c + 1:]
+            cof[r, c] = (-1) ** (r + c) * float(np.linalg.det(sub[:, cols]))
+    return cof.T
+
+
+def _loop_minor_gradient(a, k, l, positions):
+    n = a.shape[0]
+    rows = [v for v in range(n) if v != k - 1]
+    cols = [v for v in range(n) if v != l - 1]
+    cof = _loop_adjugate(a[np.ix_(rows, cols)]).T
+    rpos = {v: t for t, v in enumerate(rows)}
+    cpos = {v: t for t, v in enumerate(cols)}
+    grad = np.zeros(len(positions))
+    for m, (s, t) in enumerate(positions):
+        s0, t0 = s - 1, t - 1
+        val = 0.0
+        if s0 in rpos and t0 in cpos:
+            val += cof[rpos[s0], cpos[t0]]
+        if s != t and t0 in rpos and s0 in cpos:
+            val += cof[rpos[t0], cpos[s0]]
+        grad[m] = val
+    return grad
+
+
+def _loop_jacobian_rows(a, g, h, correlation_mode):
+    positions = _loop_positions(g.n, correlation_mode)
+    pos_index = {p: m for m, p in enumerate(positions)}
+    rows = [_loop_minor_gradient(a, k, l, positions) for k, l in g.non_edges()]
+    for i, j in h.non_edges():
+        row = np.zeros(len(positions))
+        row[pos_index[(i, j)]] = 1.0
+        rows.append(row)
+    return np.stack(rows) if rows else np.zeros((0, len(positions)))
+
+
+def _loop_build_corr(n, free, x):
+    a = np.eye(n)
+    for val, (i, j) in zip(x, free):
+        a[i - 1, j - 1] = val
+        a[j - 1, i - 1] = val
+    return a
+
+
+def _loop_point_jacobian(inv, free, targets):
+    jac = np.empty((len(targets), len(free)))
+    for m, (s, t) in enumerate(free):
+        s0, t0 = s - 1, t - 1
+        for q, (k, l) in enumerate(targets):
+            jac[q, m] = -(inv[k, s0] * inv[t0, l] + inv[k, t0] * inv[s0, l])
+    return jac
+
+
+def _seeded_pairs(n, rng):
+    """Random pairs plus the extremes: complete G (no minor rows or targets), empty H."""
+    pairs = [(random_graph(n, rng), random_graph(n, rng)) for _ in range(4)]
+    pairs.append((complete_graph(n), random_graph(n, rng)))
+    pairs.append((random_graph(n, rng), empty_graph(n)))
+    return pairs
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_point_kernels_match_loop_forms(n):
+    rng = np.random.default_rng(100 + n)
+    for g, h in _seeded_pairs(n, rng):
+        free = list(h.edges)
+        targets = [(k - 1, l - 1) for k, l in g.non_edges()]
+        fi, fj = geometry._index_pairs(free)
+        tk, tl = geometry._index_pairs(g.non_edges())
+        x = rng.uniform(-0.3 / n, 0.3 / n, size=len(free))
+        a = geometry._build_corr(n, fi, fj, x)
+        assert np.array_equal(a, _loop_build_corr(n, free, x))
+        inv = matrices.chol_inverse(matrices.cholesky_or_none(a))
+        assert np.array_equal(inv[tk, tl], np.array([inv[k, l] for k, l in targets]))
+        jac = geometry._point_jacobian(inv, fi, fj, tk, tl)
+        assert jac.shape == (len(targets), len(free))
+        assert np.array_equal(jac, _loop_point_jacobian(inv, free, targets))
+
+
+def test_chol_inverse_matches_triangular_solve():
+    rng = np.random.default_rng(21)
+    for n in range(1, 9):
+        for _ in range(20):
+            L = np.linalg.cholesky(random_pd(n, rng))
+            want = np.linalg.solve(L, np.eye(n))
+            assert np.array_equal(matrices.chol_inverse(L), want.T @ want)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("correlation_mode", [False, True])
+def test_stacked_jacobian_matches_loop_form(n, correlation_mode):
+    rng = np.random.default_rng(200 + n)
+    b = rng.normal(size=(n, n - 1))
+    points = [random_pd(n, rng), np.eye(n), b @ b.T]     # the last one is singular
+    for g, h in _seeded_pairs(n, rng):
+        for a in points:
+            jac = stacked_jacobian(a, g, h, correlation_mode)
+            assert jac.col_positions == tuple(_loop_positions(n, correlation_mode))
+            assert np.array_equal(jac.rows, _loop_jacobian_rows(a, g, h, correlation_mode))
+
+
+def test_tangent_generators_and_vech_match_loop_forms():
+    rng = np.random.default_rng(23)
+    for n in range(2, 8):
+        g = random_graph(n, rng)
+        p = random_pd(n, rng)
+        tb = tangent_basis_concentration(p, g)
+        cols = [p[:, i] for i in range(n)]
+        want = [2 * np.outer(c, c) for c in cols]
+        want += [np.outer(cols[i - 1], cols[j - 1]) + np.outer(cols[j - 1], cols[i - 1])
+                 for i, j in g.edges]
+        assert len(tb.generators) == len(want)
+        assert all(np.array_equal(got, w) for got, w in zip(tb.generators, want))
+        positions = _loop_positions(n, False)
+        assert np.array_equal(geometry._basis_matrix(tb.generators, n),
+                              np.stack([_loop_vech(m, positions) for m in want]))
+    assert geometry._basis_matrix((), 3).shape == (0, 6)

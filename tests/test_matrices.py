@@ -103,6 +103,33 @@ def test_relation_of_matrix_rejects_non_pd():
         relation_of_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+@pytest.mark.parametrize("rows", [
+    [["0", "0"], ["0", "1"]],                                   # zero first leading minor
+    [["2", "1", "1"], ["1", "2", "1"], ["1", "1", "-1"]],       # negative last leading minor
+    [["1", "1", "0"], ["1", "1", "0"], ["0", "0", "1"]],        # singular PSD, minor 2 is 0
+    [["1", "0", "1/2"], ["0", "1", "0"], ["1/2", "0", "1/4"]],  # singular PSD, det is 0
+])
+def test_exact_relation_of_matrix_rejects_non_pd(rows):
+    # the sweep reads Sylvester's criterion off its leading minors and must
+    # refuse before it divides by a zero minor
+    a = rational_matrix(rows)
+    assert not is_pd(a)
+    with pytest.raises(NotPositiveDefinite, match="matrix is not positive definite"):
+        relation_of_matrix(a)
+
+
+def test_det_of_a_float_stack_is_elementwise():
+    rng = np.random.default_rng(61)
+    for m in range(6):
+        stack = rng.normal(size=(7, m, m))
+        got = det(stack)
+        assert got.shape == (7,)
+        assert np.array_equal(got, [det(x) for x in stack])
+    assert det(np.zeros((0, 3, 3))).shape == (0,)
+    with pytest.raises(ValueError, match="stack"):
+        det(np.array([[[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]], dtype=object))
+
+
 def test_relation_scale_invariance():
     rng = np.random.default_rng(9)
     g = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
