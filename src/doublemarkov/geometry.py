@@ -12,6 +12,7 @@ pair-rank order used everywhere else.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -332,7 +333,33 @@ def _build_corr(n: int, fi: np.ndarray, fj: np.ndarray, x: np.ndarray) -> np.nda
 def find_model_point(g: Graph, h: Graph, seed: int = 0, residual_tol: float = 1e-10,
                      max_iter: int = 5000, restarts: int = 20,
                      init_scale: float = 0.3, entry_cap: float = 0.95) -> FindPointResult:
-    """Search the correlation model of (g, h) by damped Gauss-Newton.
+    """Search the correlation model of (g, h) block by block.
+
+    Model matrices vanish between blocks of decompose(g, h): _search_point runs
+    on the induced pair of each block of two or more vertices, all with restart
+    stream (seed, r), and fills that block of the identity.  residual is the
+    largest block residual, converged means every block converged, iterations
+    is their sum, and restarts_used the largest block count (1 if none ran).
+    """
+    if g.n != h.n:
+        raise ValueError("graphs live on different vertex sets")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    dec = decompose(g, h)
+    a, found = np.eye(g.n), []
+    for block, (bg, bh) in zip(dec.blocks, dec.pairs):
+        if len(block) > 1:
+            found.append(_search_point(bg, bh, seed, residual_tol, max_iter, restarts,
+                                       init_scale, entry_cap))
+            a[np.ix_(np.subtract(block, 1), np.subtract(block, 1))] = found[-1].matrix
+    return FindPointResult(
+        a, max((r.residual for r in found), default=0.0), all(r.converged for r in found),
+        seed, max((r.restarts_used for r in found), default=1), sum(r.iterations for r in found))
+
+
+def _search_point(g: Graph, h: Graph, seed: int, residual_tol: float, max_iter: int,
+                  restarts: int, init_scale: float, entry_cap: float) -> FindPointResult:
+    """Search the correlation model of one pair (g, h) by damped Gauss-Newton.
 
     Free coordinates are the off-diagonal entries on edges of h (non-edges
     of h are pinned to zero), so the residuals are the inverse entries on
@@ -341,19 +368,17 @@ def find_model_point(g: Graph, h: Graph, seed: int = 0, residual_tol: float = 1e
     Cholesky fails, which keeps all iterates positive definite.  Iterates
     are also confined to |entries| < entry_cap: the defining equations have
     spurious zeros on the elliptope boundary (the identity is always an
-    interior member, so nothing is lost).  Restart r draws its start from a
-    generator seeded with (seed, r); the first restart reaching
-    residual_tol wins, otherwise the lowest residual.
+    interior member, so nothing is lost).  Restart r draws its start from
+    random.Random(f"{seed}:{r}"); the first to reach residual_tol wins, else
+    the lowest residual.
     """
-    if g.n != h.n:
-        raise ValueError("graphs live on different vertex sets")
     n = g.n
     fi, fj = _index_pairs(h.edges)
     tk, tl = _index_pairs(g.non_edges())
     best = None
     for restart in range(restarts):
-        rng = np.random.default_rng([seed, restart])
-        x = rng.uniform(-init_scale / n, init_scale / n, size=len(fi))
+        rng = random.Random(f"{seed}:{restart}")
+        x = np.array([rng.uniform(-init_scale / n, init_scale / n) for _ in fi])
         a = _build_corr(n, fi, fj, x)
         L = matrices.cholesky_or_none(a)
         if L is None:

@@ -1,6 +1,6 @@
 import numpy as np
 
-from doublemarkov import Graph, graphs
+from doublemarkov import Graph, geometry, graphs
 
 
 def random_graph(n, rng, p=0.5):
@@ -53,3 +53,13 @@ def oracle_all_paths(edge_list, k, l):
 
 def oracle_separates(edge_list, i, j, K):
     return all(set(p[1:-1]) & set(K) for p in oracle_all_paths(edge_list, i, j))
+
+
+def unrestricted_point(g, h, seed):
+    """The Gauss-Newton kernel of find_model_point on the whole pair, blocks ignored.
+
+    Its points are not block-diagonal by construction, so they are the
+    oracle for the decomposition claim; settings are find_model_point's
+    defaults.
+    """
+    return geometry._search_point(g, h, seed, *geometry.find_model_point.__defaults__[1:])

@@ -35,6 +35,8 @@ from doublemarkov.ideal import (
 )
 from doublemarkov.matrices import is_pd, membership_residual, relation_of_matrix
 
+from conftest import unrestricted_point
+
 STAR4 = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
 PATH4 = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
 
@@ -155,8 +157,17 @@ def test_criterion_4_monomial_ideal():
 
 
 def _converged_points():
-    """Shared sample set for criteria 5 and 7."""
+    """Shared sample set for criteria 5 and 7: (g, h, unrestricted, blockwise).
+
+    The unrestricted point comes from the Gauss-Newton kernel on the whole
+    pair.  find_model_point searches block by block, so its points satisfy
+    criterion 5 by construction and cannot test it.
+    """
     rng = np.random.default_rng(4242)
+
+    def sample(g, h, seed):
+        return g, h, unrestricted_point(g, h, seed), find_model_point(g, h, seed=seed)
+
     disconnected = []
     while len(disconnected) < 100:
         n = int(rng.integers(3, 7))
@@ -165,7 +176,7 @@ def _converged_points():
         shared = edge_intersection(g, h)
         if len(connected_components(shared)) < 2:
             continue
-        disconnected.append((g, h, find_model_point(g, h, seed=len(disconnected))))
+        disconnected.append(sample(g, h, len(disconnected)))
     disjoint = []
     while len(disjoint) < 50:
         n = int(rng.integers(3, 7))
@@ -173,7 +184,7 @@ def _converged_points():
         h = Graph.from_edges(n, [e for e in pairs_lex(n)
                                  if rng.random() < 0.4 and not g.has_edge(*e)])
         assert edge_intersection(g, h).num_edges == 0
-        disjoint.append((g, h, find_model_point(g, h, seed=1000 + len(disjoint))))
+        disjoint.append(sample(g, h, 1000 + len(disjoint)))
     return disconnected, disjoint
 
 
@@ -186,7 +197,7 @@ def model_points():
 def test_criterion_5_decomposition(model_points):
     disconnected, disjoint = model_points
     converged = 0
-    for g, h, res in disconnected:
+    for g, h, res, _ in disconnected:
         if not res.converged:
             continue
         converged += 1
@@ -195,7 +206,7 @@ def test_criterion_5_decomposition(model_points):
             if not any(i in b and j in b for b in blocks):
                 assert abs(res.matrix[i - 1, j - 1]) <= 1e-6
     assert converged >= 60  # enough converged samples for the claim to bite
-    for g, h, res in disjoint:
+    for g, h, res, _ in disjoint:
         assert res.converged
         assert np.abs(res.matrix - np.eye(g.n)).max() <= 1e-6
 
@@ -228,12 +239,13 @@ def test_criterion_7_rank_bound(model_points):
                 for rank_tol in (1e-6, 1e-8, 1e-10):
                     assert jac.rank(rank_tol) == want
     disconnected, disjoint = model_points
-    for g, h, res in disconnected + disjoint:
-        if not res.converged:
-            continue
-        jac = stacked_jacobian(res.matrix, g, h, correlation_mode=True)
-        bound = g.n * (g.n - 1) // 2 - edge_intersection(g, h).num_edges
-        assert jac.rank() >= bound
+    for g, h, *points in disconnected + disjoint:
+        for res in points:
+            if not res.converged:
+                continue
+            jac = stacked_jacobian(res.matrix, g, h, correlation_mode=True)
+            bound = g.n * (g.n - 1) // 2 - edge_intersection(g, h).num_edges
+            assert jac.rank() >= bound
 
 
 @report(8, "CI calculus laws: exhaustive n <= 4, randomized n = 5, matrix sums")

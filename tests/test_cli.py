@@ -92,6 +92,33 @@ def test_analyze_point_is_identical_across_processes(tmp_path):
     assert point["converged"] is True and len(point["matrix"]) == 4
 
 
+def test_analyze_point_negative_seed_is_usage_error(tmp_path, capsys):
+    # the second pair shares no edge, so no block is searched and no start is drawn
+    no_common = write(tmp_path, "disjoint.pair", "n 4\nG 1-3 2-4\nH 1-2 2-3 3-4\n")
+    for pair in (STAR_PATH, no_common):
+        assert main(["analyze", pair, "--point", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be non-negative")
+
+
+def test_analyze_point_does_not_import_numpy_random():
+    """numpy.random pulls in secrets, hashlib and OpenSSL: 6.1 MB of resident memory.
+
+    The start points of the model-point search come from stdlib random, so
+    a whole analyze --point run must never import it.
+    """
+    import subprocess
+    import sys
+
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    code = ("import contextlib, io, sys\n"
+            "from doublemarkov import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['analyze', {STAR_PATH!r}, '--point']) == 0\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n")
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                   check=True)
+
+
 def test_analyze_malformed_edge(tmp_path, capsys):
     pair = write(tmp_path, "bad.pair", "n 4\nG 1-1\nH\n")
     assert main(["analyze", pair]) == 2

@@ -22,7 +22,7 @@ from doublemarkov.geometry import (
 from doublemarkov.graphs import all_graphs, edge_intersection, edge_union
 from doublemarkov.matrices import inverse, is_pd, membership_residual
 
-from conftest import random_graph, random_pd
+from conftest import random_graph, random_pd, unrestricted_point
 
 STAR4 = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
 PATH4 = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
@@ -241,6 +241,61 @@ def test_find_model_point_deterministic():
     a = find_model_point(STAR4, PATH4, seed=7)
     b = find_model_point(STAR4, PATH4, seed=7)
     assert np.array_equal(a.matrix, b.matrix) and a.residual == b.residual
+
+
+@pytest.mark.parametrize("g, h", [
+    (STAR4, PATH4),
+    (Graph.from_edges(4, [(1, 3), (2, 4)]), PATH4),   # no common edge: nothing is searched
+])
+def test_find_model_point_rejects_negative_seed(g, h):
+    with pytest.raises(ValueError, match="seed"):
+        find_model_point(g, h, seed=-1)
+
+
+def _blockwise_invariant_pairs():
+    for n in (2, 3, 4):
+        for g in all_graphs(n):
+            for h in all_graphs(n):
+                yield g, h
+    # two triangles of h over two paths of g: two blocks that both iterate
+    yield (Graph.from_edges(6, [(1, 2), (2, 3), (4, 5), (5, 6)]),
+           Graph.from_edges(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]))
+    rng = np.random.default_rng(29)
+    for n in (5, 6, 7):
+        for _ in range(25):
+            yield random_graph(n, rng), random_graph(n, rng)
+
+
+def test_find_model_point_block_by_block():
+    converged = unrestricted_converged = 0
+    for seed, (g, h) in enumerate(_blockwise_invariant_pairs()):
+        res = find_model_point(g, h, seed=seed % 5)
+        on_blocks = np.zeros((g.n, g.n), dtype=bool)
+        parts = []
+        dec = decompose(g, h)
+        for block, (bg, bh) in zip(dec.blocks, dec.pairs):
+            if len(block) == 1:
+                continue
+            idx = np.ix_(np.subtract(block, 1), np.subtract(block, 1))
+            on_blocks[idx] = True
+            part = unrestricted_point(bg, bh, seed % 5)
+            assert np.array_equal(res.matrix[idx], part.matrix)
+            parts.append(part)
+        assert np.all(res.matrix[~on_blocks & ~np.eye(g.n, dtype=bool)] == 0.0)
+        assert np.all(np.diag(res.matrix) == 1.0)
+        assert res.residual == max((p.residual for p in parts), default=0.0)
+        assert res.converged == all(p.converged for p in parts)
+        assert res.restarts_used == max((p.restarts_used for p in parts), default=1)
+        assert res.iterations == sum(p.iterations for p in parts)
+        if res.converged:
+            converged += 1
+            assert is_pd(res.matrix)
+            r = membership_residual(res.matrix, g, h)
+            assert r.size == 0 or np.abs(r).max() <= 1e-9
+            assert (local_tangent_dimension(res.matrix, g, h, correlation_mode=True)
+                    <= dimension_bound(g, h)[1])
+        unrestricted_converged += unrestricted_point(g, h, seed % 5).converged
+    assert converged >= unrestricted_converged
 
 
 def test_local_tangent_dimension():
