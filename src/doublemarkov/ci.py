@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -45,8 +45,11 @@ class Statement:
     K: frozenset[int]
 
     def __repr__(self):
-        ks = " ".join(str(k) for k in sorted(self.K))
-        return f"({self.i} {self.j} |{' ' + ks if ks else ''})"
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        return f"({self.i} {self.j} |{''.join(f' {k}' for k in sorted(self.K))})"
 
 
 def make_statement(i: int, j: int, K=()) -> Statement:
@@ -151,6 +154,7 @@ class Relation:
 
     @staticmethod
     def from_statements(n: int, statements) -> "Relation":
+        Relation(n, 0)  # refuse a bad n before 1 << index allocates 2^(n-2)-bit ints
         stmts = [s if isinstance(s, Statement) else make_statement(*s) for s in statements]
         cols = np.array([(s.i - 1, s.j - 1, _vertex_mask(n, s)) for s in stmts], dtype=np.intp)
         return Relation(n, sum(1 << t for t in set(_index_of(n, *cols.reshape(-1, 3).T).tolist())))
@@ -308,9 +312,11 @@ class AxiomViolation:
 
 
 def _instance_table(prem: np.ndarray, concl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (premises, conclusions) deduplicated and sorted lexicographically."""
-    rows = np.unique(np.column_stack([prem, concl]), axis=0)
-    return _read_only(rows[:, :prem.shape[1]], rows[:, prem.shape[1]:])
+    """Rows (premises, conclusions), unique and in lexicographic order; halves contiguous."""
+    rows = np.column_stack([prem, concl])
+    rows = rows[np.lexsort(rows.T[::-1])]  # np.unique would import numpy.ma: 1.2 MB of RSS
+    rows = rows[np.diff(rows, axis=0, prepend=-1).any(axis=1)]
+    return _read_only(*map(np.ascontiguousarray, np.hsplit(rows, [prem.shape[1]])))
 
 
 def _ordered_tuples(n: int, k: int) -> tuple[np.ndarray, ...]:
@@ -366,28 +372,35 @@ def _rule17_instances(n: int):
     return _instance_table(np.sort(prem, axis=1), _index_of(n, a, c, 0)[:, None])
 
 
-def check_axioms(r: Relation) -> list[AxiomViolation]:
-    """Violated instances of the four gaussoid axioms; empty iff r is a gaussoid."""
-    n = r.n
-    if n < 3:
-        return []
+def _violation_masks(r: Relation):
+    """Per gaussoid rule, lazily: its instance table, which conclusions r holds, violated rows."""
     held = _to_bool_array(r)
-    stmts = all_statements(n)
+    for rule, (prem, concl) in (_axiom_instances(r.n).items() if r.n >= 3 else ()):
+        p, c = held[prem], held[concl]
+        done = c[:, 0] | c[:, 1] if rule == "weak-transitivity" else c[:, 0] & c[:, 1]
+        yield rule, prem, concl, c, p[:, 0] & p[:, 1] & ~done
+
+
+def check_axioms(r: Relation) -> list[AxiomViolation]:
+    """Violated instances of the four gaussoid axioms; empty iff r is a gaussoid.
+
+    Rule order (semigraphoid, intersection, composition, weak-transitivity),
+    then instance-table row order: by premise, then conclusion indices.
+    ``missing`` keeps conclusion order; weak transitivity misses both disjuncts.
+    """
+    stmts = all_statements(r.n)
     violations = []
-    for rule, (prem, concl) in _axiom_instances(n).items():
-        disjunctive = rule == "weak-transitivity"
-        present = held[concl]
-        bad = held[prem].all(axis=1) & ~(present.any(axis=1) if disjunctive
-                                         else present.all(axis=1))
-        for t in np.flatnonzero(bad):
-            missing = concl[t] if disjunctive else concl[t][~present[t]]
-            violations.append(AxiomViolation(
-                rule, tuple(stmts[p] for p in prem[t]), tuple(stmts[c] for c in missing)))
+    for rule, prem, concl, held, bad in _violation_masks(r):
+        # held conclusions become -1; a violated weak transitivity holds neither disjunct
+        missing = np.where(held[bad], -1, concl[bad]).tolist()
+        violations += [AxiomViolation(rule, tuple(map(stmts.__getitem__, ps)),
+                                      tuple([stmts[s] for s in ms if s >= 0]))
+                       for ps, ms in zip(prem[bad].tolist(), missing)]
     return violations
 
 
 def is_gaussoid(r: Relation) -> bool:
-    return not check_axioms(r)
+    return not any(bad.any() for *_, bad in _violation_masks(r))
 
 
 def closure(r: Relation, rules=("semigraphoid",)) -> Relation:
@@ -499,7 +512,7 @@ def recognize_markov(r: Relation):
     Edges are read off the maximal statements: ij is an edge iff
     (ij|N \\ ij) is absent.  The reconstruction is verified before returning.
     """
-    if not is_upward_stable(r) or check_axioms(r):
+    if not is_upward_stable(r) or not is_gaussoid(r):
         return None
     n = r.n
     everything = frozenset(range(1, n + 1))

@@ -16,6 +16,7 @@ import itertools
 import json
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -39,7 +40,20 @@ class ModelReport:
     model_point: dict | None
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
+        return _indented_json(vars(self), "\n") + "\n"
+
+
+def _indented_json(x, newline: str) -> str:
+    """json.dumps(x, sort_keys=True, indent=2) with leaves encoded in C; newline indents x."""
+    if not isinstance(x, (dict, list, tuple)) or not x:
+        return encode_basestring_ascii(x) if isinstance(x, str) else json.dumps(x)
+    inner = newline + "  "
+    if isinstance(x, dict):
+        items = [encode_basestring_ascii(k) + ": " + _indented_json(v, inner)
+                 for k, v in sorted(x.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    items = [encode_basestring_ascii(v) if type(v) is str else _indented_json(v, inner) for v in x]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 def _edge_list(g: graphs.Graph) -> list[list[int]]:

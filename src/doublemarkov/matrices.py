@@ -387,7 +387,10 @@ def parse_matrix(text: str) -> np.ndarray:
             raise ValueError(f"line {no}: expected {n} entries, found {len(row)}")
     exact = any("/" in tok for row in rows for tok in row)
     if exact:
-        return rational_matrix(rows)
+        try:
+            return rational_matrix(rows)
+        except ZeroDivisionError as e:  # a 'p/0' entry
+            raise ValueError(f"bad matrix entry: {e}") from None
     try:
         vals = [[float(tok) for tok in row] for row in rows]
     except ValueError as e:

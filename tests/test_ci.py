@@ -1,4 +1,7 @@
 import itertools
+import json
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -36,6 +39,7 @@ from doublemarkov.graphs import (
     graph_from_edge_mask,
     marginal_minor,
     pairs_lex,
+    parse_pair_file,
 )
 
 from conftest import oracle_all_paths, oracle_separates, random_graph
@@ -264,6 +268,132 @@ def test_check_axioms_weak_transitivity_nonsmooth():
 def test_check_axioms_full_relation_clean():
     for n in (3, 4, 5):
         assert check_axioms(full_relation(n)) == []
+
+
+RULE_ORDER = ("semigraphoid", "intersection", "composition", "weak-transitivity")
+
+
+def _double_markov_relations(n):
+    """Every distinct <G,H> on n vertices."""
+    graph_rels = [relation_of_graph(graph_from_edge_mask(n, mask))
+                  for mask in range(1 << len(pairs_lex(n)))]
+    dual_bits = {dual(r).bits for r in graph_rels}
+    return [Relation(n, bits) for bits in sorted({r.bits | d for r in graph_rels
+                                                  for d in dual_bits})]
+
+
+@pytest.fixture(scope="module")
+def relations_to_check():
+    """Every double Markov relation for n <= 4, then seeded random ones for n = 5..7."""
+    rels = [r for n in (2, 3, 4) for r in _double_markov_relations(n)]
+    rng = np.random.default_rng(43)
+    for n in (5, 6, 7):
+        m = num_statements(n)
+        for density in (0.05, 0.3, 0.7, 0.95):
+            hits = rng.random(m) < density
+            rels.append(Relation(n, sum(1 << int(t) for t in np.flatnonzero(hits))))
+        for _ in range(3):
+            rels.append(double_markov_relation(random_graph(n, rng), random_graph(n, rng)))
+    return rels
+
+
+def _oracle_instances(n):
+    """The rules as written, over ordered triples (i, j, k) and contexts K avoiding them:
+
+        semigraphoid       (ij|K) & (ik|jK)  =>  (ik|K) & (ij|kK)
+        intersection       (ij|kK) & (ik|jK) =>  (ij|K) & (ik|K)
+        composition        (ij|K) & (ik|K)   =>  (ij|kK) & (ik|jK)
+        weak-transitivity  (ij|K) & (ij|kK)  =>  (ik|K) or (jk|K)
+
+    Returns the statements involved and the distinct rows (rule, premises,
+    conclusions, premise positions, conclusion positions) into that list.
+    """
+    rows = set()
+    for i, j, k in itertools.permutations(range(1, n + 1), 3):
+        rest = [v for v in range(1, n + 1) if v not in (i, j, k)]
+        for size in range(len(rest) + 1):
+            for K in map(frozenset, itertools.combinations(rest, size)):
+                s = make_statement
+                ij, ik, jk = s(i, j, K), s(i, k, K), s(j, k, K)
+                ij_k, ik_j = s(i, j, K | {k}), s(i, k, K | {j})
+                rows |= {("semigraphoid", (ij, ik_j), (ik, ij_k)),
+                         ("intersection", (ij_k, ik_j), (ij, ik)),
+                         ("composition", (ij, ik), (ij_k, ik_j)),
+                         ("weak-transitivity", (ij, ij_k), (ik, jk))}
+    stmts = list({st: None for _, prem, concl in rows for st in prem + concl})
+    pos = {st: t for t, st in enumerate(stmts)}
+    return stmts, [(rule, prem, concl, [pos[st] for st in prem], [pos[st] for st in concl])
+                   for rule, prem, concl in rows]
+
+
+def _oracle_violations(r, instances):
+    stmts, rows = instances
+    held = [r.has(st.i, st.j, st.K) for st in stmts]
+    out = []
+    for rule, prem, concl, (p0, p1), (c0, c1) in rows:
+        done = held[c0] or held[c1] if rule == "weak-transitivity" else held[c0] and held[c1]
+        if held[p0] and held[p1] and not done:
+            out.append((rule, prem, tuple(st for st, c in zip(concl, (c0, c1)) if not held[c])))
+    return out
+
+
+def _comparable(violations):
+    def key(stmts):
+        return tuple((st.i, st.j, tuple(sorted(st.K))) for st in stmts)
+    return sorted((rule, key(prem), key(missing)) for rule, prem, missing in violations)
+
+
+def test_check_axioms_matches_rules_as_written(relations_to_check):
+    instances = {}
+    for r in relations_to_check:
+        if r.n not in instances:
+            instances[r.n] = _oracle_instances(r.n)
+        got = [(v.rule, v.premises, v.missing) for v in check_axioms(r)]
+        assert _comparable(got) == _comparable(_oracle_violations(r, instances[r.n]))
+
+
+def test_is_gaussoid_agrees_with_check_axioms(relations_to_check):
+    verdicts = {ci.is_gaussoid(r) for r in relations_to_check if r.n >= 4}
+    assert verdicts == {True, False}
+    for r in relations_to_check:
+        assert ci.is_gaussoid(r) == (check_axioms(r) == [])
+
+
+def test_check_axioms_order_on_star_path():
+    """Rule order, then instance-table order: premise indices, then conclusion indices."""
+    data = os.path.join(os.path.dirname(__file__), "data")
+    g, h = parse_pair_file(open(os.path.join(data, "star_path.pair")).read())
+    violations = check_axioms(double_markov_relation(g, h))
+    keys = [(RULE_ORDER.index(v.rule), [statement_index(4, st) for st in v.premises],
+             [statement_index(4, st) for st in v.missing]) for v in violations]
+    assert len(keys) > 1 and keys == sorted(keys) and len(set(map(repr, keys))) == len(keys)
+    golden = json.load(open(os.path.join(data, "star_path_report.json")))
+    assert [{"rule": v.rule, "premises": list(map(repr, v.premises)),
+             "missing": list(map(repr, v.missing))}
+            for v in violations] == golden["ci"]["violations"]
+
+
+def _statement_views(stmts):
+    """Everything a Statement's cached text must leave unchanged."""
+    return ([hash(st) for st in stmts], [a == b for a in stmts for b in stmts],
+            [a < b for a in stmts for b in stmts], [pickle.loads(pickle.dumps(st)) for st in stmts])
+
+
+def test_statement_text_is_computed_once_and_changes_nothing_else():
+    def fresh():
+        ci.all_statements.cache_clear()
+        return [make_statement(3, 1, {2}), make_statement(2, 4)] + list(ci.all_statements(4))
+
+    cold, warm = fresh(), fresh()
+    texts = [repr(st) for st in warm]
+    assert _statement_views(cold) == _statement_views(warm)
+    assert [repr(st) for st in cold] == texts
+    assert [repr(st) for st in _statement_views(cold)[3]] == texts
+    assert [repr(st) for st in _statement_views(warm)[3]] == texts
+    assert _statement_views(cold) == _statement_views(warm)
+    assert texts[:3] == ["(1 3 | 2)", "(2 4 |)", "(1 2 |)"]
+    wide = ci.Statement(3, 16, frozenset({10, 1, 2, 15}))
+    assert repr(wide) == "(3 16 | 1 2 10 15)" and repr(wide) is repr(wide)
 
 
 def test_graph_relations_are_upward_stable_gaussoids():
@@ -515,6 +645,19 @@ def test_parse_relation_errors():
 def test_parse_relation_rejects_malformed_hex(text, msg):
     with pytest.raises(ValueError, match=msg):
         parse_relation(text)
+
+
+def test_parse_relation_refuses_a_large_n_before_building_bits():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="ground set size"):
+            parse_relation("n 30\n(1 3 | 2)\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # unchecked, 1 << index would build a 2^28-bit int first
 
 
 def test_parse_relation_hex_uses_every_bit():

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import math
 import os
+import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from doublemarkov import cli, matrices
+from doublemarkov import ci, cli, graphs, matrices
 from doublemarkov.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -115,6 +121,21 @@ def test_analyze_point_does_not_import_numpy_random():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert cli.main(['analyze', {STAR_PATH!r}, '--point']) == 0\n"
             "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n")
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                   check=True)
+
+
+def test_analyze_does_not_import_numpy_ma():
+    """np.unique imports numpy.ma, 1.2 MB of resident memory; the axiom tables avoid it."""
+    import subprocess
+    import sys
+
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    code = ("import contextlib, io, sys\n"
+            "from doublemarkov import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['analyze', {STAR_PATH!r}, '--point']) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
     subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                    check=True)
 
@@ -239,6 +260,13 @@ def test_trailing_or_short_inputs_are_usage_errors(tmp_path, capsys):
     assert "expected 2 matrix rows" in errors and "three" in errors and "hex bytes" in errors
 
 
+def test_zero_denominator_is_usage_error(tmp_path, capsys):
+    mat = write(tmp_path, "zero.mat", "2\n1 1/0\n1/0 1\n")
+    pair = write(tmp_path, "p.pair", "n 2\nG\nH\n")
+    assert main(["verify", mat, pair]) == 2
+    assert "bad matrix entry" in capsys.readouterr().err
+
+
 def test_cli_import_does_not_load_scipy():
     import subprocess
     import sys
@@ -248,3 +276,120 @@ def test_cli_import_does_not_load_scipy():
             "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+# -- the report writer --------------------------------------------------------
+
+JSON_TEXT = st.text() | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "caf\u00e9 \u2028 \U0001f600", "\ud800", "a\"b\\c\n\t"])
+JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+               | st.integers(min_value=-10**40, max_value=10**40) | st.floats()
+               | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2**70]) | JSON_TEXT)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(JSON_TEXT, kids, max_size=4)),
+    max_leaves=12)
+
+
+@given(JSON_TREES)
+@example([[], {}, [[]], {"": {}}, ((),), {"a": [{}, []]}])
+@example({"x": math.nan, "y": [-math.inf, -0.0, 5e-324, 10**30, True, None]})
+def test_report_writer_matches_json_dumps(tree):
+    assert cli._indented_json(tree, "\n") == json.dumps(tree, sort_keys=True, indent=2)
+
+
+def test_to_json_matches_json_dumps_on_seeded_reports():
+    rng = random.Random(20211)
+    cases, points = set(), set()
+    for t in range(200):
+        n = 4 + t % 4
+        g, h = (graphs.Graph.from_edges(n, [e for e in graphs.pairs_lex(n) if rng.random() < 0.5])
+                for _ in "GH")
+        rep = cli.build_report(g, h, seed=t, want_point=t // 4 % 2 == 1)
+        assert rep.to_json() == json.dumps(vars(rep), sort_keys=True, indent=2) + "\n"
+        cases.add((rep.classification or {}).get("case"))
+        points.add(rep.model_point and rep.model_point["converged"])
+    assert {"unclassified", "single-edge", None} <= cases and {None, True} <= points
+
+
+# -- arbitrary input files ----------------------------------------------------
+
+PAIRS = ["n 4\nG 1-2 1-3 1-4\nH 1-2 2-3 3-4\n", "n 6\nG 1-2 2-3 4-5\nH 1-6 2-3 3-4 5-6\n",
+         "n 2\nG\nH 1-2\n", "n 3\nG 1-2 2-3\nH 1-2 2-3\n"]
+VALID_INPUTS = {  # the files each command reads, in argument order
+    "analyze": [(pair,) for pair in PAIRS],
+    "closure": [("n 4\n(1 2 |)\n(1 3 | 2)\n(2 4 | 1 3)\n",), ("n 3\nhex fc\n",),
+                ("n 4\nhex 0f00f1\n",), ("n 5\n(1 2 | 3 4 5)\n(3 5 |)\n",)],
+    "verify": [("4\n2 1 0 0\n1 2 0 0\n0 0 1 0\n0 0 0 1\n", PAIRS[0]),
+               ("2\n1 0\n0 1\n", PAIRS[2]), ("2\n1 2\n2 1\n", PAIRS[2]),
+               ("3\n2 1/2 0\n1/2 2 0\n0 0 1\n", PAIRS[3])],
+}
+KINDS = {"analyze": ("pair",), "closure": ("relation",), "verify": ("matrix", "pair")}
+PARSERS = {"pair": lambda text: graphs.parse_pair_file(text)[0].n,
+           "relation": lambda text: ci.parse_relation(text).n,
+           "matrix": lambda text: matrices.parse_matrix(text).shape[0]}
+MAX_FUZZ_N = 6  # analyze and closure grow about 2x per vertex beyond this
+
+
+@st.composite
+def mutated(draw, text):
+    """text with one or two digits changed or bytes inserted, deleted or replaced."""
+    data = bytearray(text.encode())
+    rnd = draw(st.randoms(use_true_random=False))  # uniform positions, unlike shrinkable ints
+    for _ in range(rnd.randint(1, 2)):
+        op = rnd.choice(["digit", "insert", "delete", "replace"])
+        digits = [t for t, b in enumerate(data) if chr(b).isdigit()]
+        if op == "digit" and digits:
+            data[rnd.choice(digits)] = rnd.choice(b"0123456789")
+            continue
+        at = rnd.randint(0, len(data))
+        byte = rnd.choice([rnd.choice(b"0123456789 -/|()\nnGHhex.e+_"), rnd.randrange(256)])
+        data[at:at + (op != "insert")] = b"" if op == "delete" else bytes([byte])
+    return bytes(data)
+
+
+def _run_on_files(tmp_dir, command, contents):
+    paths = []
+    for kind, data in zip(KINDS[command], contents):
+        path = os.path.join(tmp_dir, f"{command}.{kind}")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            with open(path) as fh:
+                size = PARSERS[kind](fh.read())
+        except ValueError:
+            size = None
+        assume(size is None or size <= MAX_FUZZ_N)
+        paths.append(path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([command, *paths])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+def _fuzzed_inputs(data, command, corrupt):
+    """A valid input of the command with a nonempty set of its files passed through corrupt."""
+    case = data.draw(st.sampled_from(VALID_INPUTS[command]))
+    hit = data.draw(st.sets(st.sampled_from(range(len(case))), min_size=1))
+    return [data.draw(corrupt(text)) if t in hit else text.encode() for t, text in enumerate(case)]
+
+
+FUZZ = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+@pytest.mark.parametrize("command", sorted(KINDS))
+@FUZZ
+@given(data=st.data())
+def test_cli_never_tracebacks_on_arbitrary_bytes(tmp_path_factory, command, data):
+    contents = _fuzzed_inputs(data, command, lambda _: st.binary(max_size=64))
+    _run_on_files(str(tmp_path_factory.getbasetemp()), command, contents)
+
+
+@pytest.mark.parametrize("command", sorted(KINDS))
+@FUZZ
+@given(data=st.data())
+def test_cli_never_tracebacks_on_mutated_files(tmp_path_factory, command, data):
+    contents = _fuzzed_inputs(data, command, mutated)
+    _run_on_files(str(tmp_path_factory.getbasetemp()), command, contents)
