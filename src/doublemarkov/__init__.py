@@ -8,7 +8,7 @@ the unique-path case, and classification plus enumeration for small
 inputs.
 """
 
-from .errors import NotPositiveDefinite, PathCapExceeded, UniquePathRequired
+from .errors import BudgetExceeded, NotPositiveDefinite, PathCapExceeded, UniquePathRequired
 from .graphs import (
     Graph,
     all_paths,

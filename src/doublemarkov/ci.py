@@ -139,6 +139,14 @@ def all_statements(n: int) -> tuple[Statement, ...]:
     return tuple(map(_statement, *(col.tolist() for col in _statement_entries(n))))
 
 
+@lru_cache(maxsize=8)
+def _statement_texts(n: int) -> tuple[str, ...]:
+    """The repr of every statement in index order, with no Statement built."""
+    contexts = ["".join(f" {v + 1}" for v in _bits(m)) for m in range(1 << n)]
+    return tuple(f"({i + 1} {j + 1} |{contexts[m]})"
+                 for m, i, j in zip(*(col.tolist() for col in _statement_entries(n))))
+
+
 @dataclass(frozen=True)
 class Relation:
     """Set of CI statements on ground set 1..n, as a bitset in the frozen order."""
@@ -311,6 +319,12 @@ class AxiomViolation:
         return f"[{self.rule}] {prem} without {glue.join(map(repr, self.missing))}"
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D array, which would import numpy.ma: 1.2 MB of RSS."""
+    a = np.sort(a)
+    return a[np.diff(a, prepend=a[:1] - 1) != 0]
+
+
 def _instance_table(prem: np.ndarray, concl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows (premises, conclusions), unique and in lexicographic order; halves contiguous."""
     rows = np.column_stack([prem, concl])
@@ -381,22 +395,26 @@ def _violation_masks(r: Relation):
         yield rule, prem, concl, c, p[:, 0] & p[:, 1] & ~done
 
 
-def check_axioms(r: Relation) -> list[AxiomViolation]:
-    """Violated instances of the four gaussoid axioms; empty iff r is a gaussoid.
-
-    Rule order (semigraphoid, intersection, composition, weak-transitivity),
-    then instance-table row order: by premise, then conclusion indices.
-    ``missing`` keeps conclusion order; weak transitivity misses both disjuncts.
-    """
-    stmts = all_statements(r.n)
-    violations = []
+def _violation_rows(r: Relation):
+    """Per rule, lazily: the rule, the premise and the missing conclusion indices of each
+    violated instance.  The order of check_axioms and of the report: rule order, then
+    instance-table row order, with ``missing`` in conclusion order."""
     for rule, prem, concl, held, bad in _violation_masks(r):
         # held conclusions become -1; a violated weak transitivity holds neither disjunct
         missing = np.where(held[bad], -1, concl[bad]).tolist()
-        violations += [AxiomViolation(rule, tuple(map(stmts.__getitem__, ps)),
-                                      tuple([stmts[s] for s in ms if s >= 0]))
-                       for ps, ms in zip(prem[bad].tolist(), missing)]
-    return violations
+        yield rule, prem[bad].tolist(), [[s for s in ms if s >= 0] for ms in missing]
+
+
+def check_axioms(r: Relation) -> list[AxiomViolation]:
+    """Violated instances of the four gaussoid axioms; empty iff r is a gaussoid.
+
+    Rule order (semigraphoid, intersection, composition, weak-transitivity), then
+    instance-table row order (by premise, then conclusion indices) as in _violation_rows.
+    ``missing`` keeps conclusion order; weak transitivity misses both disjuncts.
+    """
+    at = all_statements(r.n).__getitem__
+    return [AxiomViolation(rule, tuple(map(at, ps)), tuple(map(at, ms)))
+            for rule, prems, missing in _violation_rows(r) for ps, ms in zip(prems, missing)]
 
 
 def is_gaussoid(r: Relation) -> bool:
@@ -433,7 +451,7 @@ def _premise_index(n: int, rules: tuple[str, ...]):
         rule_of += [rule] * len(prem)
         concls += concl.tolist()
     # every (premise, instance) use once, by premise and then by instance id
-    stmt_of, id_of = np.divmod(np.unique(np.concatenate(keys)), total)
+    stmt_of, id_of = np.divmod(_sorted_unique(np.concatenate(keys)), total)
     bounds = np.cumsum(np.bincount(stmt_of, minlength=num_statements(n)))[:-1]
     users = tuple(tuple(part.tolist()) for part in np.split(id_of, bounds))
     counts = np.bincount(id_of, minlength=total).astype(np.uint8).tobytes()

@@ -355,7 +355,7 @@ def enumerate_inequivalent(n: int, connected_only: bool = True) -> EnumerationRe
             ph = table[hm]
             code = np.minimum((pg << shift) | ph, (ph << shift) | pg)
             best = code if best is None else np.minimum(best, code)
-        canon_codes.update(np.unique(best).tolist())
+        canon_codes.update(ci._sorted_unique(best).tolist())
     mask_of = (1 << npairs) - 1
     by_relation: dict[bytes, tuple] = {}
     for code in sorted(canon_codes):

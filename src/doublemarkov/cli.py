@@ -5,7 +5,7 @@ inequivalent CI structures), verify (matrix membership), closure (Horn
 closure of a relation file).
 
 Exit codes: 0 success / member, 1 non-member or no verdict, 2 usage or
-input errors, 3 resource exhaustion (path caps).
+input errors, 3 resource exhaustion (path caps, the size budget of analyze).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -21,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import ci, classify, geometry, graphs, ideal, matrices
-from .errors import NotPositiveDefinite, PathCapExceeded, UniquePathRequired
+from .errors import BudgetExceeded, NotPositiveDefinite, UniquePathRequired
 
 
 @dataclasses.dataclass
@@ -52,33 +53,60 @@ def _indented_json(x, newline: str) -> str:
         items = [encode_basestring_ascii(k) + ": " + _indented_json(v, inner)
                  for k, v in sorted(x.items())]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    items = [encode_basestring_ascii(v) if type(v) is str else _indented_json(v, inner) for v in x]
+    items = type(x[0]) is dict and _violation_rows_json(x, inner) or [
+        encode_basestring_ascii(v) if type(v) is str else _indented_json(v, inner) for v in x]
     return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
+def _violation_rows_json(x, inner: str) -> list[str] | None:
+    """The items of x through one row template, or None unless every item is
+    {"missing": [str, ...], "premises": [str, ...], "rule": str} with both lists non-empty."""
+    key, cell = inner + "  ", inner + "    "  # K, C and I below: key, cell and item indents
+    row = ('{K"missing": [C%sK],K"premises": [C%sK],K"rule": %sI}'
+           .replace("K", key).replace("C", cell).replace("I", inner))
+    sep, enc = "," + cell, encode_basestring_ascii
+    try:  # enc raises TypeError on a cell that is not a str
+        items = [row % (sep.join(map(enc, v["missing"])), sep.join(map(enc, v["premises"])),
+                        enc(v["rule"]))
+                 for v in x if type(v) is dict and v.keys() == {"missing", "premises", "rule"}
+                 and type(v["missing"]) is list and v["missing"]
+                 and type(v["premises"]) is list and v["premises"]]
+    except TypeError:
+        return None
+    return items if len(items) == len(x) else None
+
+
+def _violation_entries(relation: ci.Relation) -> list[dict]:
+    """check_axioms(relation) as report entries of statement texts, with no Statement built."""
+    text = ci._statement_texts(relation.n)
+    return [{"rule": rule, "premises": [text[s] for s in ps], "missing": [text[s] for s in ms]}
+            for rule, prems, missing in ci._violation_rows(relation)
+            for ps, ms in zip(prems, missing)]
 
 
 def _edge_list(g: graphs.Graph) -> list[list[int]]:
     return [list(e) for e in g.edges]
 
 
+# The axiom tables more than double with every vertex: the report of the
+# star/path pair takes 0.6 s and 128 MB at n = 11, 1.8 s and 255 MB at n = 12
+# and 6.1 s and 605 MB at n = 13, so n = 16 would need several GB.
+MAX_ANALYZE_N = 12
+
+
 def build_report(g, h, seed: int = 0, want_point: bool = False,
                  cap: int = graphs.DEFAULT_PATH_CAP) -> ModelReport:
+    if g.n > MAX_ANALYZE_N:
+        raise BudgetExceeded(f"analyze is limited to n <= {MAX_ANALYZE_N} vertices, got n = {g.n}"
+                             f" (its tables more than double with every vertex)")
     dec = geometry.decompose(g, h)
     bounds = geometry.dimension_bound(g, h)
     union_complete = graphs.edge_union(g, h).num_edges == g.n * (g.n - 1) // 2
     transverse = geometry.is_transverse_at(np.eye(g.n), g, h)
     cert = geometry.connectedness_certificate(g, h)
     relation = ci.double_markov_relation(g, h)
-    violations = ci.check_axioms(relation)
-    ci_part = {
-        "relation_size": len(relation),
-        "gaussoid": not violations,
-        "violations": [
-            {"rule": v.rule,
-             "premises": [repr(s) for s in v.premises],
-             "missing": [repr(s) for s in v.missing]}
-            for v in violations
-        ],
-    }
+    violations = _violation_entries(relation)
+    ci_part = {"relation_size": len(relation), "gaussoid": not violations, "violations": violations}
     unique = ideal.unique_path_hypothesis(g, h)
     ideal_part = {"unique_path": unique}
     if unique:
@@ -206,7 +234,10 @@ def cmd_verify(args) -> int:
     except NotPositiveDefinite:
         _non_pd_diagnostics(a)
         return 1
-    rmax = 0.0 if res.size == 0 else float(np.abs(res.astype(float)).max())
+    try:
+        rmax = float(max(map(abs, res.tolist()), default=0.0))
+    except OverflowError:  # an exact residual beyond the float range
+        rmax = math.inf
     member = rmax <= args.tol
     print(f"max residual: {rmax:.6e}")
     print("member" if member else "not a member")
@@ -215,7 +246,11 @@ def cmd_verify(args) -> int:
 
 def _non_pd_diagnostics(a):
     print("not positive definite")
-    af = a.astype(float)
+    try:
+        af = a.astype(float)
+    except OverflowError:  # an exact entry beyond the float range
+        print("entries exceed the float range: no minor diagnostics")
+        return
     n = af.shape[0]
     for k in range(n):
         if matrices.det(af[: k + 1, : k + 1]) <= 0:
@@ -290,7 +325,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PathCapExceeded as e:
+    except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (NotPositiveDefinite, UniquePathRequired, ValueError, OSError) as e:

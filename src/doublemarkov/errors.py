@@ -6,7 +6,11 @@ domain failures, inputs outside a method's supported class).
 """
 
 
-class PathCapExceeded(RuntimeError):
+class BudgetExceeded(RuntimeError):
+    """Raised when an input is past a fixed resource budget (command line exit code 3)."""
+
+
+class PathCapExceeded(BudgetExceeded):
     """Raised when a path enumeration exceeds its cap.
 
     Distinguishable from "no paths", which is an empty result.

@@ -25,6 +25,9 @@ from .graphs import Graph
 from . import ci
 
 DEFAULT_TOL = 1e-8
+# Fraction expands a decimal exponent into an integer of that many digits; past
+# Python's default limit on the digits of an int read from text, refuse it.
+MAX_EXPONENT = 4300
 PIVOT_TOL = 1e-12
 
 
@@ -388,7 +391,7 @@ def parse_matrix(text: str) -> np.ndarray:
     exact = any("/" in tok for row in rows for tok in row)
     if exact:
         try:
-            return rational_matrix(rows)
+            return rational_matrix([[_exact_entry(tok) for tok in row] for row in rows])
         except ZeroDivisionError as e:  # a 'p/0' entry
             raise ValueError(f"bad matrix entry: {e}") from None
     try:
@@ -396,6 +399,13 @@ def parse_matrix(text: str) -> np.ndarray:
     except ValueError as e:
         raise ValueError(f"bad matrix entry: {e}") from None
     return as_sym(np.array(vals))
+
+
+def _exact_entry(tok: str) -> Fraction:
+    exponent = tok.lower().partition("e")[2].lstrip("+-").replace("_", "")
+    if exponent.isdecimal() and int(exponent) > MAX_EXPONENT:
+        raise ValueError(f"bad matrix entry: the exponent of {tok[:24]!r} exceeds {MAX_EXPONENT}")
+    return Fraction(tok)
 
 
 def format_matrix(a) -> str:

@@ -90,6 +90,17 @@ def test_statement_index_follows_the_frozen_formula():
         assert [statement_at(n, t) for t in range(len(expected))] == expected
 
 
+def test_statement_texts_are_the_reprs_in_index_order():
+    for n in range(2, 8):
+        assert ci._statement_texts(n) == tuple(map(repr, ci.all_statements(n)))
+
+
+@given(st.lists(st.integers(-2**40, 2**40) | st.integers(0, 3), max_size=30))
+def test_sorted_unique_equals_np_unique(values):
+    a = np.array(values, dtype=np.int64)
+    assert ci._sorted_unique(a).tolist() == np.unique(a).tolist()
+
+
 def test_scalar_index_of_stays_a_python_int():
     for a, b in ((0, 3), (3, 0)):
         idx = ci._index_of(5, a, b, 0b00110)

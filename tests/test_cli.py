@@ -4,6 +4,8 @@ import json
 import math
 import os
 import random
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -106,12 +108,20 @@ def test_analyze_point_negative_seed_is_usage_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: seed must be non-negative")
 
 
-def test_analyze_point_does_not_import_numpy_random():
-    """numpy.random pulls in secrets, hashlib and OpenSSL: 6.1 MB of resident memory.
+IMPORT_CASES = {  # the command's arguments, with the files written by the test
+    "analyze": lambda d: ["analyze", STAR_PATH, "--point"],
+    "closure": lambda d: ["closure", write(d, "inc.rel", "n 4\n(1 2 |)\n(1 3 | 2)\n"),
+                          "--rules", "all"],
+    "verify": lambda d: ["verify", write(d, "sol.mat", "4\n2 1 0 0\n1 2 0 0\n0 0 1 0\n0 0 0 1\n"),
+                         STAR_PATH],
+    "enumerate": lambda d: ["enumerate", "4"],
+}
 
-    The start points of the model-point search come from stdlib random, so
-    a whole analyze --point run must never import it.
-    """
+
+@pytest.mark.parametrize("command", sorted(IMPORT_CASES))
+def test_command_does_not_import_heavy_modules(tmp_path, command):
+    """None of these is a dependency: numpy.ma (np.unique) costs 1.2 MB of resident
+    memory, numpy.random 6.1 MB (it loads secrets, hashlib and OpenSSL), scipy more."""
     import subprocess
     import sys
 
@@ -119,23 +129,10 @@ def test_analyze_point_does_not_import_numpy_random():
     code = ("import contextlib, io, sys\n"
             "from doublemarkov import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main(['analyze', {STAR_PATH!r}, '--point']) == 0\n"
-            "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n")
-    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                   check=True)
-
-
-def test_analyze_does_not_import_numpy_ma():
-    """np.unique imports numpy.ma, 1.2 MB of resident memory; the axiom tables avoid it."""
-    import subprocess
-    import sys
-
-    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
-    code = ("import contextlib, io, sys\n"
-            "from doublemarkov import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main(['analyze', {STAR_PATH!r}, '--point']) == 0\n"
-            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+            f"    assert cli.main({IMPORT_CASES[command](tmp_path)!r}) == 0\n"
+            "heavy = {m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "         or m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'random'])}\n"
+            "assert not heavy, sorted(heavy)\n")
     subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                    check=True)
 
@@ -190,6 +187,34 @@ def test_verify_counterexample_non_pd(tmp_path, capsys):
     assert det == pytest.approx(-4374 / 55, abs=1e-9)
 
 
+BIG = "1" + "0" * 400  # 10^400, beyond the float range
+
+
+@pytest.mark.parametrize("matrix, pair, rc, line", [
+    # not positive definite: the float diagnostics cannot convert the entries
+    (f"2\n1/2 {BIG}\n{BIG} 1\n", "n 2\nG 1-2\nH 1-2\n", 1,
+     "entries exceed the float range: no minor diagnostics"),
+    # positive definite with a residual (the 1-2 entry, H empty) beyond the float range
+    (f"2\n1{BIG}{BIG[1:]} {BIG}\n{BIG} 1/1\n", "n 2\nG\nH\n", 1, "max residual: inf"),
+    # Fraction would expand the exponent into a billion-digit integer
+    ("2\n1e999999999 0\n0 1/1\n", "n 2\nG\nH\n", 2, "exceeds 4300"),
+    # Fraction reads a sign and underscores in the exponent too
+    ("2\n1E+4301 0\n0 1/1\n", "n 2\nG\nH\n", 2, "exceeds 4300"),
+    ("2\n1/1 0\n0 2.5e-4_301\n", "n 2\nG\nH\n", 2, "exceeds 4300"),
+])
+def test_verify_exact_entries_beyond_float_range(tmp_path, capsys, matrix, pair, rc, line):
+    files = [write(tmp_path, "big.mat", matrix), write(tmp_path, "p.pair", pair)]
+    assert main(["verify", *files]) == rc
+    assert line in capsys.readouterr()[rc == 2]  # stderr for an input error, else stdout
+
+
+@pytest.mark.parametrize("entry", [f"1e{matrices.MAX_EXPONENT}", f"1E-{matrices.MAX_EXPONENT}"])
+def test_verify_exponents_up_to_the_bound_are_exact(tmp_path, entry):
+    mat = write(tmp_path, "e.mat", f"2\n{entry} 0\n0 1/1\n")
+    assert matrices.parse_matrix(open(mat).read())[0, 0] == Fraction(entry)
+    assert main(["verify", mat, write(tmp_path, "p.pair", "n 2\nG\nH\n")]) == 0
+
+
 def test_closure_cli(tmp_path, capsys):
     rel = write(tmp_path, "inc.rel",
                 "n 4\n(1 2 |)\n(3 4 |)\n(1 3 | 2 4)\n(2 4 | 1 3)\n")
@@ -217,6 +242,17 @@ def test_closure_very_not_realizable(tmp_path, capsys):
 
 def test_missing_file_is_usage_error(capsys):
     assert main(["analyze", "/nonexistent/file.pair"]) == 2
+
+
+def test_analyze_past_its_budget_is_resource_error(tmp_path, capsys):
+    """An n = 16 pair would need several GB of axiom tables; it is refused at once."""
+    assert cli.MAX_ANALYZE_N >= 11
+    pair = write(tmp_path, "big.pair", "n 16\nG " + " ".join(f"1-{v}" for v in range(2, 17))
+                 + "\nH " + " ".join(f"{v}-{v + 1}" for v in range(1, 16)) + "\n")
+    start = time.perf_counter()
+    assert main(["analyze", pair, "--point"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert f"n <= {cli.MAX_ANALYZE_N}" in capsys.readouterr().err
 
 
 def test_path_cap_is_resource_error(capsys):
@@ -299,6 +335,72 @@ def test_report_writer_matches_json_dumps(tree):
     assert cli._indented_json(tree, "\n") == json.dumps(tree, sort_keys=True, indent=2)
 
 
+VIOLATIONS = st.lists(st.fixed_dictionaries({
+    "rule": JSON_TEXT, "premises": st.lists(JSON_TEXT, min_size=1, max_size=2),
+    "missing": st.lists(JSON_TEXT, min_size=1, max_size=2)}), min_size=1, max_size=4)
+OFF_SHAPE = {  # one row changed so that the row template no longer applies
+    "empty missing": lambda v: {**v, "missing": []},
+    "empty premises": lambda v: {**v, "premises": []},
+    "non-str cell": lambda v: {**v, "premises": [*v["premises"], 7]},
+    "None cell": lambda v: {**v, "missing": [None]},
+    "non-str rule": lambda v: {**v, "rule": ["semigraphoid"]},
+    "extra key": lambda v: {**v, "reason": "x"},
+    "missing key": lambda v: {"rule": v["rule"], "premises": v["premises"]},
+    "tuple cell list": lambda v: {**v, "missing": tuple(v["missing"])},
+    "tuple premises": lambda v: {**v, "premises": tuple(v["premises"])},
+    "str premises": lambda v: {**v, "premises": "(1 2 |)"},
+    "not a dict": lambda v: sorted(v.items()),
+}
+
+
+@given(VIOLATIONS)
+@example([{"rule": "weak-transitivity", "premises": ["(1 2 |)", "(1 2 | 3)"],
+           "missing": ["(1 3 |)", "(2 3 |)"]}])
+@example([{"rule": "r\"\\\n", "premises": ["caf\u00e9 \u2028", "\ud800"], "missing": ["%s %%"]}])
+def test_violation_row_template_matches_json_dumps(rows):
+    assert cli._violation_rows_json(rows, "\n    ") is not None
+    assert cli._indented_json({"v": rows}, "\n") == json.dumps({"v": rows}, sort_keys=True, indent=2)
+
+
+@given(VIOLATIONS, st.sampled_from(sorted(OFF_SHAPE)), st.data())
+def test_off_shape_violation_lists_fall_back(rows, change, data):
+    at = data.draw(st.integers(0, len(rows) - 1))
+    rows[at] = OFF_SHAPE[change](rows[at])
+    assert cli._violation_rows_json(rows, "\n    ") is None
+    assert cli._indented_json({"v": rows}, "\n") == json.dumps({"v": rows}, sort_keys=True, indent=2)
+
+
+def _expected_entries(relation):
+    return [{"rule": v.rule, "premises": list(map(repr, v.premises)),
+             "missing": list(map(repr, v.missing))} for v in ci.check_axioms(relation)]
+
+
+def test_violation_entries_equal_check_axioms_for_every_small_relation():
+    seen = set()
+    for n in range(2, 5):
+        every = [graphs.graph_from_edge_mask(n, m) for m in range(1 << n * (n - 1) // 2)]
+        for g in every:
+            for h in every:
+                r = ci.double_markov_relation(g, h)
+                if (n, r.bits) not in seen:
+                    seen.add((n, r.bits))
+                    assert cli._violation_entries(r) == _expected_entries(r)
+    assert len(seen) == 2100
+
+
+def test_report_violations_equal_check_axioms_on_seeded_pairs():
+    rng = random.Random(8)
+    total = 0
+    for t in range(30):
+        n = 5 + t % 3
+        g, h = (graphs.Graph.from_edges(n, [e for e in graphs.pairs_lex(n) if rng.random() < 0.5])
+                for _ in "GH")
+        violations = cli.build_report(g, h).ci["violations"]
+        assert violations == _expected_entries(ci.double_markov_relation(g, h))
+        total += len(violations)
+    assert total > 100
+
+
 def test_to_json_matches_json_dumps_on_seeded_reports():
     rng = random.Random(20211)
     cases, points = set(), set()
@@ -318,7 +420,7 @@ def test_to_json_matches_json_dumps_on_seeded_reports():
 PAIRS = ["n 4\nG 1-2 1-3 1-4\nH 1-2 2-3 3-4\n", "n 6\nG 1-2 2-3 4-5\nH 1-6 2-3 3-4 5-6\n",
          "n 2\nG\nH 1-2\n", "n 3\nG 1-2 2-3\nH 1-2 2-3\n"]
 VALID_INPUTS = {  # the files each command reads, in argument order
-    "analyze": [(pair,) for pair in PAIRS],
+    "analyze": [(pair,) for pair in PAIRS + ["n 16\nG 1-2 2-16\nH 1-16 3-4\n", "n 13\nG\nH 12-13\n"]],
     "closure": [("n 4\n(1 2 |)\n(1 3 | 2)\n(2 4 | 1 3)\n",), ("n 3\nhex fc\n",),
                 ("n 4\nhex 0f00f1\n",), ("n 5\n(1 2 | 3 4 5)\n(3 5 |)\n",)],
     "verify": [("4\n2 1 0 0\n1 2 0 0\n0 0 1 0\n0 0 0 1\n", PAIRS[0]),
@@ -329,7 +431,8 @@ KINDS = {"analyze": ("pair",), "closure": ("relation",), "verify": ("matrix", "p
 PARSERS = {"pair": lambda text: graphs.parse_pair_file(text)[0].n,
            "relation": lambda text: ci.parse_relation(text).n,
            "matrix": lambda text: matrices.parse_matrix(text).shape[0]}
-MAX_FUZZ_N = 6  # analyze and closure grow about 2x per vertex beyond this
+MAX_FUZZ_N = 6  # analyze and closure grow about 2x per vertex beyond this; analyze
+# refuses n above cli.MAX_ANALYZE_N at once, so those headers are fed too
 
 
 @st.composite
@@ -360,13 +463,17 @@ def _run_on_files(tmp_dir, command, contents):
                 size = PARSERS[kind](fh.read())
         except ValueError:
             size = None
-        assume(size is None or size <= MAX_FUZZ_N)
+        past_budget = command == "analyze" and size is not None and size > cli.MAX_ANALYZE_N
+        assume(size is None or size <= MAX_FUZZ_N or past_budget)
         paths.append(path)
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main([command, *paths])
     assert rc in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+    if past_budget:
+        assert rc == 3 and time.perf_counter() - start < 1.0
 
 
 def _fuzzed_inputs(data, command, corrupt):
@@ -393,3 +500,27 @@ def test_cli_never_tracebacks_on_arbitrary_bytes(tmp_path_factory, command, data
 def test_cli_never_tracebacks_on_mutated_files(tmp_path_factory, command, data):
     contents = _fuzzed_inputs(data, command, mutated)
     _run_on_files(str(tmp_path_factory.getbasetemp()), command, contents)
+
+
+@st.composite
+def huge_exact_entries(draw, text):
+    """An exact matrix text (every entry p/q) with one symmetric pair of entries, or one
+    diagonal entry, replaced by a token with a huge integer or decimal exponent."""
+    n, *rows = text.split("\n")[:-1]
+    cells = [[tok if "/" in tok else tok + "/1" for tok in row.split()] for row in rows]
+    digits = draw(st.integers(1, 4400))
+    token = draw(st.sampled_from([
+        "9" * digits, "1/" + "7" * digits, "-" + "1" + "0" * digits + "/3",
+        f"1e{draw(st.integers(0, 10**12))}", f"2.5E-{draw(st.integers(0, 10**12))}",
+        f"1e{draw(st.integers(4290, 4310))}", f"3e-{digits}", f"1e{digits:_}"]))
+    i, j = draw(st.integers(0, len(cells) - 1)), draw(st.integers(0, len(cells) - 1))
+    cells[i][j] = cells[j][i] = token
+    return ("\n".join([n, *(" ".join(row) for row in cells)]) + "\n").encode()
+
+
+@FUZZ
+@given(data=st.data())
+def test_verify_never_tracebacks_on_huge_exact_entries(tmp_path_factory, data):
+    matrix, pair = data.draw(st.sampled_from(VALID_INPUTS["verify"]))
+    contents = [data.draw(huge_exact_entries(matrix)), pair.encode()]
+    _run_on_files(str(tmp_path_factory.getbasetemp()), "verify", contents)
