@@ -108,8 +108,40 @@ def test_analyze_point_negative_seed_is_usage_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: seed must be non-negative")
 
 
+def _run_without_modules(args, modules):
+    """Run ``main(args)`` in a fresh interpreter and fail if it imported any of ``modules``
+    (a module counts with its submodules)."""
+    import subprocess
+    import sys
+
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    code = ("import contextlib, io, sys\n"
+            "from doublemarkov import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({args!r}) == 0\n"
+            f"heavy = {{m for m in sys.modules if any(m == h or m.startswith(h + '.')\n"
+            f"                                        for h in {modules!r})}}\n"
+            "assert not heavy, sorted(heavy)\n")
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                   check=True)
+
+
+# numpy.ma (np.unique) costs 1.2 MB of resident memory, numpy.random 6.1 MB (it loads
+# secrets, hashlib and OpenSSL), scipy more; none of them is a dependency.
+HEAVY_MODULES = ("numpy.ma", "numpy.random", "scipy")
+
+
+def test_analyze_point_does_not_import_numpy_random():
+    """The start points of the model-point search come from stdlib random."""
+    _run_without_modules(["analyze", STAR_PATH, "--point"], ("numpy.random",))
+
+
+def test_analyze_does_not_import_numpy_ma():
+    """The axiom tables sort and diff instead of calling np.unique; scipy is not used."""
+    _run_without_modules(["analyze", STAR_PATH, "--point"], ("numpy.ma", "scipy"))
+
+
 IMPORT_CASES = {  # the command's arguments, with the files written by the test
-    "analyze": lambda d: ["analyze", STAR_PATH, "--point"],
     "closure": lambda d: ["closure", write(d, "inc.rel", "n 4\n(1 2 |)\n(1 3 | 2)\n"),
                           "--rules", "all"],
     "verify": lambda d: ["verify", write(d, "sol.mat", "4\n2 1 0 0\n1 2 0 0\n0 0 1 0\n0 0 0 1\n"),
@@ -120,21 +152,7 @@ IMPORT_CASES = {  # the command's arguments, with the files written by the test
 
 @pytest.mark.parametrize("command", sorted(IMPORT_CASES))
 def test_command_does_not_import_heavy_modules(tmp_path, command):
-    """None of these is a dependency: numpy.ma (np.unique) costs 1.2 MB of resident
-    memory, numpy.random 6.1 MB (it loads secrets, hashlib and OpenSSL), scipy more."""
-    import subprocess
-    import sys
-
-    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
-    code = ("import contextlib, io, sys\n"
-            "from doublemarkov import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main({IMPORT_CASES[command](tmp_path)!r}) == 0\n"
-            "heavy = {m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-            "         or m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'random'])}\n"
-            "assert not heavy, sorted(heavy)\n")
-    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                   check=True)
+    _run_without_modules(IMPORT_CASES[command](tmp_path), HEAVY_MODULES)
 
 
 def test_analyze_malformed_edge(tmp_path, capsys):
