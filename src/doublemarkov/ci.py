@@ -203,10 +203,6 @@ class Relation:
         return f"Relation(n={self.n}, {{{shown}{more}}})"
 
 
-def empty_relation(n: int) -> Relation:
-    return Relation(n, 0)
-
-
 def full_relation(n: int) -> Relation:
     if not 2 <= n <= MAX_GROUND_SET:
         raise ValueError(f"ground set size must be in 2..{MAX_GROUND_SET}")

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ci, graphs, matrices
+from .errors import BudgetExceeded
 from .graphs import Graph
 
-PAIR_CHUNK = 2_000_000  # graph pairs canonicalized per numpy batch in enumerate_inequivalent
+MAX_TRIES = 1000  # rejection draws per sample_from_family call
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,10 @@ _SEG23_34 = _fam("inv-graphical-23-34", ["a", "b"], {(2, 3): "a", (3, 4): "b"},
                  "a**2 + b**2 < 1")
 _SEG12_23 = _fam("inv-graphical-12-23", ["a", "b"], {(1, 2): "a", (2, 3): "b"},
                  "a**2 + b**2 < 1")
+_PD23 = _fam("pd23", ["a"], {(2, 3): "a"}, "abs(a) < 1")
+_CHAIN_13 = _fam("chain-13", ["a", "b", "c"],
+                 {(1, 2): "a", (2, 3): "b", (3, 4): "c", (1, 3): "a*b"},
+                 "abs(a) < 1 and b**2 + c**2 < 1")
 
 # Three-edge path cases on support (1,2,3,4) with shared edges {12, 23, 34};
 # keyed by (extra edges of H inside the support, missing edges of G inside
@@ -111,20 +116,16 @@ _THREE_EDGE_CASES = {
         _PD12_X_PD34, _SEG23_34,
     ]),
     (frozenset(), frozenset({(1, 3), (2, 4)})): ("three-edge-path-5", 2, 2, [
-        _PD12_X_PD34, _fam("pd23", ["a"], {(2, 3): "a"}, "abs(a) < 1"),
+        _PD12_X_PD34, _PD23,
     ]),
     (frozenset(), frozenset({(1, 3), (1, 4), (2, 4)})): ("three-edge-path-6", 2, 2, [
-        _PD12_X_PD34, _fam("pd23", ["a"], {(2, 3): "a"}, "abs(a) < 1"),
+        _PD12_X_PD34, _PD23,
     ]),
     (frozenset({(1, 3)}), frozenset({(1, 3)})): ("three-edge-path-7", 1, 3, [
-        _fam("chain-13", ["a", "b", "c"],
-             {(1, 2): "a", (2, 3): "b", (3, 4): "c", (1, 3): "a*b"},
-             "abs(a) < 1 and b**2 + c**2 < 1"),
+        _CHAIN_13,
     ]),
     (frozenset({(1, 3)}), frozenset({(1, 3), (1, 4)})): ("three-edge-path-8", 1, 3, [
-        _fam("chain-13", ["a", "b", "c"],
-             {(1, 2): "a", (2, 3): "b", (3, 4): "c", (1, 3): "a*b"},
-             "abs(a) < 1 and b**2 + c**2 < 1"),
+        _CHAIN_13,
     ]),
     (frozenset({(1, 3)}), frozenset({(1, 3), (2, 4)})): ("three-edge-path-9", 2, 2, [
         _PD12_X_PD34,
@@ -262,7 +263,7 @@ def _classify_three_edge_path(g, h, n, order, blocks):
 
 
 def sample_from_family(desc: ModelDescription, params=None, rng=None,
-                       family: int = 0, max_tries: int = 1000) -> np.ndarray:
+                       family: int = 0) -> np.ndarray:
     """Concrete correlation matrix from one family, in the caller's labels.
 
     ``params`` maps parameter names to values; with a generator instead,
@@ -275,13 +276,13 @@ def sample_from_family(desc: ModelDescription, params=None, rng=None,
     if params is None:
         if rng is None:
             raise ValueError("need explicit params or an rng to draw them")
-        for _ in range(max_tries):
+        for _ in range(MAX_TRIES):
             cand = {p: rng.uniform(-0.95, 0.95) for p in fam.params}
             if fam.admits(cand, size):
                 params = cand
                 break
         else:
-            raise RuntimeError(f"no admissible draw for {fam.name} in {max_tries} tries")
+            raise RuntimeError(f"no admissible draw for {fam.name} in {MAX_TRIES} tries")
     else:
         params = dict(params)
         if not fam.admits(params, size):
@@ -326,45 +327,35 @@ def enumerate_inequivalent(n: int, connected_only: bool = True) -> EnumerationRe
     of (G, H) to that of (H, G)), then reduces the surviving orbit
     representatives by the relation-level canonical form.  For connected
     graphs the relation determines the pair, so both reductions agree; the
-    relation-level pass is what gets counted.
+    relation-level pass is what gets counted.  n = 6 is past the budget:
+    its 713M connected pairs would take over an hour.
     """
     if not 3 <= n <= 6:
         raise ValueError("enumeration supported for 3 <= n <= 6")
-    if n == 6 and not connected_only:
-        # without connectivity the relation does not determine the pair, and
-        # the n = 6 shortcut skips the relation-level pass
-        raise ValueError("n = 6 enumeration needs connected_only=True")
+    if n == 6:
+        raise BudgetExceeded("enumerate is limited to n <= 5: n = 6 is projected "
+                             "to run for over an hour")
     npairs = len(graphs.pairs_lex(n))
     if connected_only:
         masks = np.array(graphs.connected_graph_masks(n), dtype=np.int64)
     else:
         masks = np.arange(1 << npairs, dtype=np.int64)
-    tables = [_edge_perm_table(n, perm, npairs)
-              for perm in graphs.vertex_permutations(n)]
+    # at most 1024^2 pairs at n = 5: one batch holds them all
+    gm, hm = np.repeat(masks, len(masks)), np.tile(masks, len(masks))
     shift = np.int64(npairs)
-    canon_codes = set()
-    num = len(masks)
-    for start in range(0, num * num, PAIR_CHUNK):
-        stop = min(start + PAIR_CHUNK, num * num)
-        idx = np.arange(start, stop)
-        gm = masks[idx // num]
-        hm = masks[idx % num]
-        best = None
-        for table in tables:
-            pg = table[gm]
-            ph = table[hm]
-            code = np.minimum((pg << shift) | ph, (ph << shift) | pg)
-            best = code if best is None else np.minimum(best, code)
-        canon_codes.update(ci._sorted_unique(best).tolist())
+    best = None
+    for perm in itertools.permutations(range(1, n + 1)):
+        table = _edge_perm_table(n, perm, npairs)
+        pg = table[gm]
+        ph = table[hm]
+        code = np.minimum((pg << shift) | ph, (ph << shift) | pg)
+        best = code if best is None else np.minimum(best, code)
     mask_of = (1 << npairs) - 1
     by_relation: dict[bytes, tuple] = {}
-    for code in sorted(canon_codes):
+    for code in ci._sorted_unique(best).tolist():
         g = graphs.graph_from_edge_mask(n, code >> npairs)
         h = graphs.graph_from_edge_mask(n, code & mask_of)
-        if n <= 5:
-            key = ci.canonical_form(ci.double_markov_relation(g, h), modulo_duality=True)
-        else:
-            key = code  # relation-level pass verified for n <= 5; n = 6 trusts it
+        key = ci.canonical_form(ci.double_markov_relation(g, h), modulo_duality=True)
         if key not in by_relation:
             by_relation[key] = (key, g, h)
     reps = tuple(sorted(by_relation.values(), key=lambda t: (t[0], t[1].edges, t[2].edges)))

@@ -5,7 +5,8 @@ inequivalent CI structures), verify (matrix membership), closure (Horn
 closure of a relation file).
 
 Exit codes: 0 success / member, 1 non-member or no verdict, 2 usage or
-input errors, 3 resource exhaustion (path caps, the size budget of analyze).
+input errors, 3 resource exhaustion (path caps, the size budgets of analyze and
+enumerate).
 """
 
 from __future__ import annotations
@@ -159,8 +160,8 @@ def build_report(g, h, seed: int = 0, want_point: bool = False,
     )
 
 
-def _print_report(rep: ModelReport, out=None):
-    p = (out or sys.stdout).write
+def _print_report(rep: ModelReport):
+    p = sys.stdout.write
     inp = rep.input
     p(f"model of G, H on {inp['n']} vertices\n")
     p(f"  blocks: {' '.join('{' + ' '.join(map(str, b)) + '}' for b in rep.decomposition['blocks'])}\n")
@@ -214,10 +215,9 @@ def cmd_enumerate(args) -> int:
         with open(args.out, "w") as fh:
             fh.write("canonical_hex,n,rep_G_edges,rep_H_edges\n")
             for key, g, h in res.representatives:
-                canon = key.hex() if isinstance(key, bytes) else format(key, "x")
                 ge = " ".join(f"{i}-{j}" for i, j in g.edges)
                 he = " ".join(f"{i}-{j}" for i, j in h.edges)
-                fh.write(f"{canon},{res.n},{ge},{he}\n")
+                fh.write(f"{key.hex()},{res.n},{ge},{he}\n")
     print(f"count={res.count}")
     return 0
 
@@ -238,7 +238,7 @@ def cmd_verify(args) -> int:
         rmax = float(max(map(abs, res.tolist()), default=0.0))
     except OverflowError:  # an exact residual beyond the float range
         rmax = math.inf
-    member = rmax <= args.tol
+    member = matrices._residual_is_member(res, args.tol)
     print(f"max residual: {rmax:.6e}")
     print("member" if member else "not a member")
     return 0 if member else 1

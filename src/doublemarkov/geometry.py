@@ -13,7 +13,7 @@ pair-rank order used everywhere else.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,18 +88,20 @@ def span_dimension(basis: TangentBasis, rank_tol: float = RANK_TOL) -> int:
     return numerical_rank(_basis_matrix(basis.generators, basis.point.shape[0]), rank_tol)
 
 
-def is_transverse_at(p, g: Graph, h: Graph, rank_tol: float = RANK_TOL,
-                     membership_tol: float = 1e-8) -> bool:
+def _require_on_model(a: np.ndarray, g: Graph, h: Graph, tol: float):
+    """Raise ValueError unless the membership residual of a stays within tol."""
+    res = matrices.membership_residual(a, g, h)
+    if res.size and np.abs(res.astype(float)).max() > tol:
+        raise ValueError("point is not on the model; residual too large")
+
+
+def is_transverse_at(p, g: Graph, h: Graph, rank_tol: float = RANK_TOL) -> bool:
     """Whether the two tangent spaces at p sum to the whole symmetric space.
 
-    p must lie on the model (membership residual below membership_tol).
+    p must lie on the model (membership residual at most 1e-8).
     """
     p = matrices.as_sym(p)
-    if g.n != h.n:
-        raise ValueError("graphs live on different vertex sets")
-    res = matrices.membership_residual(p, g, h)
-    if res.size and np.abs(res.astype(float)).max() > membership_tol:
-        raise ValueError("point is not on the model; residual too large")
+    _require_on_model(p, g, h, 1e-8)
     n = g.n
     conc = tangent_basis_concentration(p, g).generators
     # covariance directions E_ii and E_ij + E_ji for the edges ij of h
@@ -183,12 +185,10 @@ def _minor_gradients(a: np.ndarray, k, l, s, t) -> np.ndarray:
 
 
 def local_tangent_dimension(a, g: Graph, h: Graph, correlation_mode: bool = False,
-                            rank_tol: float = RANK_TOL, membership_tol: float = 1e-6) -> int:
-    """dim ker of the stacked Jacobian; upper-bounds the local model dimension."""
+                            rank_tol: float = RANK_TOL) -> int:
+    """dim ker of the stacked Jacobian at a model point; upper-bounds the local model dimension."""
     a = matrices.as_sym(a)
-    res = matrices.membership_residual(a, g, h)
-    if res.size and np.abs(res.astype(float)).max() > membership_tol:
-        raise ValueError("point is not on the model; residual too large")
+    _require_on_model(a, g, h, 1e-6)
     jac = stacked_jacobian(a, g, h, correlation_mode)
     return len(jac.col_positions) - jac.rank(rank_tol)
 
@@ -218,12 +218,6 @@ def decompose(g: Graph, h: Graph) -> DecompositionResult:
 
 
 # -- connectedness certificates ----------------------------------------------
-
-CERTIFICATE_KINDS = (
-    "UniquePath", "UniquePathSwapped", "Hub", "HubSwapped", "SmallIntersection",
-    "Unknown",
-)
-
 
 @dataclass(frozen=True)
 class ConnectednessCertificate:
@@ -271,8 +265,6 @@ def connectedness_certificate(g: Graph, h: Graph) -> ConnectednessCertificate:
     Unknown means no certificate was found, not that the model is
     disconnected.
     """
-    if g.n != h.n:
-        raise ValueError("graphs live on different vertex sets")
     if ideal.unique_path_hypothesis(g, h):
         return ConnectednessCertificate("UniquePath")
     if ideal.unique_path_hypothesis(h, g):
@@ -310,6 +302,13 @@ def hadamard_shrink(a, i: int, eps: float) -> np.ndarray:
 
 # -- numerical model point search ----------------------------------------------
 
+RESIDUAL_TOL = 1e-10  # a block converges once its largest |residual| is this small
+MAX_ITER = 5000  # Gauss-Newton steps per restart
+RESTARTS = 20  # start points per block
+INIT_SCALE = 0.3  # start entries are uniform in [-INIT_SCALE / n, INIT_SCALE / n]
+ENTRY_CAP = 0.95  # every iterate keeps |entries| < ENTRY_CAP
+
+
 @dataclass
 class FindPointResult:
     """Outcome of find_model_point; matrix is the best iterate found."""
@@ -319,7 +318,7 @@ class FindPointResult:
     converged: bool
     seed: int
     restarts_used: int
-    iterations: int = field(default=0)
+    iterations: int = 0
 
 
 def _build_corr(n: int, fi: np.ndarray, fj: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -330,9 +329,7 @@ def _build_corr(n: int, fi: np.ndarray, fj: np.ndarray, x: np.ndarray) -> np.nda
     return a
 
 
-def find_model_point(g: Graph, h: Graph, seed: int = 0, residual_tol: float = 1e-10,
-                     max_iter: int = 5000, restarts: int = 20,
-                     init_scale: float = 0.3, entry_cap: float = 0.95) -> FindPointResult:
+def find_model_point(g: Graph, h: Graph, seed: int = 0) -> FindPointResult:
     """Search the correlation model of (g, h) block by block.
 
     Model matrices vanish between blocks of decompose(g, h): _search_point runs
@@ -349,16 +346,14 @@ def find_model_point(g: Graph, h: Graph, seed: int = 0, residual_tol: float = 1e
     a, found = np.eye(g.n), []
     for block, (bg, bh) in zip(dec.blocks, dec.pairs):
         if len(block) > 1:
-            found.append(_search_point(bg, bh, seed, residual_tol, max_iter, restarts,
-                                       init_scale, entry_cap))
+            found.append(_search_point(bg, bh, seed))
             a[np.ix_(np.subtract(block, 1), np.subtract(block, 1))] = found[-1].matrix
     return FindPointResult(
         a, max((r.residual for r in found), default=0.0), all(r.converged for r in found),
         seed, max((r.restarts_used for r in found), default=1), sum(r.iterations for r in found))
 
 
-def _search_point(g: Graph, h: Graph, seed: int, residual_tol: float, max_iter: int,
-                  restarts: int, init_scale: float, entry_cap: float) -> FindPointResult:
+def _search_point(g: Graph, h: Graph, seed: int) -> FindPointResult:
     """Search the correlation model of one pair (g, h) by damped Gauss-Newton.
 
     Free coordinates are the off-diagonal entries on edges of h (non-edges
@@ -366,19 +361,19 @@ def _search_point(g: Graph, h: Graph, seed: int, residual_tol: float, max_iter: 
     non-edges of g.  Residual gradients use the inversion differential
     d(X^-1) = -X^-1 E X^-1; steps are backtracked and rejected whenever
     Cholesky fails, which keeps all iterates positive definite.  Iterates
-    are also confined to |entries| < entry_cap: the defining equations have
+    are also confined to |entries| < ENTRY_CAP: the defining equations have
     spurious zeros on the elliptope boundary (the identity is always an
     interior member, so nothing is lost).  Restart r draws its start from
-    random.Random(f"{seed}:{r}"); the first to reach residual_tol wins, else
+    random.Random(f"{seed}:{r}"); the first to reach RESIDUAL_TOL wins, else
     the lowest residual.
     """
     n = g.n
     fi, fj = _index_pairs(h.edges)
     tk, tl = _index_pairs(g.non_edges())
     best = None
-    for restart in range(restarts):
+    for restart in range(RESTARTS):
         rng = random.Random(f"{seed}:{restart}")
-        x = np.array([rng.uniform(-init_scale / n, init_scale / n) for _ in fi])
+        x = np.array([rng.uniform(-INIT_SCALE / n, INIT_SCALE / n) for _ in fi])
         a = _build_corr(n, fi, fj, x)
         L = matrices.cholesky_or_none(a)
         if L is None:
@@ -388,9 +383,9 @@ def _search_point(g: Graph, h: Graph, seed: int, residual_tol: float, max_iter: 
         iters = 0
         stall = 0
         best_rmax = np.inf
-        while iters < max_iter:
+        while iters < MAX_ITER:
             rmax = np.abs(r).max() if r.size else 0.0
-            if rmax <= residual_tol:
+            if rmax <= RESIDUAL_TOL:
                 break
             if rmax <= 0.9 * best_rmax:
                 best_rmax = rmax
@@ -417,7 +412,7 @@ def _search_point(g: Graph, h: Graph, seed: int, residual_tol: float, max_iter: 
             alpha, accepted = 1.0, False
             while alpha > 1e-14:
                 xn = x + alpha * d
-                if xn.size and np.abs(xn).max() >= entry_cap:
+                if xn.size and np.abs(xn).max() >= ENTRY_CAP:
                     alpha *= 0.5
                     continue
                 an = _build_corr(n, fi, fj, xn)
@@ -434,13 +429,13 @@ def _search_point(g: Graph, h: Graph, seed: int, residual_tol: float, max_iter: 
             if not accepted:
                 break
         rmax = float(np.abs(r).max()) if r.size else 0.0
-        result = FindPointResult(a, rmax, rmax <= residual_tol, seed, restart + 1, iters)
+        result = FindPointResult(a, rmax, rmax <= RESIDUAL_TOL, seed, restart + 1, iters)
         if best is None or result.residual < best.residual:
             best = result
         if result.converged:
             break
     if best is None:
-        best = FindPointResult(np.eye(n), np.inf, False, seed, restarts)
+        best = FindPointResult(np.eye(n), np.inf, False, seed, RESTARTS)
     return best
 
 

@@ -10,7 +10,6 @@ All functions here are pure; ``Graph`` values never mutate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -246,30 +245,6 @@ def all_paths(g: Graph, k: int, l: int, cap: int = DEFAULT_PATH_CAP):
     return paths
 
 
-def count_paths_up_to(g: Graph, k: int, l: int, limit: int) -> int:
-    """Number of simple k-l paths, but stop counting once ``limit`` is reached."""
-    _check_vertex(g.n, k)
-    _check_vertex(g.n, l)
-    if k == l:
-        raise ValueError("path endpoints must be distinct")
-    count = 0
-    target = l - 1
-
-    def dfs(v, visited):
-        nonlocal count
-        if count >= limit:
-            return
-        if v == target:
-            count += 1
-            return
-        for w in _bits(g.adj[v]):
-            if not visited >> w & 1:
-                dfs(w, visited | 1 << w)
-
-    dfs(k - 1, 1 << (k - 1))
-    return count
-
-
 def _same_ground_set(g: Graph, h: Graph):
     if g.n != h.n:
         raise ValueError(f"graphs live on different vertex sets ({g.n} vs {h.n})")
@@ -393,11 +368,3 @@ def all_graphs(n: int):
     for mask in range(1 << len(pairs_lex(n))):
         yield graph_from_edge_mask(n, mask)
 
-
-def vertex_permutations(n: int):
-    return itertools.permutations(range(1, n + 1))
-
-
-def permute_graph(g: Graph, perm) -> Graph:
-    """Relabel vertices: vertex v becomes perm[v-1] (perm is a 1-based image tuple)."""
-    return Graph.from_edges(g.n, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import graphs
-from .errors import UniquePathRequired
+from .errors import PathCapExceeded, UniquePathRequired
 from .graphs import DEFAULT_PATH_CAP, Graph
 
 Edge = tuple[int, int]
@@ -56,8 +56,8 @@ class SparsePolynomial:
         return SparsePolynomial({(_edge(i, j),): Fraction(1)})
 
     @staticmethod
-    def monomial(edges, coeff=1) -> "SparsePolynomial":
-        return SparsePolynomial({tuple(sorted(_edge(*e) for e in edges)): Fraction(coeff)})
+    def monomial(edges) -> "SparsePolynomial":
+        return SparsePolynomial({tuple(sorted(_edge(*e) for e in edges)): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -194,7 +194,7 @@ class PathTerm:
     monomial: tuple[Edge, ...]
 
 
-def path_expansion(h: Graph, k: int, l: int, cap: int = DEFAULT_PATH_CAP) -> list[PathTerm]:
+def path_expansion(h: Graph, k: int, l: int) -> list[PathTerm]:
     """Terms of the path expansion of the (k, l) submaximal minor.
 
     Summing sign * s_p * det(principal minor on the path complement) over
@@ -202,7 +202,7 @@ def path_expansion(h: Graph, k: int, l: int, cap: int = DEFAULT_PATH_CAP) -> lis
     means that minor vanishes identically.
     """
     out = []
-    for path in graphs.all_paths(h, k, l, cap=cap):
+    for path in graphs.all_paths(h, k, l):
         edges = tuple(sorted(_edge(a, b) for a, b in zip(path, path[1:])))
         out.append(PathTerm(path, (-1) ** (len(path) - 1), edges))
     return out
@@ -212,7 +212,12 @@ def unique_path_hypothesis(g: Graph, h: Graph) -> bool:
     """At most one h-path between the endpoints of every non-edge of g."""
     if g.n != h.n:
         raise ValueError("graphs live on different vertex sets")
-    return all(graphs.count_paths_up_to(h, k, l, 2) <= 1 for k, l in g.non_edges())
+    try:
+        for k, l in g.non_edges():
+            graphs.all_paths(h, k, l, cap=1)  # raises on a second path
+    except PathCapExceeded:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -247,8 +252,6 @@ def sci_monomial_generators(g: Graph, h: Graph, cap: int = DEFAULT_PATH_CAP) -> 
     Requires the unique-path hypothesis; otherwise the ideal need not be
     monomial and the input is refused.
     """
-    if g.n != h.n:
-        raise ValueError("graphs live on different vertex sets")
     if not unique_path_hypothesis(g, h):
         raise UniquePathRequired(
             "some non-edge of G has several connecting paths in H")
@@ -284,7 +287,7 @@ def minimal_primes(ideal: MonomialIdeal) -> list[frozenset[Edge]]:
     return minimal
 
 
-def inverse_graphical_recognition(g: Graph, h: Graph, cap: int = DEFAULT_PATH_CAP):
+def inverse_graphical_recognition(g: Graph, h: Graph):
     """The augmented graph G' certifying that the model is inverse graphical.
 
     Under the unique-path hypothesis the ideal is prime iff every h-path
@@ -297,7 +300,7 @@ def inverse_graphical_recognition(g: Graph, h: Graph, cap: int = DEFAULT_PATH_CA
             "some non-edge of G has several connecting paths in H")
     g_non = set(g.non_edges())
     for k, l in g.non_edges():
-        for path in graphs.all_paths(h, k, l, cap=cap):
+        for path in graphs.all_paths(h, k, l):
             edges = {_edge(a, b) for a, b in zip(path, path[1:])}
             if not edges & g_non:
                 return None

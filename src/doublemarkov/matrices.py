@@ -151,26 +151,26 @@ def chol_inverse(L: np.ndarray) -> np.ndarray:
     return inv_l.T @ inv_l
 
 
-def _pd_factor(a: np.ndarray, pivot_tol: float = PIVOT_TOL):
+def _pd_factor(a: np.ndarray):
     """Cholesky factor of float a if every pivot clears the is_pd threshold, else None."""
     L = cholesky_or_none(a)
     if L is None:
         return None
     scale = max(1.0, float(np.abs(a).max()))
-    return L if (np.diag(L) ** 2 > pivot_tol * scale).all() else None
+    return L if (np.diag(L) ** 2 > PIVOT_TOL * scale).all() else None
 
 
-def is_pd(a, pivot_tol: float = PIVOT_TOL) -> bool:
+def is_pd(a) -> bool:
     """Positive definiteness; Cholesky pivots (exact: Sylvester's criterion).
 
     Float mode requires every Cholesky pivot to exceed
-    pivot_tol * max(1, max|entry|), so barely singular matrices are rejected.
+    PIVOT_TOL * max(1, max|entry|), so barely singular matrices are rejected.
     """
     a = as_sym(a)
     if is_exact(a):
         pivots, swaps, _ = _eliminate(_integer_form(a)[0], augment=False)
         return swaps == 0 and min(pivots) > 0
-    return _pd_factor(a, pivot_tol) is not None
+    return _pd_factor(a) is not None
 
 
 def _require_pd(a):
@@ -363,12 +363,14 @@ def membership_residual(a, g: Graph, h: Graph) -> np.ndarray:
 
 
 def is_member(a, g: Graph, h: Graph, tol: float = DEFAULT_TOL) -> bool:
-    res = membership_residual(a, g, h)
-    if res.size == 0:
-        return True
-    if is_exact(a):
-        return all(x == 0 for x in res)
-    return bool(np.abs(res).max() <= tol)
+    return _residual_is_member(membership_residual(a, g, h), tol)
+
+
+def _residual_is_member(res: np.ndarray, tol: float) -> bool:
+    """The verdict on a membership_residual: exact residuals must all be 0, float ones <= tol."""
+    if res.dtype == object:
+        return not any(res)
+    return bool(np.abs(res).max(initial=0.0) <= tol)
 
 
 # -- plain text I/O -----------------------------------------------------------

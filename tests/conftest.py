@@ -59,7 +59,6 @@ def unrestricted_point(g, h, seed):
     """The Gauss-Newton kernel of find_model_point on the whole pair, blocks ignored.
 
     Its points are not block-diagonal by construction, so they are the
-    oracle for the decomposition claim; settings are find_model_point's
-    defaults.
+    oracle for the decomposition claim.
     """
-    return geometry._search_point(g, h, seed, *geometry.find_model_point.__defaults__[1:])
+    return geometry._search_point(g, h, seed)

@@ -10,6 +10,7 @@ from doublemarkov.classify import (
     sample_from_family,
 )
 from doublemarkov import classify as classify_mod
+from doublemarkov.errors import BudgetExceeded
 from doublemarkov.geometry import dimension_bound
 from doublemarkov.graphs import connected_graph_masks
 from doublemarkov.matrices import is_pd, membership_residual
@@ -200,6 +201,17 @@ def test_enumerate_rejects_bad_n():
         enumerate_inequivalent(2)
     with pytest.raises(ValueError):
         enumerate_inequivalent(7)
+
+
+@pytest.mark.parametrize("connected_only", [True, False])
+def test_enumerate_6_exceeds_its_budget_before_any_table(monkeypatch, connected_only):
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(classify_mod.graphs, "connected_graph_masks", no_table)
+    monkeypatch.setattr(classify_mod, "_edge_perm_table", no_table)
+    with pytest.raises(BudgetExceeded, match="over an hour"):
+        enumerate_inequivalent(6, connected_only)
 
 
 def test_enumerate_stable_under_iteration_order(monkeypatch):

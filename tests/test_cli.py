@@ -233,6 +233,26 @@ def test_verify_exponents_up_to_the_bound_are_exact(tmp_path, entry):
     assert main(["verify", mat, write(tmp_path, "p.pair", "n 2\nG\nH\n")]) == 0
 
 
+@pytest.mark.parametrize("matrix, rc, verdict", [
+    # exact: the inverse's 1-2 entry is -10^11 / (10^22 - 1), small but not 0
+    ("2\n1 1/100000000000\n1/100000000000 1\n", 1, "not a member"),
+    # its float twin is within the default --tol
+    ("2\n1 1e-11\n1e-11 1\n", 0, "member"),
+])
+def test_verify_agrees_with_is_member(tmp_path, capsys, matrix, rc, verdict):
+    mat, pair = write(tmp_path, "m.mat", matrix), write(tmp_path, "p.pair", "n 2\nG\nH 1-2\n")
+    assert main(["verify", mat, pair]) == rc
+    assert capsys.readouterr().out == f"max residual: 1.000000e-11\n{verdict}\n"
+    g, h = graphs.parse_pair_file(open(pair).read())
+    assert matrices.is_member(matrices.parse_matrix(open(mat).read()), g, h) == (rc == 0)
+
+
+@pytest.mark.parametrize("flags", [[], ["--connected"]])
+def test_enumerate_6_is_past_its_budget(capsys, flags):
+    assert main(["enumerate", "6", *flags]) == 3
+    assert "over an hour" in capsys.readouterr().err
+
+
 def test_closure_cli(tmp_path, capsys):
     rel = write(tmp_path, "inc.rel",
                 "n 4\n(1 2 |)\n(3 4 |)\n(1 3 | 2 4)\n(2 4 | 1 3)\n")
@@ -542,3 +562,36 @@ def test_verify_never_tracebacks_on_huge_exact_entries(tmp_path_factory, data):
     matrix, pair = data.draw(st.sampled_from(VALID_INPUTS["verify"]))
     contents = [data.draw(huge_exact_entries(matrix)), pair.encode()]
     _run_on_files(str(tmp_path_factory.getbasetemp()), "verify", contents)
+
+
+def _int_or_none(token):
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
+# enumerate 5 takes seconds, so neither an integer nor a junk string may read as 5
+ENUMERATE_TOKENS = st.one_of(
+    st.integers(-5, 40).filter(lambda n: n != 5).map(str),
+    st.text(max_size=8).filter(lambda t: _int_or_none(t) != 5))
+
+
+@FUZZ
+@given(token=ENUMERATE_TOKENS, connected=st.booleans())
+@example(token="3", connected=False)
+@example(token="4", connected=False)
+@example(token="4", connected=True)
+@example(token="6", connected=True)
+@example(token="-h", connected=False)
+def test_enumerate_never_tracebacks(token, connected):
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = main(["enumerate", token] + ["--connected"] * connected)
+        except SystemExit as e:  # argparse refuses a token that is not an integer
+            rc = e.code
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert time.perf_counter() - start < 2.0

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from doublemarkov.ideal import (
 )
 from doublemarkov.matrices import membership_residual, is_pd
 
-from conftest import random_graph
+from conftest import oracle_all_paths, random_graph
 
 STAR4 = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
 PATH4 = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
@@ -60,6 +61,22 @@ def test_unique_path_hypothesis():
     assert not unique_path_hypothesis(g, C4)
     assert unique_path_hypothesis(complete_graph(4), C4)  # vacuous: no non-edges
     assert unique_path_hypothesis(complete_graph(5), complete_graph(5))
+
+
+def test_unique_path_hypothesis_matches_path_oracle():
+    for n in range(1, 5):
+        for g, h in itertools.combinations_with_replacement(all_graphs(n), 2):
+            for a, b in ((g, h), (h, g)):
+                expected = all(len(oracle_all_paths(b.edges, k, l)) <= 1
+                               for k, l in a.non_edges())
+                assert unique_path_hypothesis(a, b) == expected, (a, b)
+
+
+def test_unique_path_hypothesis_stops_at_the_second_path():
+    g, h = empty_graph(16), complete_graph(16)  # about e * 14! paths between any two vertices
+    start = time.perf_counter()
+    assert not unique_path_hypothesis(g, h)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_path_expansion_examples():
