@@ -417,15 +417,45 @@ def is_gaussoid(r: Relation) -> bool:
     return not any(bad.any() for *_, bad in _violation_masks(r))
 
 
+def _horn_tables(n: int, rules: tuple[str, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The instance table (premises, conclusions) of each rule in ``rules``, in order.
+
+    Unknown rule names raise ValueError; below n = 3 no rule has an instance.
+    """
+    for rule in rules:
+        if rule not in HORN_RULES:
+            raise ValueError(f"unknown Horn rule {rule!r}; valid: {HORN_RULES}")
+    if n < 3:
+        return []
+    return [_rule17_instances(n) if rule == "rule17" else _axiom_instances(n)[rule]
+            for rule in rules]
+
+
 def closure(r: Relation, rules=("semigraphoid",)) -> Relation:
     """Least superset of r closed under the selected Horn rules.
 
     Valid rule names: semigraphoid, intersection, composition, rule17.
     Weak transitivity has a disjunctive conclusion, so it is never part of
     the closure; it is only reported by check_axioms.
+
+    The fixpoint is taken by array passes: each pass gathers the premises of
+    every row of one rule's instance table, and the rows whose premises all
+    hold set their conclusions.  Passes repeat over the rules until the
+    number of held statements stops growing.  The least fixpoint does not
+    depend on the order of the passes, so it equals closure_report's.
     """
-    closed, _ = closure_report(r, rules)
-    return closed
+    tables = _horn_tables(r.n, tuple(rules))
+    held = _to_bool_array(r)
+    count = None
+    while count != np.count_nonzero(held):
+        count = np.count_nonzero(held)
+        for prem, concl in tables:
+            p = held[prem]
+            fire = p[:, 0]
+            for col in p.T[1:]:
+                fire = fire & col
+            held[concl[fire]] = True
+    return _from_bool_array(r.n, held)
 
 
 @lru_cache(maxsize=None)
@@ -437,8 +467,7 @@ def _premise_index(n: int, rules: tuple[str, ...]):
     the instances with premise s, and byte t of the counts is the number of
     distinct premises of instance t.
     """
-    tables = [_rule17_instances(n) if rule == "rule17" else _axiom_instances(n)[rule]
-              for rule in rules]
+    tables = _horn_tables(n, rules)
     total = sum(len(prem) for prem, _ in tables)
     rule_of, concls, keys = [], [], []
     for rule, (prem, concl) in zip(rules, tables):
@@ -457,22 +486,22 @@ def _premise_index(n: int, rules: tuple[str, ...]):
 def closure_report(r: Relation, rules=("semigraphoid",)):
     """Closure plus a dict counting how many statements each rule added.
 
-    The closure is the fixpoint of full passes over all rule instances in id
-    order (see _premise_index), where an instance whose premises hold adds
-    its missing conclusions.  Rather than scanning every instance, the passes
-    are replayed from the premise index: an instance is queued once, when
-    its last premise is present, into the current pass if its id is larger
-    than that of the instance that added the premise (or the premise was in
-    r), else into the next pass.  Instances fire in the same order as in full
+    This is the attribution replay behind the command line's "rules fired"
+    line; tests also use it as the reference for closure.  The closure is
+    the fixpoint of full passes over all rule instances in id order (see
+    _premise_index), where an instance whose premises hold adds its missing
+    conclusions, and a statement counts for the rule of the instance that
+    added it first.  Rather than scanning every instance, the passes are
+    replayed from the premise index: an instance is queued once, when its
+    last premise is present, into the current pass if its id is larger than
+    that of the instance that added the premise (or the premise was in r),
+    else into the next pass.  Instances fire in the same order as in full
     passes, so ``fired`` counts are those of full passes.
     """
     rules = tuple(rules)
-    for rule in rules:
-        if rule not in HORN_RULES:
-            raise ValueError(f"unknown Horn rule {rule!r}; valid: {HORN_RULES}")
     n = r.n
     fired = {rule: 0 for rule in rules}
-    if n < 3 or not rules:
+    if not _horn_tables(n, rules):
         return r, fired
     rule_of, concls, users, counts = _premise_index(n, rules)
     missing = bytearray(counts)  # premises of each instance not yet present

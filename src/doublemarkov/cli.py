@@ -5,7 +5,7 @@ inequivalent CI structures), verify (matrix membership), closure (Horn
 closure of a relation file).
 
 Exit codes: 0 success / member, 1 non-member or no verdict, 2 usage or
-input errors, 3 resource exhaustion (path caps, the size budgets of analyze and
+input errors, 3 resource exhaustion (the size budgets of analyze, closure and
 enumerate).
 """
 
@@ -89,17 +89,22 @@ def _edge_list(g: graphs.Graph) -> list[list[int]]:
     return [list(e) for e in g.edges]
 
 
-# The axiom tables more than double with every vertex: the report of the
-# star/path pair takes 0.6 s and 128 MB at n = 11, 1.8 s and 255 MB at n = 12
-# and 6.1 s and 605 MB at n = 13, so n = 16 would need several GB.
-MAX_ANALYZE_N = 12
+# analyze and closure build rule tables that more than double with every
+# vertex.  The star/path report takes 0.6 s and 128 MB at n = 11, 1.8 s and
+# 255 MB at n = 12 and 6.1 s and 605 MB at n = 13; closure of one statement
+# under semigraphoid, intersection and composition takes 2.2 s and 299 MB at
+# n = 11 and 4.6 s and 719 MB at n = 12.  At n = 16 either needs several GB.
+MAX_TABLE_N = 12
 
 
-def build_report(g, h, seed: int = 0, want_point: bool = False,
-                 cap: int = graphs.DEFAULT_PATH_CAP) -> ModelReport:
-    if g.n > MAX_ANALYZE_N:
-        raise BudgetExceeded(f"analyze is limited to n <= {MAX_ANALYZE_N} vertices, got n = {g.n}"
+def _check_budget(command: str, n: int):
+    if n > MAX_TABLE_N:
+        raise BudgetExceeded(f"{command} is limited to n <= {MAX_TABLE_N} vertices, got n = {n}"
                              f" (its tables more than double with every vertex)")
+
+
+def build_report(g, h, seed: int = 0, want_point: bool = False) -> ModelReport:
+    _check_budget("analyze", g.n)
     dec = geometry.decompose(g, h)
     bounds = geometry.dimension_bound(g, h)
     union_complete = graphs.edge_union(g, h).num_edges == g.n * (g.n - 1) // 2
@@ -111,7 +116,7 @@ def build_report(g, h, seed: int = 0, want_point: bool = False,
     unique = ideal.unique_path_hypothesis(g, h)
     ideal_part = {"unique_path": unique}
     if unique:
-        gens = ideal.sci_monomial_generators(g, h, cap=cap)
+        gens = ideal.sci_monomial_generators(g, h)
         ideal_part["generators"] = gens.generator_strings()
     shared = graphs.edge_intersection(g, h)
     classification = None
@@ -201,7 +206,7 @@ def _print_report(rep: ModelReport):
 def cmd_analyze(args) -> int:
     with open(args.pair_file) as fh:
         g, h = graphs.parse_pair_file(fh.read())
-    rep = build_report(g, h, seed=args.seed, want_point=args.point, cap=args.cap)
+    rep = build_report(g, h, seed=args.seed, want_point=args.point)
     _print_report(rep)
     if args.json:
         with open(args.json, "w") as fh:
@@ -273,6 +278,7 @@ def _non_pd_diagnostics(a):
 def cmd_closure(args) -> int:
     with open(args.relation_file) as fh:
         r = ci.parse_relation(fh.read())
+    _check_budget("closure", r.n)
     rules = tuple(args.rules.split(",")) if args.rules != "all" else ci.HORN_RULES
     closed, fired = ci.closure_report(r, rules)
     for s in closed.statements():
@@ -295,8 +301,6 @@ def make_parser() -> argparse.ArgumentParser:
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--point", action="store_true",
                     help="search for a numerical model point")
-    pa.add_argument("--cap", type=int, default=graphs.DEFAULT_PATH_CAP,
-                    help="path enumeration cap")
     pa.set_defaults(func=cmd_analyze)
 
     pe = sub.add_parser("enumerate", help="count inequivalent CI structures")

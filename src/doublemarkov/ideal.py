@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import graphs
 from .errors import PathCapExceeded, UniquePathRequired
-from .graphs import DEFAULT_PATH_CAP, Graph
+from .graphs import Graph
 
 Edge = tuple[int, int]
 
@@ -246,7 +246,7 @@ class MonomialIdeal:
         ]
 
 
-def sci_monomial_generators(g: Graph, h: Graph, cap: int = DEFAULT_PATH_CAP) -> MonomialIdeal:
+def sci_monomial_generators(g: Graph, h: Graph) -> MonomialIdeal:
     """Minimal monomial generators of the correlation model's vanishing ideal.
 
     Requires the unique-path hypothesis; otherwise the ideal need not be
@@ -257,7 +257,7 @@ def sci_monomial_generators(g: Graph, h: Graph, cap: int = DEFAULT_PATH_CAP) -> 
             "some non-edge of G has several connecting paths in H")
     gens = [frozenset([e]) for e in h.non_edges()]
     for k, l in g.non_edges():
-        for path in graphs.all_paths(h, k, l, cap=cap):
+        for path in graphs.all_paths(h, k, l):
             gens.append(frozenset(_edge(a, b) for a, b in zip(path, path[1:])))
     return MonomialIdeal.from_generators(g.n, gens)
 

@@ -550,16 +550,52 @@ def sparse_relations(draw, sizes=(3, 4, 5, 6)):
 @given(r=sparse_relations())
 @settings(deadline=None, max_examples=40)
 def test_closure_report_matches_full_passes(rules, r):
-    assert closure_report(r, rules) == _closure_by_full_passes(r, rules)
-    # the rule order is part of the replay order
-    assert closure_report(r, rules[::-1]) == _closure_by_full_passes(r, rules[::-1])
+    # the rule order is part of the replay order, not of the closure
+    for order in (rules, rules[::-1]):
+        expected = _closure_by_full_passes(r, order)
+        assert closure_report(r, order) == expected
+        assert closure(r, order) == expected[0]
 
 
 def test_closure_report_matches_full_passes_on_paper_examples():
     for g, h in [(VNR_G, VNR_H), (INC_G, INC_H), (NS_G, NS_G)]:
         r = double_markov_relation(g, h)
         for rules in ALL_RULE_SETS:
-            assert closure_report(r, rules) == _closure_by_full_passes(r, rules)
+            for order in (rules, rules[::-1]):
+                expected = _closure_by_full_passes(r, order)
+                assert closure_report(r, order) == expected
+                assert closure(r, order) == expected[0]
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_closure_matches_report_on_subsets_of_separation_relations(n):
+    """Inputs built like the benchmark's: a 30% subset of <G> for a random G."""
+    rng = np.random.default_rng(20210 + n)
+    for _ in range(3):
+        held = ci._to_bool_array(relation_of_graph(random_graph(n, rng)))
+        r = ci._from_bool_array(n, held & (rng.random(held.size) < 0.3))
+        for rules in [("semigraphoid", "intersection", "composition"), ci.HORN_RULES,
+                      ("composition", "semigraphoid")]:
+            closed = closure(r, rules)
+            assert closed == closure_report(r, rules)[0]
+            assert len(closed) > len(r)
+
+
+def test_closure_and_report_refuse_the_same_unknown_rules():
+    for r in [double_markov_relation(INC_G, INC_H), full_relation(2)]:
+        for rules in [("bogus",), ("semigraphoid", "weak-transitivity")]:
+            with pytest.raises(ValueError) as from_closure:
+                closure(r, rules)
+            with pytest.raises(ValueError) as from_report:
+                closure_report(r, rules)
+            assert str(from_closure.value) == str(from_report.value)
+
+
+def test_closure_builds_no_premise_index():
+    ci._premise_index.cache_clear()
+    for rules in ALL_RULE_SETS:
+        closure(double_markov_relation(INC_G, INC_H), rules)
+    assert ci._premise_index.cache_info().currsize == 0
 
 
 def test_closure_fixpoint_on_full():

@@ -284,19 +284,32 @@ def test_missing_file_is_usage_error(capsys):
 
 def test_analyze_past_its_budget_is_resource_error(tmp_path, capsys):
     """An n = 16 pair would need several GB of axiom tables; it is refused at once."""
-    assert cli.MAX_ANALYZE_N >= 11
+    assert cli.MAX_TABLE_N >= 11
     pair = write(tmp_path, "big.pair", "n 16\nG " + " ".join(f"1-{v}" for v in range(2, 17))
                  + "\nH " + " ".join(f"{v}-{v + 1}" for v in range(1, 16)) + "\n")
     start = time.perf_counter()
     assert main(["analyze", pair, "--point"]) == 3
     assert time.perf_counter() - start < 1.0
-    assert f"n <= {cli.MAX_ANALYZE_N}" in capsys.readouterr().err
+    assert f"n <= {cli.MAX_TABLE_N}" in capsys.readouterr().err
 
 
-def test_path_cap_is_resource_error(capsys):
-    # cap 0 makes any path enumeration overflow while parsing succeeds
-    assert main(["analyze", STAR_PATH, "--cap", "0"]) == 3
-    assert "cap" in capsys.readouterr().err
+@pytest.mark.parametrize("text", ["n 16\n(1 2 |)\n", "n 13\n",
+                                  "n 16\nhex " + "0" * 491520 + "\n"], ids=["list", "empty", "hex"])
+def test_closure_past_its_budget_is_resource_error(tmp_path, capsys, text):
+    """closure shares analyze's bound: its rule tables more than double with every vertex."""
+    rel = write(tmp_path, "big.rel", text)
+    start = time.perf_counter()
+    assert main(["closure", rel, "--rules", "semigraphoid,intersection,composition"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert f"closure is limited to n <= {cli.MAX_TABLE_N}" in capsys.readouterr().err
+
+
+def test_analyze_has_no_cap_option(capsys):
+    # under the unique-path hypothesis the generators never meet a path cap
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", STAR_PATH, "--cap", "1"])
+    assert exc.value.code == 2
+    assert "--cap" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():
@@ -460,7 +473,8 @@ PAIRS = ["n 4\nG 1-2 1-3 1-4\nH 1-2 2-3 3-4\n", "n 6\nG 1-2 2-3 4-5\nH 1-6 2-3 3
 VALID_INPUTS = {  # the files each command reads, in argument order
     "analyze": [(pair,) for pair in PAIRS + ["n 16\nG 1-2 2-16\nH 1-16 3-4\n", "n 13\nG\nH 12-13\n"]],
     "closure": [("n 4\n(1 2 |)\n(1 3 | 2)\n(2 4 | 1 3)\n",), ("n 3\nhex fc\n",),
-                ("n 4\nhex 0f00f1\n",), ("n 5\n(1 2 | 3 4 5)\n(3 5 |)\n",)],
+                ("n 4\nhex 0f00f1\n",), ("n 5\n(1 2 | 3 4 5)\n(3 5 |)\n",),
+                ("n 16\n(1 2 | 3 16)\n(15 16 |)\n",)],
     "verify": [("4\n2 1 0 0\n1 2 0 0\n0 0 1 0\n0 0 0 1\n", PAIRS[0]),
                ("2\n1 0\n0 1\n", PAIRS[2]), ("2\n1 2\n2 1\n", PAIRS[2]),
                ("3\n2 1/2 0\n1/2 2 0\n0 0 1\n", PAIRS[3])],
@@ -469,8 +483,8 @@ KINDS = {"analyze": ("pair",), "closure": ("relation",), "verify": ("matrix", "p
 PARSERS = {"pair": lambda text: graphs.parse_pair_file(text)[0].n,
            "relation": lambda text: ci.parse_relation(text).n,
            "matrix": lambda text: matrices.parse_matrix(text).shape[0]}
-MAX_FUZZ_N = 6  # analyze and closure grow about 2x per vertex beyond this; analyze
-# refuses n above cli.MAX_ANALYZE_N at once, so those headers are fed too
+MAX_FUZZ_N = 6  # analyze and closure grow about 2x per vertex beyond this; both
+# refuse n above cli.MAX_TABLE_N at once, so those headers are fed too
 
 
 @st.composite
@@ -501,7 +515,7 @@ def _run_on_files(tmp_dir, command, contents):
                 size = PARSERS[kind](fh.read())
         except ValueError:
             size = None
-        past_budget = command == "analyze" and size is not None and size > cli.MAX_ANALYZE_N
+        past_budget = command in ("analyze", "closure") and size is not None and size > cli.MAX_TABLE_N
         assume(size is None or size <= MAX_FUZZ_N or past_budget)
         paths.append(path)
     out, err = io.StringIO(), io.StringIO()
