@@ -23,7 +23,6 @@ comparing the bitsets lexicographically statement 0 first.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -417,8 +416,8 @@ def is_gaussoid(r: Relation) -> bool:
     return not any(bad.any() for *_, bad in _violation_masks(r))
 
 
-def _horn_tables(n: int, rules: tuple[str, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The instance table (premises, conclusions) of each rule in ``rules``, in order.
+def _horn_tables(n: int, rules: tuple[str, ...]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The instance table (premises, conclusions) of each distinct rule in ``rules``, by name.
 
     Unknown rule names raise ValueError; below n = 3 no rule has an instance.
     """
@@ -426,9 +425,18 @@ def _horn_tables(n: int, rules: tuple[str, ...]) -> list[tuple[np.ndarray, np.nd
         if rule not in HORN_RULES:
             raise ValueError(f"unknown Horn rule {rule!r}; valid: {HORN_RULES}")
     if n < 3:
-        return []
-    return [_rule17_instances(n) if rule == "rule17" else _axiom_instances(n)[rule]
-            for rule in rules]
+        return {}
+    return {rule: _rule17_instances(n) if rule == "rule17" else _axiom_instances(n)[rule]
+            for rule in rules}
+
+
+def _all_held(held: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Per row of the index table ``cols``: whether ``held`` holds every statement of the row."""
+    p = held[cols]
+    out = p[:, 0]
+    for col in p.T[1:]:
+        out = out & col
+    return out
 
 
 def closure(r: Relation, rules=("semigraphoid",)) -> Relation:
@@ -442,99 +450,29 @@ def closure(r: Relation, rules=("semigraphoid",)) -> Relation:
     every row of one rule's instance table, and the rows whose premises all
     hold set their conclusions.  Passes repeat over the rules until the
     number of held statements stops growing.  The least fixpoint does not
-    depend on the order of the passes, so it equals closure_report's.
+    depend on the order of the passes; the tests check it against full
+    passes over every instance in turn (_closure_by_full_passes).
     """
-    tables = _horn_tables(r.n, tuple(rules))
+    tables = _horn_tables(r.n, tuple(rules)).values()
     held = _to_bool_array(r)
     count = None
     while count != np.count_nonzero(held):
         count = np.count_nonzero(held)
         for prem, concl in tables:
-            p = held[prem]
-            fire = p[:, 0]
-            for col in p.T[1:]:
-                fire = fire & col
-            held[concl[fire]] = True
+            held[concl[_all_held(held, prem)]] = True
     return _from_bool_array(r.n, held)
 
 
-@lru_cache(maxsize=None)
-def _premise_index(n: int, rules: tuple[str, ...]):
-    """Rule and conclusions of each instance in id order, who uses each statement, premise counts.
+def _rules_fired(r: Relation, closed: Relation, rules) -> list[str]:
+    """The selected rules, in HORN_RULES order, with an instance whose premises
+    all hold in ``closed`` and which concludes a statement outside ``r``.
 
-    Instance id t is the row position in the concatenation of the rules'
-    instance tables, in the order of ``rules``; users[s] holds the ids of
-    the instances with premise s, and byte t of the counts is the number of
-    distinct premises of instance t.
+    This depends on r, its closure and the set of rules only, not on their order.
     """
-    tables = _horn_tables(n, rules)
-    total = sum(len(prem) for prem, _ in tables)
-    rule_of, concls, keys = [], [], []
-    for rule, (prem, concl) in zip(rules, tables):
-        ids = np.arange(len(rule_of), len(rule_of) + len(prem))[:, None]
-        keys.append((prem * total + ids).ravel())
-        rule_of += [rule] * len(prem)
-        concls += concl.tolist()
-    # every (premise, instance) use once, by premise and then by instance id
-    stmt_of, id_of = np.divmod(_sorted_unique(np.concatenate(keys)), total)
-    bounds = np.cumsum(np.bincount(stmt_of, minlength=num_statements(n)))[:-1]
-    users = tuple(tuple(part.tolist()) for part in np.split(id_of, bounds))
-    counts = np.bincount(id_of, minlength=total).astype(np.uint8).tobytes()
-    return rule_of, concls, users, counts
-
-
-def closure_report(r: Relation, rules=("semigraphoid",)):
-    """Closure plus a dict counting how many statements each rule added.
-
-    This is the attribution replay behind the command line's "rules fired"
-    line; tests also use it as the reference for closure.  The closure is
-    the fixpoint of full passes over all rule instances in id order (see
-    _premise_index), where an instance whose premises hold adds its missing
-    conclusions, and a statement counts for the rule of the instance that
-    added it first.  Rather than scanning every instance, the passes are
-    replayed from the premise index: an instance is queued once, when its
-    last premise is present, into the current pass if its id is larger than
-    that of the instance that added the premise (or the premise was in r),
-    else into the next pass.  Instances fire in the same order as in full
-    passes, so ``fired`` counts are those of full passes.
-    """
-    rules = tuple(rules)
-    n = r.n
-    fired = {rule: 0 for rule in rules}
-    if not _horn_tables(n, rules):
-        return r, fired
-    rule_of, concls, users, counts = _premise_index(n, rules)
-    missing = bytearray(counts)  # premises of each instance not yet present
-    have = bytearray(num_statements(n))
-    current = []
-    for s in _bits(r.bits):
-        have[s] = 1
-        for t in users[s]:
-            missing[t] -= 1
-            if not missing[t]:
-                current.append(t)
-    heapq.heapify(current)
-    bits = r.bits
-    while current:
-        later = []
-        while current:
-            t = heapq.heappop(current)
-            for c in concls[t]:
-                if have[c]:
-                    continue
-                have[c] = 1
-                bits |= 1 << c
-                fired[rule_of[t]] += 1
-                for u in users[c]:
-                    missing[u] -= 1
-                    if not missing[u]:
-                        if u > t:
-                            heapq.heappush(current, u)
-                        else:
-                            later.append(u)
-        heapq.heapify(later)
-        current = later
-    return Relation(n, bits), fired
+    tables = _horn_tables(r.n, tuple(rules))
+    given, held = _to_bool_array(r), _to_bool_array(closed)
+    return [rule for rule in HORN_RULES if rule in tables
+            and (_all_held(held, tables[rule][0]) & ~_all_held(given, tables[rule][1])).any()]
 
 
 def is_upward_stable(r: Relation) -> bool:

@@ -92,8 +92,9 @@ def _edge_list(g: graphs.Graph) -> list[list[int]]:
 # analyze and closure build rule tables that more than double with every
 # vertex.  The star/path report takes 0.6 s and 128 MB at n = 11, 1.8 s and
 # 255 MB at n = 12 and 6.1 s and 605 MB at n = 13; closure of one statement
-# under semigraphoid, intersection and composition takes 2.2 s and 299 MB at
-# n = 11 and 4.6 s and 719 MB at n = 12.  At n = 16 either needs several GB.
+# under semigraphoid, intersection and composition takes 0.7 s and 110 MB at
+# n = 11 and 1.7 s and 243 MB at n = 12 (one process each, 2-vCPU host).  At
+# n = 16 either needs several GB.
 MAX_TABLE_N = 12
 
 
@@ -280,11 +281,11 @@ def cmd_closure(args) -> int:
         r = ci.parse_relation(fh.read())
     _check_budget("closure", r.n)
     rules = tuple(args.rules.split(",")) if args.rules != "all" else ci.HORN_RULES
-    closed, fired = ci.closure_report(r, rules)
+    closed = ci.closure(r, rules)
     for s in closed.statements():
         print(repr(s))
-    used = [name for name, k in fired.items() if k]
-    print(f"# {len(closed)} statements; rules fired: {', '.join(used) if used else 'none'}")
+    used = ci._rules_fired(r, closed, rules)
+    print(f"# {len(closed)} statements; rules fired: {', '.join(used) or 'none'}")
     return 0
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import os
@@ -15,7 +16,6 @@ from doublemarkov.ci import (
     canonical_form,
     check_axioms,
     closure,
-    closure_report,
     conditional,
     direct_sum_relations,
     double_markov_relation,
@@ -428,10 +428,9 @@ def test_closure_very_not_realizable_is_full():
 
 def test_closure_incomplete_rule17():
     r = double_markov_relation(INC_G, INC_H)
-    closed, fired = closure_report(
-        r, ["semigraphoid", "intersection", "composition", "rule17"])
+    closed = closure(r, ci.HORN_RULES)
     assert closed.has(1, 3)
-    assert fired["rule17"] >= 1
+    assert "rule17" in ci._rules_fired(r, closed, ci.HORN_RULES)
     # regression: the closure reaches the known completion exactly
     completion = Relation.from_statements(4, [
         s for s in full_relation(4).statements() if (s.i, s.j) not in [(1, 4), (2, 3)]])
@@ -509,29 +508,42 @@ def test_instance_tables_match_per_statement_builders(n):
     assert _rows(ci._rule17_instances(n)) == _reference_rule17_instances(n)
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_horn_tables(n):
+    """Per Horn rule, in HORN_RULES order: its instance rows from the per-statement builders."""
+    if n < 3:
+        return {}
+    axioms = _reference_axiom_instances(n)
+    return {rule: _reference_rule17_instances(n) if rule == "rule17" else axioms[rule]
+            for rule in ci.HORN_RULES}
+
+
 def _closure_by_full_passes(r, rules):
     """Closure by definition: full passes over every instance until nothing changes."""
-    fired = {rule: 0 for rule in rules}
     if r.n < 3:
-        return r, fired
-    tagged = []
-    for rule in rules:
-        if rule == "rule17":
-            prem, concl = ci._rule17_instances(r.n)
-        else:
-            prem, concl = ci._axiom_instances(r.n)[rule]
-        for p_row, c_row in zip(prem.tolist(), concl.tolist()):
-            tagged.append((rule, sum(1 << p for p in p_row), sum(1 << c for c in c_row)))
+        return r
+    tables = [ci._rule17_instances(r.n) if rule == "rule17" else ci._axiom_instances(r.n)[rule]
+              for rule in rules]
+    masks = [(sum(1 << p for p in p_row), sum(1 << c for c in c_row))
+             for prem, concl in tables for p_row, c_row in zip(prem.tolist(), concl.tolist())]
     bits = r.bits
     changed = True
     while changed:
         changed = False
-        for rule, pmask, cmask in tagged:
+        for pmask, cmask in masks:
             if bits & pmask == pmask and bits & cmask != cmask:
-                fired[rule] += (cmask & ~bits).bit_count()
                 bits |= cmask
                 changed = True
-    return Relation(r.n, bits), fired
+    return Relation(r.n, bits)
+
+
+def _rules_fired_by_instances(r, closed, rules):
+    """The "rules fired" definition, one instance at a time: some instance has all its
+    premises in the closure and some conclusion outside r."""
+    def fires(prem, concl):
+        return all(closed.bits >> p & 1 for p in prem) and any(not r.bits >> c & 1 for c in concl)
+    return [rule for rule, rows in _reference_horn_tables(r.n).items()
+            if rule in rules and any(fires(*row) for row in rows)]
 
 
 ALL_RULE_SETS = [rules for k in range(1, len(ci.HORN_RULES) + 1)
@@ -546,29 +558,42 @@ def sparse_relations(draw, sizes=(3, 4, 5, 6)):
     return Relation(n, sum({1 << s for s in idxs}))
 
 
+def _check_closure_report(r, rules):
+    """closure and the "rules fired" line against their oracles, in both rule orders."""
+    expected = _closure_by_full_passes(r, rules)
+    fired = _rules_fired_by_instances(r, expected, rules)
+    for order in (rules, rules[::-1]):
+        assert closure(r, order) == expected
+        assert ci._rules_fired(r, expected, order) == fired
+
+
 @pytest.mark.parametrize("rules", ALL_RULE_SETS, ids=",".join)
 @given(r=sparse_relations())
 @settings(deadline=None, max_examples=40)
 def test_closure_report_matches_full_passes(rules, r):
-    # the rule order is part of the replay order, not of the closure
-    for order in (rules, rules[::-1]):
-        expected = _closure_by_full_passes(r, order)
-        assert closure_report(r, order) == expected
-        assert closure(r, order) == expected[0]
+    _check_closure_report(r, rules)
 
 
 def test_closure_report_matches_full_passes_on_paper_examples():
     for g, h in [(VNR_G, VNR_H), (INC_G, INC_H), (NS_G, NS_G)]:
         r = double_markov_relation(g, h)
         for rules in ALL_RULE_SETS:
-            for order in (rules, rules[::-1]):
-                expected = _closure_by_full_passes(r, order)
-                assert closure_report(r, order) == expected
-                assert closure(r, order) == expected[0]
+            _check_closure_report(r, rules)
+
+
+@given(r=sparse_relations(), rules=st.sampled_from(ALL_RULE_SETS), data=st.data())
+@settings(deadline=None, max_examples=60)
+def test_rules_fired_ignores_rule_order_and_vertex_labels(r, rules, data):
+    fired = ci._rules_fired(r, closure(r, rules), rules)
+    assert ci._rules_fired(r, closure(r, rules[::-1]), rules[::-1]) == fired
+    perm = data.draw(st.permutations(range(1, r.n + 1)))
+    moved = permute_relation(r, perm)
+    assert closure(moved, rules) == permute_relation(closure(r, rules), perm)
+    assert ci._rules_fired(moved, closure(moved, rules), rules) == fired
 
 
 @pytest.mark.parametrize("n", [7, 8])
-def test_closure_matches_report_on_subsets_of_separation_relations(n):
+def test_closure_matches_full_passes_on_subsets_of_separation_relations(n):
     """Inputs built like the benchmark's: a 30% subset of <G> for a random G."""
     rng = np.random.default_rng(20210 + n)
     for _ in range(3):
@@ -577,25 +602,17 @@ def test_closure_matches_report_on_subsets_of_separation_relations(n):
         for rules in [("semigraphoid", "intersection", "composition"), ci.HORN_RULES,
                       ("composition", "semigraphoid")]:
             closed = closure(r, rules)
-            assert closed == closure_report(r, rules)[0]
+            assert closed == _closure_by_full_passes(r, rules)
             assert len(closed) > len(r)
 
 
-def test_closure_and_report_refuse_the_same_unknown_rules():
-    for r in [double_markov_relation(INC_G, INC_H), full_relation(2)]:
-        for rules in [("bogus",), ("semigraphoid", "weak-transitivity")]:
-            with pytest.raises(ValueError) as from_closure:
-                closure(r, rules)
-            with pytest.raises(ValueError) as from_report:
-                closure_report(r, rules)
-            assert str(from_closure.value) == str(from_report.value)
-
-
-def test_closure_builds_no_premise_index():
-    ci._premise_index.cache_clear()
-    for rules in ALL_RULE_SETS:
-        closure(double_markov_relation(INC_G, INC_H), rules)
-    assert ci._premise_index.cache_info().currsize == 0
+def test_repeated_rule_names_count_once():
+    r = double_markov_relation(INC_G, INC_H)
+    twice = ("semigraphoid", "composition", "semigraphoid")
+    assert list(ci._horn_tables(4, twice)) == ["semigraphoid", "composition"]
+    closed = closure(r, twice)
+    assert closed == closure(r, twice[:2])
+    assert ci._rules_fired(r, closed, twice) == ci._rules_fired(r, closed, twice[:2])
 
 
 def test_closure_fixpoint_on_full():

@@ -253,17 +253,42 @@ def test_enumerate_6_is_past_its_budget(capsys, flags):
     assert "over an hour" in capsys.readouterr().err
 
 
+RULE17_CLOSED = ["(1 2 |)", "(1 2 | 3)", "(1 2 | 4)", "(1 2 | 3 4)",
+                 "(1 3 |)", "(1 3 | 2)", "(1 3 | 4)", "(1 3 | 2 4)",
+                 "(2 4 |)", "(2 4 | 1)", "(2 4 | 3)", "(2 4 | 1 3)",
+                 "(3 4 |)", "(3 4 | 1)", "(3 4 | 2)", "(3 4 | 1 2)"]
+
+
 def test_closure_cli(tmp_path, capsys):
     rel = write(tmp_path, "inc.rel",
                 "n 4\n(1 2 |)\n(3 4 |)\n(1 3 | 2 4)\n(2 4 | 1 3)\n")
-    assert main(["closure", rel, "--rules", "all"]) == 0
-    out = capsys.readouterr().out
-    assert "(1 3 |)" in out.splitlines()
-    assert "rule17" in out
+    # every rule with an instance whose premises hold in the closure and which
+    # concludes a statement outside the input, in HORN_RULES order for any --rules order
+    fired = "# 16 statements; rules fired: semigraphoid, intersection, composition, rule17"
+    for rules in ["all", "rule17,composition,intersection,semigraphoid"]:
+        assert main(["closure", rel, "--rules", rules]) == 0
+        assert capsys.readouterr().out.splitlines() == RULE17_CLOSED + [fired]
     empty = write(tmp_path, "empty.rel", "n 4\n")
     assert main(["closure", empty, "--rules", "semigraphoid"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("# 0 statements")
+
+
+def test_closure_cli_names_a_repeated_rule_once(tmp_path, capsys):
+    rel = write(tmp_path, "sg.rel", "n 4\n(1 2 |)\n(1 3 | 2)\n")
+    assert main(["closure", rel, "--rules", "semigraphoid,semigraphoid"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "# 4 statements; rules fired: semigraphoid"
+
+
+def test_closure_cli_refuses_unknown_rules_like_the_library(tmp_path, capsys):
+    for text in ["n 4\n(1 2 |)\n(3 4 |)\n", "n 2\n"]:
+        rel = write(tmp_path, "r.rel", text)
+        for rules in ["bogus", "semigraphoid,weak-transitivity"]:
+            with pytest.raises(ValueError) as from_closure:
+                ci.closure(ci.parse_relation(text), rules.split(","))
+            assert main(["closure", rel, "--rules", rules]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {from_closure.value}\n"
 
 
 def test_closure_very_not_realizable(tmp_path, capsys):
