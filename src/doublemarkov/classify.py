@@ -6,10 +6,12 @@ correlation model is one of finitely many explicitly parametrized shapes
 This module matches a pair against those shapes and can instantiate the
 families numerically.
 
-The three-edge path cases are normalized so the covariance-side graph has
-at least as many missing support edges as the concentration side, and the
-path may be reversed; both transforms are recorded so samples map back to
-the caller's labels.
+Shared edges that form a path (one, two or three edges) are looked up in one
+path-case table, keyed by the support size and the chords of H and non-edges
+of G on the support.  Three-edge paths are normalized so the covariance-side
+graph has at least as many missing support edges as the concentration side,
+and the path may be reversed; both transforms are recorded so samples map
+back to the caller's labels.
 """
 
 from __future__ import annotations
@@ -95,51 +97,69 @@ _CHAIN_13 = _fam("chain-13", ["a", "b", "c"],
                  {(1, 2): "a", (2, 3): "b", (3, 4): "c", (1, 3): "a*b"},
                  "abs(a) < 1 and b**2 + c**2 < 1")
 
-# Three-edge path cases on support (1,2,3,4) with shared edges {12, 23, 34};
-# keyed by (extra edges of H inside the support, missing edges of G inside
-# the support).  Families are the explicit parametrizations of each shape.
-_THREE_EDGE_CASES = {
-    (frozenset(), frozenset()): ("three-edge-path-1", 1, 3, [
+# Path cases on support (1, ..., k) with shared edges {12, 23, ...}; keyed by
+# (k, extra edges of H inside the support, missing edges of G inside the
+# support) and giving (case, component count, dimension, families).  Families
+# are the explicit parametrizations of each shape.
+_PATH_CASES = {
+    (2, frozenset(), frozenset()): ("single-edge", 1, 1, [
+        _fam("pd-block", ["a"], {(1, 2): "a"}, "abs(a) < 1"),
+    ]),
+    # the chord 13 lies in G only, in H only, or in neither
+    (3, frozenset(), frozenset()): ("two-edge-case-1", 1, 2, [
+        _fam("inv-graphical-path-2", ["a", "b"],
+             {(1, 2): "a", (2, 3): "b"}, "a**2 + b**2 < 1"),
+    ]),
+    (3, frozenset({(1, 3)}), frozenset({(1, 3)})): ("two-edge-case-2", 1, 2, [
+        _fam("graphical-path-2", ["a", "b"],
+             {(1, 2): "a", (2, 3): "b", (1, 3): "a*b"},
+             "abs(a) < 1 and abs(b) < 1"),
+    ]),
+    (3, frozenset(), frozenset({(1, 3)})): ("two-edge-case-3", 2, 1, [
+        _fam("segment-12", ["a"], {(1, 2): "a"}, "abs(a) < 1"),
+        _fam("segment-23", ["a"], {(2, 3): "a"}, "abs(a) < 1"),
+    ]),
+    (4, frozenset(), frozenset()): ("three-edge-path-1", 1, 3, [
         _fam("inv-graphical-path", ["a", "b", "c"],
              {(1, 2): "a", (2, 3): "b", (3, 4): "c"}),
     ]),
-    (frozenset(), frozenset({(1, 3)})): ("three-edge-path-2", 2, 2, [
+    (4, frozenset(), frozenset({(1, 3)})): ("three-edge-path-2", 2, 2, [
         _PD12_X_PD34, _SEG23_34,
     ]),
-    (frozenset(), frozenset({(1, 4)})): ("three-edge-path-3", 3, 2, [
+    (4, frozenset(), frozenset({(1, 4)})): ("three-edge-path-3", 3, 2, [
         _PD12_X_PD34, _SEG12_23, _SEG23_34,
     ]),
     # with both 13 and 14 missing from G the constraints are s12*s23 = 0 and
     # s12*s23*s34 = 0, so the second is redundant and the model matches the
     # 13-only case, not the 14-only one
-    (frozenset(), frozenset({(1, 3), (1, 4)})): ("three-edge-path-4", 2, 2, [
+    (4, frozenset(), frozenset({(1, 3), (1, 4)})): ("three-edge-path-4", 2, 2, [
         _PD12_X_PD34, _SEG23_34,
     ]),
-    (frozenset(), frozenset({(1, 3), (2, 4)})): ("three-edge-path-5", 2, 2, [
+    (4, frozenset(), frozenset({(1, 3), (2, 4)})): ("three-edge-path-5", 2, 2, [
         _PD12_X_PD34, _PD23,
     ]),
-    (frozenset(), frozenset({(1, 3), (1, 4), (2, 4)})): ("three-edge-path-6", 2, 2, [
+    (4, frozenset(), frozenset({(1, 3), (1, 4), (2, 4)})): ("three-edge-path-6", 2, 2, [
         _PD12_X_PD34, _PD23,
     ]),
-    (frozenset({(1, 3)}), frozenset({(1, 3)})): ("three-edge-path-7", 1, 3, [
+    (4, frozenset({(1, 3)}), frozenset({(1, 3)})): ("three-edge-path-7", 1, 3, [
         _CHAIN_13,
     ]),
-    (frozenset({(1, 3)}), frozenset({(1, 3), (1, 4)})): ("three-edge-path-8", 1, 3, [
+    (4, frozenset({(1, 3)}), frozenset({(1, 3), (1, 4)})): ("three-edge-path-8", 1, 3, [
         _CHAIN_13,
     ]),
-    (frozenset({(1, 3)}), frozenset({(1, 3), (2, 4)})): ("three-edge-path-9", 2, 2, [
+    (4, frozenset({(1, 3)}), frozenset({(1, 3), (2, 4)})): ("three-edge-path-9", 2, 2, [
         _PD12_X_PD34,
         _fam("chain-13-flat", ["a", "b"],
              {(1, 2): "a", (2, 3): "b", (1, 3): "a*b"},
              "abs(a) < 1 and abs(b) < 1"),
     ]),
-    (frozenset({(1, 4)}), frozenset({(1, 4)})): ("three-edge-path-10", 1, 3, [
+    (4, frozenset({(1, 4)}), frozenset({(1, 4)})): ("three-edge-path-10", 1, 3, [
         _fam("chain-14", ["a", "b", "c"],
              {(1, 2): "a", (2, 3): "b", (3, 4): "c",
               (1, 4): "-a*b*c/(1 - b**2)"},
              "a**2 + b**2 < 1 and b**2 + c**2 < 1"),
     ]),
-    (frozenset({(1, 4)}), frozenset({(1, 3), (1, 4)})): ("three-edge-path-11", 2, 2, [
+    (4, frozenset({(1, 4)}), frozenset({(1, 3), (1, 4)})): ("three-edge-path-11", 2, 2, [
         _PD12_X_PD34, _SEG23_34,
     ]),
 }
@@ -153,28 +173,6 @@ def _support_edges(g: Graph, support: tuple[int, ...]) -> frozenset:
             i, j = pos[a], pos[b]
             out.add((i, j) if i < j else (j, i))
     return frozenset(out)
-
-
-def _path_vertex_order(edges) -> tuple[int, ...] | None:
-    """Vertex sequence of a three-edge path, or None if not a path."""
-    degree = {}
-    for a, b in edges:
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-    ends = sorted(v for v, d in degree.items() if d == 1)
-    if len(degree) != 4 or len(ends) != 2 or max(degree.values()) != 2:
-        return None
-    adj = {v: [] for v in degree}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seq = [ends[0]]
-    prev = None
-    while len(seq) < 4:
-        nxt = [w for w in adj[seq[-1]] if w != prev]
-        prev = seq[-1]
-        seq.append(nxt[0])
-    return tuple(seq)
 
 
 def classify_small_intersection(g: Graph, h: Graph) -> ModelDescription:
@@ -191,75 +189,40 @@ def classify_small_intersection(g: Graph, h: Graph) -> ModelDescription:
     m = shared.num_edges
     if m > 3:
         raise ValueError(f"classification needs at most 3 shared edges, got {m}")
-    support_vertices = tuple(sorted({v for e in shared.edges for v in e}))
-    comps = [b for b in graphs.connected_components(shared) if len(b) > 1]
+    blocks = graphs.connected_components(shared)
+    comps = [b for b in blocks if len(b) > 1]
     if len(comps) > 1:
         raise ValueError("shared edges are disconnected; apply decompose first")
-    blocks = graphs.connected_components(shared)
 
     if m == 0:
         return ModelDescription(
             "trivial", n, (), False, blocks,
             (_fam("identity-only", [], {}),), 1, 0)
-    if m == 1:
+    if m == 3 and len(comps[0]) == 3:
         return ModelDescription(
-            "single-edge", n, support_vertices, False, blocks,
-            (_fam("pd-block", ["a"], {(1, 2): "a"}, "abs(a) < 1"),), 1, 1)
-    if m == 2:
-        return _classify_two_edge(g, h, n, shared, blocks)
-    if len(support_vertices) == 3:
-        return ModelDescription(
-            "three-edge-clique", n, support_vertices, False, blocks,
+            "three-edge-clique", n, comps[0], False, blocks,
             (_fam("pd-block-3", ["a", "b", "c"],
                   {(1, 2): "a", (1, 3): "b", (2, 3): "c"}),), 1, 3)
-    order = _path_vertex_order(shared.edges)
-    if order is None:
+    ends = [v + 1 for v, nbrs in enumerate(shared.adj) if nbrs.bit_count() == 1]
+    if len(ends) != 2:
         raise ValueError(
             "three shared edges form a star, which is outside the classified cases")
-    return _classify_three_edge_path(g, h, n, order, blocks)
+    return _classify_path(g, h, n, graphs.all_paths(shared, *ends)[0], blocks)
 
 
-def _classify_two_edge(g, h, n, shared, blocks):
-    degree = {}
-    for a, b in shared.edges:
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-    mid = next(v for v, d in degree.items() if d == 2)
-    ends = sorted(v for v, d in degree.items() if d == 1)
-    support = (ends[0], mid, ends[1])
-    i, k = ends
-    if g.has_edge(i, k):
-        case, fams, comps, dim = "two-edge-case-1", [
-            _fam("inv-graphical-path-2", ["a", "b"],
-                 {(1, 2): "a", (2, 3): "b"}, "a**2 + b**2 < 1"),
-        ], 1, 2
-    elif h.has_edge(i, k):
-        case, fams, comps, dim = "two-edge-case-2", [
-            _fam("graphical-path-2", ["a", "b"],
-                 {(1, 2): "a", (2, 3): "b", (1, 3): "a*b"},
-                 "abs(a) < 1 and abs(b) < 1"),
-        ], 1, 2
-    else:
-        case, fams, comps, dim = "two-edge-case-3", [
-            _fam("segment-12", ["a"], {(1, 2): "a"}, "abs(a) < 1"),
-            _fam("segment-23", ["a"], {(2, 3): "a"}, "abs(a) < 1"),
-        ], 2, 1
-    return ModelDescription(case, n, support, False, blocks, tuple(fams), comps, dim)
-
-
-def _classify_three_edge_path(g, h, n, order, blocks):
+def _classify_path(g, h, n, order, blocks):
+    size = len(order)
+    base = frozenset((t, t + 1) for t in range(1, size))
+    pairs = frozenset(itertools.combinations(range(1, size + 1), 2))
     for swapped, reverse in itertools.product((False, True), (False, True)):
         gg, hh = (h, g) if swapped else (g, h)
         support = tuple(reversed(order)) if reverse else order
-        ge = _support_edges(gg, support)
-        he = _support_edges(hh, support)
-        base = frozenset({(1, 2), (2, 3), (3, 4)})
-        key = (he - base, frozenset({(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}) - ge)
-        if key in _THREE_EDGE_CASES:
-            case, comps, dim, fams = _THREE_EDGE_CASES[key]
+        key = (size, _support_edges(hh, support) - base, pairs - _support_edges(gg, support))
+        if key in _PATH_CASES:
+            case, comps, dim, fams = _PATH_CASES[key]
             return ModelDescription(case, n, support, swapped, blocks,
                                     tuple(fams), comps, dim)
-    raise ValueError("unreachable: three-edge path cases cover all configurations")
+    raise ValueError("unreachable: the path cases cover all configurations")
 
 
 def sample_from_family(desc: ModelDescription, params=None, rng=None,

@@ -109,12 +109,11 @@ def build_report(g, h, seed: int = 0, want_point: bool = False) -> ModelReport:
     dec = geometry.decompose(g, h)
     bounds = geometry.dimension_bound(g, h)
     union_complete = graphs.edge_union(g, h).num_edges == g.n * (g.n - 1) // 2
-    transverse = geometry.is_transverse_at(np.eye(g.n), g, h)
     cert = geometry.connectedness_certificate(g, h)
     relation = ci.double_markov_relation(g, h)
     violations = _violation_entries(relation)
     ci_part = {"relation_size": len(relation), "gaussoid": not violations, "violations": violations}
-    unique = ideal.unique_path_hypothesis(g, h)
+    unique = cert.kind == "UniquePath"  # the certificate tests unique_path_hypothesis first
     ideal_part = {"unique_path": unique}
     if unique:
         gens = ideal.sci_monomial_generators(g, h)
@@ -157,7 +156,7 @@ def build_report(g, h, seed: int = 0, want_point: bool = False) -> ModelReport:
         decomposition={"blocks": [list(b) for b in dec.blocks]},
         dimension_bound={"model": bounds[0], "correlation": bounds[1]},
         union_complete=union_complete,
-        transverse_at_identity=transverse,
+        transverse_at_identity=union_complete,  # equivalent: test_criterion_6_transversality
         connectedness_certificate={"kind": cert.kind, "witness": cert.witness},
         ci=ci_part,
         ideal=ideal_part,

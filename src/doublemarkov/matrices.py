@@ -272,6 +272,7 @@ def relation_of_matrix(a, tol: float = DEFAULT_TOL) -> ci.Relation:
     that sweep also decides definiteness (Sylvester's criterion), where
     float entries go through the Cholesky test of is_pd.
     """
+    _check_tol(tol)
     a = as_sym(a)
     n = a.shape[0]
     masks, rows, cols = ci._statement_entries(n)
@@ -368,9 +369,15 @@ def is_member(a, g: Graph, h: Graph, tol: float = DEFAULT_TOL) -> bool:
 
 def _residual_is_member(res: np.ndarray, tol: float) -> bool:
     """The verdict on a membership_residual: exact residuals must all be 0, float ones <= tol."""
+    _check_tol(tol)
     if res.dtype == object:
         return not any(res)
     return bool(np.abs(res).max(initial=0.0) <= tol)
+
+
+def _check_tol(tol: float):
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
 
 
 # -- plain text I/O -----------------------------------------------------------
@@ -381,8 +388,8 @@ def parse_matrix(text: str) -> np.ndarray:
     if not lines:
         raise ValueError("empty matrix file")
     try:
-        n = int(lines[0].split()[0])
-    except (ValueError, IndexError):
+        (n,) = map(int, lines[0].split())
+    except ValueError:
         raise ValueError(f"line 1: expected the matrix size, got {lines[0]!r}") from None
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")

@@ -12,7 +12,13 @@ from doublemarkov.classify import (
 from doublemarkov import classify as classify_mod
 from doublemarkov.errors import BudgetExceeded
 from doublemarkov.geometry import dimension_bound
-from doublemarkov.graphs import connected_graph_masks
+from doublemarkov.graphs import (
+    connected_graph_masks,
+    edge_intersection,
+    graph_from_edge_mask,
+    induced_subgraph,
+    is_connected,
+)
 from doublemarkov.matrices import is_pd, membership_residual
 
 STAR4 = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
@@ -225,3 +231,29 @@ def test_enumerate_stable_under_iteration_order(monkeypatch):
     assert redone.count == baseline.count
     assert [(r[1], r[2]) for r in redone.representatives] == \
         [(r[1], r[2]) for r in baseline.representatives]
+
+
+def test_path_supports_are_paths_under_any_labelling():
+    # every labelling of a 2- or 3-edge shared path on 4 vertices, with every
+    # chord placement: the support walks the path and each family hits the model
+    rng = np.random.default_rng(4)
+    seen = set()
+    for gm in range(64):
+        g = graph_from_edge_mask(4, gm)
+        for hm in range(64):
+            h = graph_from_edge_mask(4, hm)
+            shared = edge_intersection(g, h)
+            support = {v for e in shared.edges for v in e}
+            if not (shared.num_edges in (2, 3) and len(support) == shared.num_edges + 1
+                    and is_connected(induced_subgraph(shared, support))
+                    and all(len(shared.neighbors(v)) <= 2 for v in support)):
+                continue
+            desc = classify_small_intersection(g, h)
+            assert sorted(desc.support) == sorted(support)
+            assert all(shared.has_edge(a, b) for a, b in zip(desc.support, desc.support[1:]))
+            seen.add(desc.case)
+            for fam in range(len(desc.families)):
+                a = sample_from_family(desc, rng=rng, family=fam)
+                assert is_pd(a) and residual_ok(a, g, h)
+    assert seen == {f"two-edge-case-{k}" for k in range(1, 4)} | {
+        f"three-edge-path-{k}" for k in range(1, 12)}

@@ -634,3 +634,32 @@ def test_enumerate_never_tracebacks(token, connected):
     assert rc in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_verify_refuses_bad_tolerances(tmp_path, capsys, tol):
+    eye = write(tmp_path, "eye.mat", "3\n1 0 0\n0 1 0\n0 0 1\n")
+    pair = write(tmp_path, "p.pair", "n 3\nG 1-2\nH 2-3\n")
+    assert main(["verify", eye, pair, "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tolerance must be finite and non-negative" in captured.err
+    assert main(["verify", eye, pair, "--tol", "0"]) == 0
+    assert capsys.readouterr().out.endswith("\nmember\n")
+
+
+def test_verify_refuses_extra_tokens_on_the_size_line(tmp_path, capsys):
+    mat = write(tmp_path, "foo.mat", "3 foo\n1 0 0\n0 1 0\n0 0 1\n")
+    pair = write(tmp_path, "p.pair", "n 3\nG 1-2\nH 2-3\n")
+    assert main(["verify", mat, pair]) == 2
+    assert "line 1: expected the matrix size, got '3 foo'" in capsys.readouterr().err
+
+
+def test_report_reads_transversality_and_unique_path_like_the_library():
+    from doublemarkov import geometry, ideal
+    for n in (1, 2, 3):
+        for g in graphs.all_graphs(n):
+            for h in graphs.all_graphs(n):
+                rep = cli.build_report(g, h)
+                assert rep.transverse_at_identity == geometry.is_transverse_at(np.eye(n), g, h)
+                assert rep.ideal["unique_path"] == ideal.unique_path_hypothesis(g, h)

@@ -20,6 +20,7 @@ from doublemarkov.geometry import (
     tangent_basis_concentration,
 )
 from doublemarkov.graphs import all_graphs, edge_intersection, edge_union
+from doublemarkov.ideal import unique_path_hypothesis
 from doublemarkov.matrices import inverse, is_pd, membership_residual
 
 from conftest import random_graph, random_pd, unrestricted_point
@@ -153,6 +154,15 @@ def test_certificate_forest_unique_path():
         cert = connectedness_certificate(g, forest)
         assert cert.kind in ("UniquePath", "UniquePathSwapped")
         assert cert.check(g, forest)
+
+
+def test_unique_path_certificate_is_the_hypothesis():
+    # the report reads ideal.unique_path off this certificate kind
+    for n in (1, 2, 3, 4):
+        for g in all_graphs(n):
+            for h in all_graphs(n):
+                kind = connectedness_certificate(g, h).kind
+                assert (kind == "UniquePath") == unique_path_hypothesis(g, h)
 
 
 def test_certificate_star_hub():

@@ -509,3 +509,23 @@ def test_parse_matrix_rejects_trailing_lines(text):
     with pytest.raises(ValueError, match="expected"):
         parse_matrix(text)
     assert parse_matrix("2\n1 0\n0 1\n\n   \n").shape == (2, 2)
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf")])
+def test_bad_tolerances_are_refused(tol):
+    g = Graph.from_edges(3, [(1, 2)])
+    h = Graph.from_edges(3, [(2, 3)])
+    with pytest.raises(ValueError, match="tolerance"):
+        relation_of_matrix(np.eye(3), tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        is_member(np.eye(3), g, h, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        is_member(rational_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), g, h, tol=tol)
+    assert is_member(np.eye(3), g, h, tol=0.0)
+    assert relation_of_matrix(np.eye(3), tol=0.0) == relation_of_graph(empty_graph(3))
+
+
+@pytest.mark.parametrize("head", ["3 foo", "3 3", "3.0", "three"])
+def test_parse_matrix_size_line_is_one_integer(head):
+    with pytest.raises(ValueError, match="line 1: expected the matrix size"):
+        parse_matrix(head + "\n1 0 0\n0 1 0\n0 0 1\n")
