@@ -532,33 +532,21 @@ def permute_relation(r: Relation, perm) -> Relation:
     return _from_bool_array(r.n, hits)
 
 
-def _packed_min_over_perms(arr: np.ndarray, maps: np.ndarray) -> bytes:
-    best = None
-    scratch = np.empty_like(arr)
-    for row in maps:
-        scratch[row] = arr
-        cand = np.packbits(scratch).tobytes()
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
 def canonical_form(r: Relation, modulo_duality: bool = True) -> bytes:
     """Lexicographically least packed bitset over all vertex permutations.
 
     With modulo_duality the dual relation's permutations compete as well, so
     equal byte strings mean equivalence modulo isomorphy and duality.
-    Supported for n <= 7 (factorial scan).
+    Supported for n <= 7 (factorial scan).  Row p of the gather is the
+    relation relabelled by the inverse of permutation p; the permutations are
+    closed under inversion, so the rows are all relabellings.
     """
     if r.n > 7:
         raise ValueError("canonical forms use a factorial scan; n <= 7 only")
-    maps = _perm_index_maps(r.n)
-    best = _packed_min_over_perms(_to_bool_array(r), maps)
-    if modulo_duality:
-        cand = _packed_min_over_perms(_to_bool_array(dual(r)), maps)
-        if cand < best:
-            best = cand
-    return best
+    arrs = np.stack([_to_bool_array(x) for x in ([r, dual(r)] if modulo_duality else [r])])
+    packed = np.packbits(arrs[:, _perm_index_maps(r.n)].reshape(-1, arrs.shape[1]), axis=1)
+    w, raw = packed.shape[1], packed.tobytes()
+    return min(raw[i:i + w] for i in range(0, len(raw), w))
 
 
 # -- serialization ------------------------------------------------------------

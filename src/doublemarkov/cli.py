@@ -42,21 +42,22 @@ class ModelReport:
     model_point: dict | None
 
     def to_json(self) -> str:
-        return _indented_json(vars(self), "\n") + "\n"
+        """json.dumps(vars(self), sort_keys=True, indent=2) and a newline.
 
-
-def _indented_json(x, newline: str) -> str:
-    """json.dumps(x, sort_keys=True, indent=2) with leaves encoded in C; newline indents x."""
-    if not isinstance(x, (dict, list, tuple)) or not x:
-        return encode_basestring_ascii(x) if isinstance(x, str) else json.dumps(x)
-    inner = newline + "  "
-    if isinstance(x, dict):
-        items = [encode_basestring_ascii(k) + ": " + _indented_json(v, inner)
-                 for k, v in sorted(x.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    items = type(x[0]) is dict and _violation_rows_json(x, inner) or [
-        encode_basestring_ascii(v) if type(v) is str else _indented_json(v, inner) for v in x]
-    return "[" + inner + ("," + inner).join(items) + newline + "]"
+        The violation rows, the one large list, are spliced in through the row
+        template where an empty list stands in for them in the dump; a report
+        whose rows are empty or off-shape, or whose dump shows the stand-in
+        more than once, is dumped as it is.
+        """
+        inner = "\n      "  # the rows sit three levels down: report, ci, violations
+        items = _violation_rows_json(self.ci["violations"], inner)
+        if items:
+            key = '\n    "violations": '
+            parts = json.dumps({**vars(self), "ci": {**self.ci, "violations": []}},
+                               sort_keys=True, indent=2).split(key + "[]")
+            if len(parts) == 2:
+                return f"{parts[0]}{key}[{inner}{(',' + inner).join(items)}\n    ]{parts[1]}\n"
+        return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
 
 
 def _violation_rows_json(x, inner: str) -> list[str] | None:
@@ -66,7 +67,7 @@ def _violation_rows_json(x, inner: str) -> list[str] | None:
     row = ('{K"missing": [C%sK],K"premises": [C%sK],K"rule": %sI}'
            .replace("K", key).replace("C", cell).replace("I", inner))
     sep, enc = "," + cell, encode_basestring_ascii
-    try:  # enc raises TypeError on a cell that is not a str
+    try:  # TypeError: a cell that is not a str, or an x that is not a container
         items = [row % (sep.join(map(enc, v["missing"])), sep.join(map(enc, v["premises"])),
                         enc(v["rule"]))
                  for v in x if type(v) is dict and v.keys() == {"missing", "premises", "rule"}

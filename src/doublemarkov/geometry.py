@@ -32,7 +32,7 @@ def _sym_index(n: int, correlation_mode: bool) -> tuple[np.ndarray, np.ndarray]:
 def numerical_rank(a: np.ndarray, rank_tol: float = RANK_TOL) -> int:
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
+    s = np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)  # Fraction input too
     if s[0] == 0:
         return 0
     return int((s > rank_tol * s[0]).sum())

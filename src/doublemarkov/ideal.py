@@ -220,6 +220,15 @@ def unique_path_hypothesis(g: Graph, h: Graph) -> bool:
     return True
 
 
+def _minimal_sets(sets) -> list[frozenset]:
+    """The inclusion-minimal sets among sets, by size and then sorted members."""
+    minimal = []
+    for s in sorted(set(sets), key=lambda s: (len(s), sorted(s))):
+        if not any(m <= s for m in minimal):
+            minimal.append(s)
+    return minimal
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """Square-free monomial ideal in edge variables, minimal generators only."""
@@ -229,12 +238,8 @@ class MonomialIdeal:
 
     @staticmethod
     def from_generators(n: int, gens) -> "MonomialIdeal":
-        gens = [frozenset(_edge(*e) for e in g) for g in gens]
-        minimal = []
-        for g in sorted(gens, key=len):
-            if not any(m <= g for m in minimal):
-                minimal.append(g)
-        return MonomialIdeal(n, frozenset(minimal))
+        return MonomialIdeal(n, frozenset(_minimal_sets(frozenset(_edge(*e) for e in g)
+                                                         for g in gens)))
 
     def sorted_generators(self) -> list[tuple[Edge, ...]]:
         return sorted((tuple(sorted(g)) for g in self.generators), key=lambda t: (len(t), t))
@@ -280,11 +285,7 @@ def minimal_primes(ideal: MonomialIdeal) -> list[frozenset[Edge]]:
             rec([g for g in remaining[1:] if var not in g], chosen | {var})
 
     rec(gens, frozenset())
-    minimal = []
-    for c in sorted(set(covers), key=lambda s: (len(s), sorted(s))):
-        if not any(m <= c for m in minimal):
-            minimal.append(c)
-    return minimal
+    return _minimal_sets(covers)
 
 
 def inverse_graphical_recognition(g: Graph, h: Graph):

@@ -651,6 +651,37 @@ def test_canonical_form_invariance():
         assert c_no_dual == canonical_form(permute_relation(r, perm), modulo_duality=False)
 
 
+def _packed(r):
+    """The membership bits of r, statement t at bit 7 - t % 8 of byte t // 8."""
+    out = bytearray(-(-num_statements(r.n) // 8))
+    for t in range(num_statements(r.n)):
+        out[t // 8] |= (r.bits >> t & 1) << 7 - t % 8
+    return bytes(out)
+
+
+def _oracle_canonical_form(r, modulo_duality):
+    """The least packed relabelling of r (and of its dual), one statement at a time."""
+    ground = frozenset(range(1, r.n + 1))
+    views = [[(s.i, s.j, s.K) for s in r.statements()]]
+    if modulo_duality:
+        views.append([(i, j, ground - K - {i, j}) for i, j, K in views[0]])
+    return min(_packed(Relation.from_statements(r.n, [
+        make_statement(p[i - 1], p[j - 1], [p[v - 1] for v in K]) for i, j, K in view]))
+        for view in views for p in itertools.permutations(range(1, r.n + 1)))
+
+
+@pytest.mark.parametrize("modulo_duality", [True, False])
+def test_canonical_form_matches_the_definition(modulo_duality):
+    cases = [Relation(n, bits) for n in (2, 3) for bits in range(1 << num_statements(n))]
+    rng = np.random.default_rng(71)
+    for n in (4, 5) * 4:
+        m = num_statements(n)
+        density = rng.uniform(0.1, 0.9)
+        cases.append(Relation(n, sum(1 << t for t in range(m) if rng.random() < density)))
+    for r in cases:
+        assert canonical_form(r, modulo_duality) == _oracle_canonical_form(r, modulo_duality)
+
+
 def _reference_permute(n, stmt, perm):
     return _index(n, perm[stmt.i - 1], perm[stmt.j - 1], [perm[v - 1] for v in stmt.K])
 

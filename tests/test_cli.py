@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -392,6 +393,13 @@ def test_cli_import_does_not_load_scipy():
 
 # -- the report writer --------------------------------------------------------
 
+def _report(fill, violations):
+    """A report with every field set to fill and ci set to {gaussoid: fill, violations}."""
+    rep = cli.ModelReport(**{f.name: fill for f in dataclasses.fields(cli.ModelReport)})
+    rep.ci = {"gaussoid": fill, "violations": violations}
+    return rep
+
+
 JSON_TEXT = st.text() | st.sampled_from(
     ['"', "\\", "\x00\x1f\x7f", "caf\u00e9 \u2028 \U0001f600", "\ud800", "a\"b\\c\n\t"])
 JSON_LEAVES = (st.none() | st.booleans() | st.integers()
@@ -407,8 +415,10 @@ JSON_TREES = st.recursive(
 @given(JSON_TREES)
 @example([[], {}, [[]], {"": {}}, ((),), {"a": [{}, []]}])
 @example({"x": math.nan, "y": [-math.inf, -0.0, 5e-324, 10**30, True, None]})
+@example(({"rule": "r", "premises": ["(1 2 |)"], "missing": ["(1 3 |)"]},))  # spliced tuple
 def test_report_writer_matches_json_dumps(tree):
-    assert cli._indented_json(tree, "\n") == json.dumps(tree, sort_keys=True, indent=2)
+    rep = _report(tree, tree)
+    assert rep.to_json() == json.dumps(vars(rep), sort_keys=True, indent=2) + "\n"
 
 
 VIOLATIONS = st.lists(st.fixed_dictionaries({
@@ -434,16 +444,24 @@ OFF_SHAPE = {  # one row changed so that the row template no longer applies
            "missing": ["(1 3 |)", "(2 3 |)"]}])
 @example([{"rule": "r\"\\\n", "premises": ["caf\u00e9 \u2028", "\ud800"], "missing": ["%s %%"]}])
 def test_violation_row_template_matches_json_dumps(rows):
-    assert cli._violation_rows_json(rows, "\n    ") is not None
-    assert cli._indented_json({"v": rows}, "\n") == json.dumps({"v": rows}, sort_keys=True, indent=2)
+    rep = _report(None, rows)
+    assert cli._violation_rows_json(rows, "\n      ") is not None
+    assert rep.to_json() == json.dumps(vars(rep), sort_keys=True, indent=2) + "\n"
+
+
+@given(VIOLATIONS)
+def test_to_json_falls_back_when_the_stand_in_repeats(rows):
+    rep = _report({"violations": []}, rows)  # a second '"violations": []' at the same depth
+    assert rep.to_json() == json.dumps(vars(rep), sort_keys=True, indent=2) + "\n"
 
 
 @given(VIOLATIONS, st.sampled_from(sorted(OFF_SHAPE)), st.data())
 def test_off_shape_violation_lists_fall_back(rows, change, data):
     at = data.draw(st.integers(0, len(rows) - 1))
     rows[at] = OFF_SHAPE[change](rows[at])
-    assert cli._violation_rows_json(rows, "\n    ") is None
-    assert cli._indented_json({"v": rows}, "\n") == json.dumps({"v": rows}, sort_keys=True, indent=2)
+    rep = _report(None, rows)
+    assert cli._violation_rows_json(rows, "\n      ") is None
+    assert rep.to_json() == json.dumps(vars(rep), sort_keys=True, indent=2) + "\n"
 
 
 def _expected_entries(relation):

@@ -77,6 +77,16 @@ def test_transverse_at_identity_iff_union_complete_n3():
             assert is_transverse_at(np.eye(3), g, h) == want
 
 
+def test_exact_and_float_identity_points_agree_n_le_3():
+    for n in (2, 3):
+        exact = matrices.rational_matrix(np.eye(n, dtype=int).tolist())
+        for g in all_graphs(n):
+            assert (span_dimension(tangent_basis_concentration(exact, g))
+                    == span_dimension(tangent_basis_concentration(np.eye(n), g)))
+            for h in all_graphs(n):
+                assert is_transverse_at(exact, g, h) == is_transverse_at(np.eye(n), g, h)
+
+
 def test_transverse_examples():
     # self-dual non-smooth family: K_N minus one edge, G = H
     for n in (3, 4, 5):
