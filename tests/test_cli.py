@@ -7,6 +7,7 @@ import os
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -400,6 +401,19 @@ def _report(fill, violations):
     return rep
 
 
+def _templated_rows(rep) -> int:
+    """How many rows rep.to_json() writes through the row template: each templated row
+    is marked with a non-ASCII character, which json.dumps never writes."""
+    template = cli._violation_rows_json
+
+    def marked(x, inner):
+        items = template(x, inner)
+        return items and [row + "\u00a7" for row in items]
+
+    with mock.patch.object(cli, "_violation_rows_json", marked):
+        return rep.to_json().count("\u00a7")
+
+
 JSON_TEXT = st.text() | st.sampled_from(
     ['"', "\\", "\x00\x1f\x7f", "caf\u00e9 \u2028 \U0001f600", "\ud800", "a\"b\\c\n\t"])
 JSON_LEAVES = (st.none() | st.booleans() | st.integers()
@@ -445,14 +459,15 @@ OFF_SHAPE = {  # one row changed so that the row template no longer applies
 @example([{"rule": "r\"\\\n", "premises": ["caf\u00e9 \u2028", "\ud800"], "missing": ["%s %%"]}])
 def test_violation_row_template_matches_json_dumps(rows):
     rep = _report(None, rows)
-    assert cli._violation_rows_json(rows, "\n      ") is not None
     assert rep.to_json() == json.dumps(vars(rep), sort_keys=True, indent=2) + "\n"
+    assert _templated_rows(rep) == len(rows)
 
 
 @given(VIOLATIONS)
 def test_to_json_falls_back_when_the_stand_in_repeats(rows):
     rep = _report({"violations": []}, rows)  # a second '"violations": []' at the same depth
     assert rep.to_json() == json.dumps(vars(rep), sort_keys=True, indent=2) + "\n"
+    assert _templated_rows(rep) == 0
 
 
 @given(VIOLATIONS, st.sampled_from(sorted(OFF_SHAPE)), st.data())
@@ -460,8 +475,8 @@ def test_off_shape_violation_lists_fall_back(rows, change, data):
     at = data.draw(st.integers(0, len(rows) - 1))
     rows[at] = OFF_SHAPE[change](rows[at])
     rep = _report(None, rows)
-    assert cli._violation_rows_json(rows, "\n      ") is None
     assert rep.to_json() == json.dumps(vars(rep), sort_keys=True, indent=2) + "\n"
+    assert _templated_rows(rep) == 0
 
 
 def _expected_entries(relation):
@@ -504,6 +519,7 @@ def test_to_json_matches_json_dumps_on_seeded_reports():
                 for _ in "GH")
         rep = cli.build_report(g, h, seed=t, want_point=t // 4 % 2 == 1)
         assert rep.to_json() == json.dumps(vars(rep), sort_keys=True, indent=2) + "\n"
+        assert _templated_rows(rep) == len(rep.ci["violations"])
         cases.add((rep.classification or {}).get("case"))
         points.add(rep.model_point and rep.model_point["converged"])
     assert {"unclassified", "single-edge", None} <= cases and {None, True} <= points

@@ -78,7 +78,7 @@ def test_transverse_at_identity_iff_union_complete_n3():
 
 
 def test_exact_and_float_identity_points_agree_n_le_3():
-    for n in (2, 3):
+    for n in (1, 2, 3):
         exact = matrices.rational_matrix(np.eye(n, dtype=int).tolist())
         for g in all_graphs(n):
             assert (span_dimension(tangent_basis_concentration(exact, g))
