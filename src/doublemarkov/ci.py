@@ -130,6 +130,10 @@ def statement_index(n: int, stmt: Statement) -> int:
 
 
 def statement_at(n: int, index: int) -> Statement:
+    if not 1 <= n <= MAX_GROUND_SET:
+        raise ValueError(f"ground set size must be in 1..{MAX_GROUND_SET}, got {n}")
+    if not 0 <= index < num_statements(n):
+        raise ValueError(f"need 0 <= index < {num_statements(n)} for n = {n}, got {index}")
     return _statement(*(int(col[index]) for col in _statement_entries(n)))
 
 
@@ -312,12 +316,6 @@ class AxiomViolation:
         prem = " & ".join(map(repr, self.premises))
         glue = " | " if self.rule == "weak-transitivity" else " & "
         return f"[{self.rule}] {prem} without {glue.join(map(repr, self.missing))}"
-
-
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """np.unique of a 1-D array, which would import numpy.ma: 1.2 MB of RSS."""
-    a = np.sort(a)
-    return a[np.diff(a, prepend=a[:1] - 1) != 0]
 
 
 def _instance_table(prem: np.ndarray, concl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -543,6 +541,8 @@ def canonical_form(r: Relation, modulo_duality: bool = True) -> bytes:
     """
     if r.n > 7:
         raise ValueError("canonical forms use a factorial scan; n <= 7 only")
+    if r.n < 2:
+        return b""  # no statements, and the byte rows below would be empty
     arrs = np.stack([_to_bool_array(x) for x in ([r, dual(r)] if modulo_duality else [r])])
     packed = np.packbits(arrs[:, _perm_index_maps(r.n)].reshape(-1, arrs.shape[1]), axis=1)
     w, raw = packed.shape[1], packed.tobytes()

@@ -166,13 +166,9 @@ _PATH_CASES = {
 
 
 def _support_edges(g: Graph, support: tuple[int, ...]) -> frozenset:
-    pos = {v: t + 1 for t, v in enumerate(support)}
-    out = set()
-    for a, b in g.edges:
-        if a in pos and b in pos:
-            i, j = pos[a], pos[b]
-            out.add((i, j) if i < j else (j, i))
-    return frozenset(out)
+    """Edges of g inside the support, in the support-local labels 1..|support|."""
+    return frozenset((i, j) for i, j in graphs.pairs_lex(len(support))
+                     if g.has_edge(support[i - 1], support[j - 1]))
 
 
 def classify_small_intersection(g: Graph, h: Graph) -> ModelDescription:
@@ -213,7 +209,7 @@ def classify_small_intersection(g: Graph, h: Graph) -> ModelDescription:
 def _classify_path(g, h, n, order, blocks):
     size = len(order)
     base = frozenset((t, t + 1) for t in range(1, size))
-    pairs = frozenset(itertools.combinations(range(1, size + 1), 2))
+    pairs = frozenset(graphs.pairs_lex(size))
     for swapped, reverse in itertools.product((False, True), (False, True)):
         gg, hh = (h, g) if swapped else (g, h)
         support = tuple(reversed(order)) if reverse else order
@@ -270,28 +266,18 @@ class EnumerationResult:
     representatives: tuple  # (canonical bytes, Graph, Graph), sorted by canon
 
 
-def _edge_perm_table(n: int, perm, npairs: int) -> np.ndarray:
-    """Maps every edge mask to the mask of the relabelled graph."""
-    ps = graphs.pairs_lex(n)
-    size = 1 << npairs
-    table = np.zeros(size, dtype=np.int64)
-    masks = np.arange(size, dtype=np.int64)
-    for r, (i, j) in enumerate(ps):
-        target = graphs.pair_rank(n, perm[i - 1], perm[j - 1])
-        table |= ((masks >> r) & 1) << target
-    return table
-
-
 def enumerate_inequivalent(n: int, connected_only: bool = True) -> EnumerationResult:
     """Count double Markov CI structures modulo isomorphy and duality.
 
     Iterates ordered pairs of (connected) labeled graphs, canonicalizes the
     pair under vertex permutations and swapping (duality maps the relation
     of (G, H) to that of (H, G)), then reduces the surviving orbit
-    representatives by the relation-level canonical form.  For connected
-    graphs the relation determines the pair, so both reductions agree; the
-    relation-level pass is what gets counted.  n = 6 is past the budget:
-    its 713M connected pairs would take over an hour.
+    representatives by the relation-level canonical form.  Permutation p
+    moves edge bit r to the pair rank of the image of (ij|), the statement
+    of pair r: its entry in the statement maps, shifted down by n - 2.  For
+    connected graphs the relation determines the pair, so both reductions
+    agree; the relation-level pass is what gets counted.  n = 6 is past the
+    budget: its 713M connected pairs would take over an hour.
     """
     if not 3 <= n <= 6:
         raise ValueError("enumeration supported for 3 <= n <= 6")
@@ -299,23 +285,24 @@ def enumerate_inequivalent(n: int, connected_only: bool = True) -> EnumerationRe
         raise BudgetExceeded("enumerate is limited to n <= 5: n = 6 is projected "
                              "to run for over an hour")
     npairs = len(graphs.pairs_lex(n))
-    if connected_only:
-        masks = np.array(graphs.connected_graph_masks(n), dtype=np.int64)
-    else:
-        masks = np.arange(1 << npairs, dtype=np.int64)
+    every = np.arange(1 << npairs, dtype=np.int64)
+    masks = np.array(graphs.connected_graph_masks(n), dtype=np.int64) if connected_only else every
     # at most 1024^2 pairs at n = 5: one batch holds them all
     gm, hm = np.repeat(masks, len(masks)), np.tile(masks, len(masks))
     shift = np.int64(npairs)
+    targets = ci._perm_index_maps(n)[:, ::1 << (n - 2)] >> (n - 2)
+    # row p, column mask: the edge mask relabelled by permutation p
+    tables = np.bitwise_or.reduce(
+        (every[:, None] >> np.arange(npairs) & 1) << targets[:, None, :], axis=2)
     best = None
-    for perm in itertools.permutations(range(1, n + 1)):
-        table = _edge_perm_table(n, perm, npairs)
+    for table in tables:
         pg = table[gm]
         ph = table[hm]
         code = np.minimum((pg << shift) | ph, (ph << shift) | pg)
         best = code if best is None else np.minimum(best, code)
     mask_of = (1 << npairs) - 1
     by_relation: dict[bytes, tuple] = {}
-    for code in ci._sorted_unique(best).tolist():
+    for code in sorted(set(best.tolist())):
         g = graphs.graph_from_edge_mask(n, code >> npairs)
         h = graphs.graph_from_edge_mask(n, code & mask_of)
         key = ci.canonical_form(ci.double_markov_relation(g, h), modulo_duality=True)

@@ -221,9 +221,7 @@ def cmd_enumerate(args) -> int:
         with open(args.out, "w") as fh:
             fh.write("canonical_hex,n,rep_G_edges,rep_H_edges\n")
             for key, g, h in res.representatives:
-                ge = " ".join(f"{i}-{j}" for i, j in g.edges)
-                he = " ".join(f"{i}-{j}" for i, j in h.edges)
-                fh.write(f"{key.hex()},{res.n},{ge},{he}\n")
+                fh.write(f"{key.hex()},{res.n},{graphs._edge_text(g)},{graphs._edge_text(h)}\n")
     print(f"count={res.count}")
     return 0
 

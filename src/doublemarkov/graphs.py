@@ -10,6 +10,7 @@ All functions here are pure; ``Graph`` values never mutate.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,16 +46,7 @@ class Graph:
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Sorted tuple of 1-based edge pairs (i, j) with i < j."""
-        out = []
-        for i in range(self.n):
-            m = self.adj[i] >> (i + 1)
-            j = i + 1
-            while m:
-                if m & 1:
-                    out.append((i + 1, j + 1))
-                m >>= 1
-                j += 1
-        return tuple(out)
+        return tuple(p for p in pairs_lex(self.n) if self.adj[p[0] - 1] >> (p[1] - 1) & 1)
 
     def has_edge(self, i: int, j: int) -> bool:
         _check_vertex(self.n, i)
@@ -71,22 +63,14 @@ class Graph:
 
     def non_edges(self) -> tuple[tuple[int, int], ...]:
         """Sorted 1-based pairs (i, j), i < j, that are not edges."""
-        return tuple(
-            (i, j)
-            for i in range(1, self.n + 1)
-            for j in range(i + 1, self.n + 1)
-            if not self.adj[i - 1] >> (j - 1) & 1
-        )
+        return tuple(p for p in pairs_lex(self.n) if not self.adj[p[0] - 1] >> (p[1] - 1) & 1)
 
     def __repr__(self):
-        es = " ".join(f"{i}-{j}" for i, j in self.edges)
-        return f"Graph(n={self.n}, edges=[{es}])"
+        return f"Graph(n={self.n}, edges=[{_edge_text(self)}])"
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(
-        n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    )
+    return complement(empty_graph(n))
 
 
 def empty_graph(n: int) -> Graph:
@@ -187,11 +171,8 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
     vs = sorted(set(vertices))
     for v in vs:
         _check_vertex(g.n, v)
-    pos = {v: t for t, v in enumerate(vs)}
-    edges = [
-        (pos[a] + 1, pos[b] + 1) for a, b in g.edges if a in pos and b in pos
-    ]
-    return Graph.from_edges(len(vs), edges)
+    return Graph.from_edges(len(vs), [(i, j) for i, j in pairs_lex(len(vs))
+                                      if g.adj[vs[i - 1] - 1] >> (vs[j - 1] - 1) & 1])
 
 
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -265,9 +246,7 @@ def edge_union(g: Graph, h: Graph) -> Graph:
 @lru_cache(maxsize=None)
 def pairs_lex(n: int) -> tuple[tuple[int, int], ...]:
     """All 1-based pairs (i, j), i < j, in lexicographic order."""
-    return tuple(
-        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-    )
+    return tuple(itertools.combinations(range(1, n + 1), 2))
 
 
 def pair_rank(n: int, i: int, j: int) -> int:
@@ -283,13 +262,15 @@ def pair_rank(n: int, i: int, j: int) -> int:
 
 def edge_mask(g: Graph) -> int:
     """Edge set as a C(n,2)-bit mask, bit = lexicographic pair rank."""
-    mask = 0
-    for i, j in g.edges:
-        mask |= 1 << pair_rank(g.n, i, j)
-    return mask
+    return sum(1 << r for r, (i, j) in enumerate(pairs_lex(g.n)) if g.adj[i - 1] >> (j - 1) & 1)
 
 
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
+    """Inverse of edge_mask; the mask must have at most C(n,2) bits."""
+    npairs = n * (n - 1) // 2
+    if not (1 <= n <= MAX_VERTICES and 0 <= mask < 1 << npairs):
+        raise ValueError(f"need n in 1..{MAX_VERTICES} and mask in 0..2^{npairs} - 1, "
+                         f"got n = {n}, mask = {mask}")
     ps = pairs_lex(n)
     return Graph.from_edges(n, [ps[r] for r in _bits(mask)])
 
@@ -344,9 +325,12 @@ def _parse_edge_line(line: str, tag: str, n: int, line_no: int) -> Graph:
 
 def format_pair_file(g: Graph, h: Graph) -> str:
     _same_ground_set(g, h)
-    gline = " ".join(f"{i}-{j}" for i, j in g.edges)
-    hline = " ".join(f"{i}-{j}" for i, j in h.edges)
-    return f"n {g.n}\nG {gline}\nH {hline}\n"
+    return f"n {g.n}\nG {_edge_text(g)}\nH {_edge_text(h)}\n"
+
+
+def _edge_text(g: Graph) -> str:
+    """The edges as space-separated ``i-j`` tokens, the pair file's edge syntax."""
+    return " ".join(f"{i}-{j}" for i, j in g.edges)
 
 
 @lru_cache(maxsize=8)

@@ -215,9 +215,38 @@ def test_enumerate_6_exceeds_its_budget_before_any_table(monkeypatch, connected_
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(classify_mod.graphs, "connected_graph_masks", no_table)
-    monkeypatch.setattr(classify_mod, "_edge_perm_table", no_table)
+    monkeypatch.setattr(classify_mod.ci, "_perm_index_maps", no_table)
     with pytest.raises(BudgetExceeded, match="over an hour"):
         enumerate_inequivalent(6, connected_only)
+
+
+@pytest.fixture
+def networkx():
+    """The independent connectivity oracle: networkx is a test-only dependency."""
+    return pytest.importorskip("networkx")
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_enumerate_count_matches_burnside(networkx, n):
+    # pairs of connected labelled graphs modulo relabelling and G/H swap:
+    # (1 / (2 n!)) * sum over sigma of fix(sigma)^2 + fix(sigma^2), where fix
+    # counts the connected graphs that sigma maps to themselves.  Equal counts
+    # also mean that a connected pair's relation determines the pair.
+    pairs = list(itertools.combinations(range(n), 2))
+    connected = []
+    for bits in itertools.product((False, True), repeat=len(pairs)):
+        edges = frozenset(p for p, b in zip(pairs, bits) if b)
+        g = networkx.Graph(edges)
+        g.add_nodes_from(range(n))
+        if networkx.is_connected(g):
+            connected.append(edges)
+    perms = list(itertools.permutations(range(n)))
+    fix = {s: sum(frozenset((min(s[i], s[j]), max(s[i], s[j])) for i, j in e) == e
+                  for e in connected)
+           for s in perms}
+    total = sum(fix[s] ** 2 + fix[tuple(s[s[v]] for v in range(n))] for s in perms)
+    assert total % (2 * len(perms)) == 0
+    assert total // (2 * len(perms)) == enumerate_inequivalent(n).count
 
 
 def test_enumerate_stable_under_iteration_order(monkeypatch):

@@ -19,6 +19,7 @@ from doublemarkov import (
 )
 from doublemarkov.errors import PathCapExceeded
 from doublemarkov.graphs import (
+    edge_mask,
     format_pair_file,
     graph_from_edge_mask,
     induced_subgraph,
@@ -194,8 +195,18 @@ def test_edge_mask_roundtrip():
     for _ in range(20):
         n = int(rng.integers(2, 7))
         g = random_graph(n, rng)
-        from doublemarkov.graphs import edge_mask
         assert graph_from_edge_mask(n, edge_mask(g)) == g
+    # every labelled graph with n <= 6: the edge lists agree with has_edge
+    for n in range(1, 7):
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        for mask in range(1 << len(pairs)):
+            g = graph_from_edge_mask(n, mask)
+            assert g.edges == tuple(p for p in pairs if g.has_edge(*p))
+            assert g.non_edges() == tuple(p for p in pairs if not g.has_edge(*p))
+            assert edge_mask(g) == mask == sum(1 << pair_rank(n, *p) for p in g.edges)
+    for n, mask in ((3, 1 << 5), (3, 8), (3, -1), (1, 1), (0, 0), (17, 0)):
+        with pytest.raises(ValueError, match=r"need n in 1\.\.16 and mask in 0\.\.2\^"):
+            graph_from_edge_mask(n, mask)
 
 
 def test_pair_file_roundtrip():
