@@ -129,9 +129,14 @@ def statement_index(n: int, stmt: Statement) -> int:
     return int(_index_of(n, stmt.i - 1, stmt.j - 1, _vertex_mask(n, stmt)))
 
 
-def statement_at(n: int, index: int) -> Statement:
+def _check_ground_set(n: int):
+    """Refuse a ground set size outside 1..MAX_GROUND_SET before any table is built."""
     if not 1 <= n <= MAX_GROUND_SET:
         raise ValueError(f"ground set size must be in 1..{MAX_GROUND_SET}, got {n}")
+
+
+def statement_at(n: int, index: int) -> Statement:
+    _check_ground_set(n)
     if not 0 <= index < num_statements(n):
         raise ValueError(f"need 0 <= index < {num_statements(n)} for n = {n}, got {index}")
     return _statement(*(int(col[index]) for col in _statement_entries(n)))
@@ -139,6 +144,7 @@ def statement_at(n: int, index: int) -> Statement:
 
 @lru_cache(maxsize=8)
 def all_statements(n: int) -> tuple[Statement, ...]:
+    _check_ground_set(n)
     return tuple(map(_statement, *(col.tolist() for col in _statement_entries(n))))
 
 
@@ -158,14 +164,13 @@ class Relation:
     bits: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_GROUND_SET:
-            raise ValueError(f"ground set size must be in 1..{MAX_GROUND_SET}")
+        _check_ground_set(self.n)
         if self.bits < 0 or self.bits >> num_statements(self.n):
             raise ValueError("bitset has bits outside the statement range")
 
     @staticmethod
     def from_statements(n: int, statements) -> "Relation":
-        Relation(n, 0)  # refuse a bad n before 1 << index allocates 2^(n-2)-bit ints
+        _check_ground_set(n)  # before 1 << index allocates 2^(n-2)-bit ints
         stmts = [s if isinstance(s, Statement) else make_statement(*s) for s in statements]
         cols = np.array([(s.i - 1, s.j - 1, _vertex_mask(n, s)) for s in stmts], dtype=np.intp)
         return Relation(n, sum(1 << t for t in set(_index_of(n, *cols.reshape(-1, 3).T).tolist())))
@@ -241,6 +246,7 @@ def _reachability(g: Graph) -> np.ndarray:
 
 def relation_of_graph(g: Graph) -> Relation:
     """Separation relation <G>: all (ij|K) with K separating i and j in g."""
+    _check_ground_set(g.n)  # a Graph built directly skips from_edges' check
     masks, i0, j0 = _statement_entries(g.n)
     return _from_bool_array(g.n, ~_reachability(g)[masks, i0, j0])
 

@@ -262,16 +262,14 @@ def _non_pd_diagnostics(a):
             break
     print(f"determinant: {matrices.det(af):.17g}")
     if n <= 12:
-        scale = max(1.0, float(np.abs(af).max())) ** n
-        vanished = 0
-        total = 0
-        for r in range(1, n):
-            for S in itertools.combinations(range(n), r):
-                total += 1
-                if abs(matrices.det(af[np.ix_(S, S)])) <= 1e-9 * scale:
-                    vanished += 1
+        # each minor against the product of its diagonal entries, the scale of
+        # relation_of_matrix, so the verdicts survive positive diagonal rescaling
+        diag = np.abs(np.diag(af))
+        subsets = [list(S) for r in range(1, n) for S in itertools.combinations(range(n), r)]
+        vanished = sum(abs(matrices.det(af[np.ix_(S, S)])) <= 1e-9 * diag[S].prod()
+                       for S in subsets)
         kind = "all nonzero" if vanished == 0 else f"{vanished} vanish"
-        print(f"proper principal minors: {total} checked, {kind}")
+        print(f"proper principal minors: {len(subsets)} checked, {kind}")
 
 
 def cmd_closure(args) -> int:

@@ -30,12 +30,8 @@ def _sym_index(n: int, correlation_mode: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def numerical_rank(a: np.ndarray, rank_tol: float = RANK_TOL) -> int:
-    if a.size == 0:
-        return 0
     s = np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)  # Fraction input too
-    if s[0] == 0:
-        return 0
-    return int((s > rank_tol * s[0]).sum())
+    return int((s > rank_tol * s.max(initial=0.0)).sum())
 
 
 @dataclass(frozen=True)
@@ -219,6 +215,26 @@ def decompose(g: Graph, h: Graph) -> DecompositionResult:
 
 # -- connectedness certificates ----------------------------------------------
 
+def _unique_path(g: Graph, h: Graph, witness: int | None) -> bool:
+    return ideal.unique_path_hypothesis(g, h)
+
+
+def _hub(g: Graph, h: Graph, witness: int | None) -> bool:
+    """Whether vertex witness lies on every h-path between every non-edge pair of g."""
+    return witness is not None and all(
+        witness in (k, l) or graphs.separates(h, k, l, {witness}) for k, l in g.non_edges())
+
+
+# Each kind in search order: its predicate and whether it runs on (H, G).
+_KINDS = {
+    "UniquePath": (_unique_path, False),
+    "UniquePathSwapped": (_unique_path, True),
+    "Hub": (_hub, False),
+    "HubSwapped": (_hub, True),
+    "SmallIntersection": (lambda g, h, _: graphs.edge_intersection(g, h).num_edges <= 3, False),
+}
+
+
 @dataclass(frozen=True)
 class ConnectednessCertificate:
     kind: str
@@ -226,57 +242,28 @@ class ConnectednessCertificate:
 
     def check(self, g: Graph, h: Graph) -> bool:
         """Re-verify this certificate against the pair it was issued for."""
-        if self.kind == "UniquePath":
-            return ideal.unique_path_hypothesis(g, h)
-        if self.kind == "UniquePathSwapped":
-            return ideal.unique_path_hypothesis(h, g)
-        if self.kind == "Hub":
-            return _is_hub(g, h, self.witness)
-        if self.kind == "HubSwapped":
-            return _is_hub(h, g, self.witness)
-        if self.kind == "SmallIntersection":
-            return graphs.edge_intersection(g, h).num_edges <= 3
-        return self.kind == "Unknown"
-
-
-def _is_hub(g: Graph, h: Graph, i: int | None) -> bool:
-    if i is None:
-        return False
-    for k, l in g.non_edges():
-        if i in (k, l):
-            continue
-        if not graphs.separates(h, k, l, {i}):
-            return False
-    return True
+        if self.kind not in _KINDS:
+            return self.kind == "Unknown"
+        test, swapped = _KINDS[self.kind]
+        return test(*((h, g) if swapped else (g, h)), self.witness)
 
 
 def find_hub(g: Graph, h: Graph) -> int | None:
     """Smallest vertex lying on every h-path between every non-edge pair of g."""
-    for i in range(1, g.n + 1):
-        if _is_hub(g, h, i):
-            return i
-    return None
+    return next((i for i in range(1, g.n + 1) if _hub(g, h, i)), None)
 
 
 def connectedness_certificate(g: Graph, h: Graph) -> ConnectednessCertificate:
     """First certificate of model connectedness in the fixed search order.
 
-    Order: UniquePath, its G/H swap, Hub, its swap, SmallIntersection.
-    Unknown means no certificate was found, not that the model is
-    disconnected.
+    Order: UniquePath, its G/H swap, Hub, its swap (hubs from vertex 1 up),
+    SmallIntersection, each by the predicate check() runs.  Unknown means no
+    certificate was found, not that the model is disconnected.
     """
-    if ideal.unique_path_hypothesis(g, h):
-        return ConnectednessCertificate("UniquePath")
-    if ideal.unique_path_hypothesis(h, g):
-        return ConnectednessCertificate("UniquePathSwapped")
-    hub = find_hub(g, h)
-    if hub is not None:
-        return ConnectednessCertificate("Hub", hub)
-    hub = find_hub(h, g)
-    if hub is not None:
-        return ConnectednessCertificate("HubSwapped", hub)
-    if graphs.edge_intersection(g, h).num_edges <= 3:
-        return ConnectednessCertificate("SmallIntersection")
+    for kind, (test, swapped) in _KINDS.items():
+        for witness in range(1, g.n + 1) if test is _hub else (None,):
+            if test(*((h, g) if swapped else (g, h)), witness):
+                return ConnectednessCertificate(kind, witness)
     return ConnectednessCertificate("Unknown")
 
 
@@ -375,10 +362,9 @@ def _search_point(g: Graph, h: Graph, seed: int) -> FindPointResult:
         rng = random.Random(f"{seed}:{restart}")
         x = np.array([rng.uniform(-INIT_SCALE / n, INIT_SCALE / n) for _ in fi])
         a = _build_corr(n, fi, fj, x)
-        L = matrices.cholesky_or_none(a)
-        if L is None:
-            continue
-        inv = matrices.chol_inverse(L)
+        # off-diagonal row sums <= (n - 1) INIT_SCALE / n < 1: a is strictly diagonally
+        # dominant, hence positive definite, so Cholesky succeeds and restart 0 sets best
+        inv = matrices.chol_inverse(matrices.cholesky_or_none(a))
         r = inv[tk, tl]
         iters = 0
         stall = 0
@@ -434,8 +420,6 @@ def _search_point(g: Graph, h: Graph, seed: int) -> FindPointResult:
             best = result
         if result.converged:
             break
-    if best is None:
-        best = FindPointResult(np.eye(n), np.inf, False, seed, RESTARTS)
     return best
 
 

@@ -124,37 +124,20 @@ def separates(g: Graph, i: int, j: int, K) -> bool:
     return not _reachable(g, i - 1, blocked) >> (j - 1) & 1
 
 
-def _delete_vertex(g: Graph, k: int, extra_clique_mask: int = 0) -> Graph:
-    """Drop 0-based relabelled vertex k; optionally join extra_clique_mask first."""
-    k0 = k - 1
-    adj = list(g.adj)
-    for v in _bits(extra_clique_mask):
-        adj[v] |= extra_clique_mask & ~(1 << v)
-    out = []
-    for v in range(g.n):
-        if v == k0:
-            continue
-        m = adj[v] & ~(1 << k0)
-        low = m & ((1 << k0) - 1)
-        high = m >> (k0 + 1)
-        out.append(low | high << k0)
-    return Graph(g.n - 1, tuple(out))
-
-
 def marginal_minor(g: Graph, k: int) -> Graph:
     """Delete vertex k and all incident edges; labels above k decrement."""
     _check_vertex(g.n, k)
     if g.n == 1:
         raise ValueError("cannot delete the last vertex")
-    return _delete_vertex(g, k)
+    return induced_subgraph(g, [v for v in range(1, g.n + 1) if v != k])
 
 
 def conditional_minor(g: Graph, k: int) -> Graph:
     """Delete vertex k after joining its neighbors into a clique."""
     _check_vertex(g.n, k)
-    if g.n == 1:
-        raise ValueError("cannot delete the last vertex")
-    return _delete_vertex(g, k, extra_clique_mask=g.adj[k - 1])
+    nbrs = g.adj[k - 1]
+    joined = tuple(m | nbrs & ~(1 << v) if nbrs >> v & 1 else m for v, m in enumerate(g.adj))
+    return marginal_minor(Graph(g.n, joined), k)
 
 
 def direct_sum(g: Graph, g2: Graph) -> Graph:
@@ -245,7 +228,9 @@ def edge_union(g: Graph, h: Graph) -> Graph:
 
 @lru_cache(maxsize=None)
 def pairs_lex(n: int) -> tuple[tuple[int, int], ...]:
-    """All 1-based pairs (i, j), i < j, in lexicographic order."""
+    """All 1-based pairs (i, j), i < j, in lexicographic order (n <= MAX_VERTICES)."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
     return tuple(itertools.combinations(range(1, n + 1), 2))
 
 

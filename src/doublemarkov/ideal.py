@@ -201,23 +201,28 @@ def path_expansion(h: Graph, k: int, l: int) -> list[PathTerm]:
     these terms gives (-1)^(k+l) det(Sigma_{N\\k, N\\l}); an empty list
     means that minor vanishes identically.
     """
-    out = []
-    for path in graphs.all_paths(h, k, l):
-        edges = tuple(sorted(_edge(a, b) for a, b in zip(path, path[1:])))
-        out.append(PathTerm(path, (-1) ** (len(path) - 1), edges))
-    return out
+    return [PathTerm(path, (-1) ** (len(path) - 1), _path_edges(path))
+            for path in graphs.all_paths(h, k, l)]
+
+
+def _path_edges(path) -> tuple[Edge, ...]:
+    """The sorted edges of a path given as its vertex sequence."""
+    return tuple(sorted(_edge(a, b) for a, b in zip(path, path[1:])))
+
+
+def _unique_paths(g: Graph, h: Graph) -> list[tuple[int, ...]] | None:
+    """The h-path of every non-edge of g that has one, or None if one has two."""
+    if g.n != h.n:
+        raise ValueError("graphs live on different vertex sets")
+    try:
+        return [p for k, l in g.non_edges() for p in graphs.all_paths(h, k, l, cap=1)]
+    except PathCapExceeded:
+        return None
 
 
 def unique_path_hypothesis(g: Graph, h: Graph) -> bool:
     """At most one h-path between the endpoints of every non-edge of g."""
-    if g.n != h.n:
-        raise ValueError("graphs live on different vertex sets")
-    try:
-        for k, l in g.non_edges():
-            graphs.all_paths(h, k, l, cap=1)  # raises on a second path
-    except PathCapExceeded:
-        return False
-    return True
+    return _unique_paths(g, h) is not None
 
 
 def _minimal_sets(sets) -> list[frozenset]:
@@ -257,14 +262,11 @@ def sci_monomial_generators(g: Graph, h: Graph) -> MonomialIdeal:
     Requires the unique-path hypothesis; otherwise the ideal need not be
     monomial and the input is refused.
     """
-    if not unique_path_hypothesis(g, h):
-        raise UniquePathRequired(
-            "some non-edge of G has several connecting paths in H")
-    gens = [frozenset([e]) for e in h.non_edges()]
-    for k, l in g.non_edges():
-        for path in graphs.all_paths(h, k, l):
-            gens.append(frozenset(_edge(a, b) for a, b in zip(path, path[1:])))
-    return MonomialIdeal.from_generators(g.n, gens)
+    paths = _unique_paths(g, h)
+    if paths is None:
+        raise UniquePathRequired("some non-edge of G has several connecting paths in H")
+    return MonomialIdeal.from_generators(
+        g.n, [[e] for e in h.non_edges()] + [_path_edges(p) for p in paths])
 
 
 def minimal_primes(ideal: MonomialIdeal) -> list[frozenset[Edge]]:
@@ -291,19 +293,12 @@ def minimal_primes(ideal: MonomialIdeal) -> list[frozenset[Edge]]:
 def inverse_graphical_recognition(g: Graph, h: Graph):
     """The augmented graph G' certifying that the model is inverse graphical.
 
-    Under the unique-path hypothesis the ideal is prime iff every h-path
-    between a non-edge pair of g uses an edge outside g; then the model
-    equals the inverse graphical model of the common-edge graph and G' is g
-    plus all shared non-edges.  Returns None when the criterion fails.
+    Under the unique-path hypothesis the ideal is prime iff every minimal
+    generator is one variable, that is iff every h-path between a non-edge
+    pair of g uses an edge outside g; then the model equals the inverse
+    graphical model of the common-edge graph and G' is g plus all shared
+    non-edges.  Returns None when the criterion fails.
     """
-    if not unique_path_hypothesis(g, h):
-        raise UniquePathRequired(
-            "some non-edge of G has several connecting paths in H")
-    g_non = set(g.non_edges())
-    for k, l in g.non_edges():
-        for path in graphs.all_paths(h, k, l):
-            edges = {_edge(a, b) for a, b in zip(path, path[1:])}
-            if not edges & g_non:
-                return None
-    extra = [e for e in g.non_edges() if e in set(h.non_edges())]
-    return Graph.from_edges(g.n, list(g.edges) + extra)
+    if any(len(gen) > 1 for gen in sci_monomial_generators(g, h).generators):
+        return None
+    return Graph.from_edges(g.n, list(g.edges) + [e for e in g.non_edges() if not h.has_edge(*e)])

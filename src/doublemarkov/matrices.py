@@ -128,8 +128,6 @@ def det(a: np.ndarray):
         if is_exact(a):
             raise ValueError("exact det takes one matrix, not a stack")
         return np.linalg.det(a)
-    if a.shape[0] == 0:
-        return Fraction(1) if is_exact(a) else 1.0
     if is_exact(a):
         rows, lcd = _integer_form(a)
         pivots, swaps, _ = _eliminate(rows, augment=False)
@@ -275,6 +273,7 @@ def relation_of_matrix(a, tol: float = DEFAULT_TOL) -> ci.Relation:
     _check_tol(tol)
     a = as_sym(a)
     n = a.shape[0]
+    ci._check_ground_set(n)  # before the statement table and the 2^n n^2 sweep
     masks, rows, cols = ci._statement_entries(n)
     if is_exact(a):
         ints = np.array(_integer_form(a)[0], dtype=object).reshape(n, n)

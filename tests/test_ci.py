@@ -100,6 +100,19 @@ def test_statement_texts_are_the_reprs_in_index_order():
         assert ci._statement_texts(n) == tuple(map(repr, ci.all_statements(n)))
 
 
+@pytest.mark.parametrize("n", [0, 17])
+def test_statement_tables_refuse_sizes_out_of_range_before_building(monkeypatch, n):
+    def no_table(*args):
+        raise AssertionError("a statement table was built")
+
+    monkeypatch.setattr(ci, "_statement_entries", no_table)
+    for build in (ci.all_statements, lambda n: ci.statement_at(n, 0),
+                  lambda n: Relation.from_statements(n, []),
+                  lambda n: ci.relation_of_graph(Graph(n, (0,) * n))):
+        with pytest.raises(ValueError, match=r"ground set size must be in 1\.\.16"):
+            build(n)
+
+
 def test_scalar_index_of_stays_a_python_int():
     for a, b in ((0, 3), (3, 0)):
         idx = ci._index_of(5, a, b, 0b00110)

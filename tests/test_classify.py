@@ -226,27 +226,51 @@ def networkx():
     return pytest.importorskip("networkx")
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_enumerate_count_matches_burnside(networkx, n):
-    # pairs of connected labelled graphs modulo relabelling and G/H swap:
-    # (1 / (2 n!)) * sum over sigma of fix(sigma)^2 + fix(sigma^2), where fix
-    # counts the connected graphs that sigma maps to themselves.  Equal counts
-    # also mean that a connected pair's relation determines the pair.
+def burnside_orbits(networkx, n, connected_only):
+    """Pairs of (connected) labelled graphs modulo relabelling and G/H swap:
+    (1 / (2 n!)) * sum over sigma of fix(sigma)^2 + fix(sigma^2), where fix
+    counts the graphs that sigma maps to themselves."""
     pairs = list(itertools.combinations(range(n), 2))
-    connected = []
+    graphs_ = []
     for bits in itertools.product((False, True), repeat=len(pairs)):
         edges = frozenset(p for p, b in zip(pairs, bits) if b)
         g = networkx.Graph(edges)
         g.add_nodes_from(range(n))
-        if networkx.is_connected(g):
-            connected.append(edges)
+        if not connected_only or networkx.is_connected(g):
+            graphs_.append(edges)
     perms = list(itertools.permutations(range(n)))
     fix = {s: sum(frozenset((min(s[i], s[j]), max(s[i], s[j])) for i, j in e) == e
-                  for e in connected)
+                  for e in graphs_)
            for s in perms}
     total = sum(fix[s] ** 2 + fix[tuple(s[s[v]] for v in range(n))] for s in perms)
     assert total % (2 * len(perms)) == 0
-    assert total // (2 * len(perms)) == enumerate_inequivalent(n).count
+    return total // (2 * len(perms))
+
+
+def enumerate_counting_canonical_forms(monkeypatch, n, connected_only):
+    """enumerate_inequivalent's count and the number of canonical forms it took."""
+    calls = []
+    canonical_form = classify_mod.ci.canonical_form
+    monkeypatch.setattr(classify_mod.ci, "canonical_form",
+                        lambda *a, **kw: calls.append(a) or canonical_form(*a, **kw))
+    return enumerate_inequivalent(n, connected_only).count, len(calls)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_enumerate_count_matches_burnside(networkx, monkeypatch, n):
+    # the pair pass leaves one candidate per orbit, so the relation pass takes
+    # that many canonical forms; equal counts also mean that a connected
+    # pair's relation determines the pair
+    orbits = burnside_orbits(networkx, n, connected_only=True)
+    assert enumerate_counting_canonical_forms(monkeypatch, n, True) == (orbits, orbits)
+
+
+@pytest.mark.parametrize("n, orbits, count", [(3, 13, 7), (4, 154, 83)])
+def test_enumerate_all_pairs_takes_one_canonical_form_per_orbit(networkx, monkeypatch,
+                                                               n, orbits, count):
+    # without connectivity, pairs in different orbits can share a relation
+    assert burnside_orbits(networkx, n, connected_only=False) == orbits
+    assert enumerate_counting_canonical_forms(monkeypatch, n, False) == (count, orbits)
 
 
 def test_enumerate_stable_under_iteration_order(monkeypatch):

@@ -27,6 +27,10 @@ def write(tmp_path, name, text):
     return str(p)
 
 
+COUNTEREXAMPLE_PAIR = ("n 6\nG 1-2 1-3 2-3 4-5 4-6 5-6 1-6 2-4 2-5 2-6 3-5\n"
+                       "H 1-2 1-3 2-3 4-5 4-6 5-6 1-4 1-5 3-4 3-6\n")
+
+
 def counterexample_text():
     x14 = np.sqrt(981.0 / 1210.0)
     rows = [
@@ -70,6 +74,17 @@ def test_analyze_complete_pair(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "transverse at identity: True" in text
     assert "model <= 10, correlation <= 6" in text
+
+
+def test_analyze_without_unique_paths_reports_no_ideal(tmp_path, capsys):
+    # each non-edge of the 4-cycle G is joined by both halves of the 4-cycle H
+    pair = write(tmp_path, "c4.pair", "n 4\nG 1-2 2-3 3-4 1-4\nH 1-2 2-3 3-4 1-4\n")
+    out = str(tmp_path / "rep.json")
+    assert main(["analyze", pair, "--json", out]) == 0
+    text = capsys.readouterr().out
+    assert "  unique-path hypothesis fails; no monomial ideal reported\n" in text
+    assert "connectedness certificate: Unknown\n" in text
+    assert json.loads(open(out).read())["ideal"] == {"unique_path": False}
 
 
 def test_analyze_point_reproducible(tmp_path):
@@ -196,15 +211,31 @@ def test_verify_non_member(tmp_path, capsys):
 
 def test_verify_counterexample_non_pd(tmp_path, capsys):
     mat = write(tmp_path, "cex.mat", counterexample_text())
-    pair = write(tmp_path, "cex.pair",
-                 "n 6\nG 1-2 1-3 2-3 4-5 4-6 5-6 1-6 2-4 2-5 2-6 3-5\n"
-                 "H 1-2 1-3 2-3 4-5 4-6 5-6 1-4 1-5 3-4 3-6\n")
+    pair = write(tmp_path, "cex.pair", COUNTEREXAMPLE_PAIR)
     assert main(["verify", mat, pair]) == 1
     out = capsys.readouterr().out
     assert "not positive definite" in out
     assert "all nonzero" in out
     det = float(out.split("determinant: ")[1].splitlines()[0])
     assert det == pytest.approx(-4374 / 55, abs=1e-9)
+
+
+def rescaled_counterexample():
+    d = np.diag([1e3, 1, 1, 1e-3, 1, 1])
+    return d @ matrices.parse_matrix(counterexample_text()) @ d
+
+
+@pytest.mark.parametrize("matrix, pair", [
+    (lambda: np.diag([1000, 0.5, -1]), "n 3\nG\nH\n"),  # no minor near 0 at its own scale
+    (rescaled_counterexample, COUNTEREXAMPLE_PAIR),
+], ids=["diagonal", "rescaled-counterexample"])
+def test_verify_non_pd_minors_are_judged_at_their_own_scale(tmp_path, capsys, matrix, pair):
+    a = matrix()
+    files = [write(tmp_path, "m.mat", matrices.format_matrix(a)), write(tmp_path, "p.pair", pair)]
+    assert main(["verify", *files]) == 1
+    out = capsys.readouterr().out
+    assert "not positive definite" in out
+    assert f"proper principal minors: {2 ** len(a) - 2} checked, all nonzero" in out
 
 
 BIG = "1" + "0" * 400  # 10^400, beyond the float range

@@ -23,7 +23,7 @@ from doublemarkov.graphs import all_graphs, edge_intersection, edge_union
 from doublemarkov.ideal import unique_path_hypothesis
 from doublemarkov.matrices import inverse, is_pd, membership_residual
 
-from conftest import random_graph, random_pd, unrestricted_point
+from conftest import oracle_all_paths, random_graph, random_pd, unrestricted_point
 
 STAR4 = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
 PATH4 = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
@@ -210,6 +210,46 @@ def test_certificate_unknown():
     h = Graph.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 4)])
     cert = connectedness_certificate(g, h)
     assert cert.kind == "Unknown"
+
+
+def test_every_issued_certificate_passes_its_own_check():
+    # the search and check() run the same predicates
+    for n in (1, 2, 3, 4):
+        for g in all_graphs(n):
+            for h in all_graphs(n):
+                assert connectedness_certificate(g, h).check(g, h)
+
+
+def oracle_is_hub(g, h, i):
+    """i lies on every h-path between every non-edge pair of g that avoids i."""
+    return all(i in path for k, l in g.non_edges() if i not in (k, l)
+               for path in oracle_all_paths(h.edges, k, l))
+
+
+def test_check_verdicts_of_every_kind():
+    k4, c4 = complete_graph(4), Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    # C4's non-edges have two K4-paths; K4 has no non-edges
+    assert ConnectednessCertificate("UniquePathSwapped").check(c4, k4)
+    assert not ConnectednessCertificate("UniquePathSwapped").check(k4, c4)
+    assert not ConnectednessCertificate("UniquePath").check(c4, k4)
+    h = Graph.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3)])
+    g = Graph.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4)])
+    assert ConnectednessCertificate("HubSwapped", 1).check(h, g)
+    assert not ConnectednessCertificate("HubSwapped", 2).check(h, g)
+    assert not ConnectednessCertificate("HubSwapped", None).check(h, g)
+    # a Hub without its witness vertex certifies nothing, even where a hub exists
+    assert find_hub(g, h) == 1 and not ConnectednessCertificate("Hub").check(g, h)
+    for kind in ("Unknown", "Bogus", "hub", ""):
+        for pair in ((g, h), (h, g), (c4, k4)):
+            assert ConnectednessCertificate(kind).check(*pair) == (kind == "Unknown")
+    for n in (3, 4):
+        for a in all_graphs(n):
+            for b in all_graphs(n):
+                assert ConnectednessCertificate("UniquePathSwapped").check(a, b) == \
+                    unique_path_hypothesis(b, a)
+                for w in range(1, n + 1):
+                    assert ConnectednessCertificate("HubSwapped", w).check(a, b) == \
+                        oracle_is_hub(b, a, w)
 
 
 def test_hadamard_shrink():

@@ -1,8 +1,10 @@
 import itertools
+import types
 
 import numpy as np
 import pytest
 
+from doublemarkov import graphs as graphs_mod
 from doublemarkov import (
     Graph,
     all_paths,
@@ -19,6 +21,7 @@ from doublemarkov import (
 )
 from doublemarkov.errors import PathCapExceeded
 from doublemarkov.graphs import (
+    all_graphs,
     edge_mask,
     format_pair_file,
     graph_from_edge_mask,
@@ -109,6 +112,18 @@ def test_minors_agree_on_isolated_vertex():
     assert marginal_minor(g, 4) == conditional_minor(g, 4)
 
 
+def test_minors_match_their_definitions():
+    for n in (2, 3, 4, 5):
+        for g in all_graphs(n):
+            for k in range(1, n + 1):
+                label = {v: v - (v > k) for v in range(1, n + 1)}
+                kept = {(label[i], label[j]) for i, j in g.edges if k not in (i, j)}
+                joined = {(label[i], label[j])
+                          for i, j in itertools.combinations(sorted(g.neighbors(k)), 2)}
+                assert set(marginal_minor(g, k).edges) == kept
+                assert set(conditional_minor(g, k).edges) == kept | joined
+
+
 def test_relabeling_is_decrement():
     g = Graph.from_edges(4, [(1, 2), (2, 4), (3, 4)])
     assert marginal_minor(g, 2).edges == ((2, 3),)  # 3-4 becomes 2-3
@@ -188,6 +203,18 @@ def test_pair_rank_roundtrip():
         for r, (i, j) in enumerate(pairs_lex(n)):
             assert pair_rank(n, i, j) == r
             assert pair_rank(n, j, i) == r
+
+
+@pytest.mark.parametrize("n", [-1, 17, 2000])
+def test_pairs_lex_refuses_sizes_out_of_range_before_building(monkeypatch, n):
+    def no_table(*args):
+        raise AssertionError("a pair table was built")
+
+    cached = pairs_lex.cache_info().currsize
+    monkeypatch.setattr(graphs_mod, "itertools", types.SimpleNamespace(combinations=no_table))
+    with pytest.raises(ValueError, match=r"vertex count must be in 0\.\.16"):
+        pairs_lex(n)
+    assert pairs_lex.cache_info().currsize == cached
 
 
 def test_edge_mask_roundtrip():

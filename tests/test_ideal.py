@@ -211,6 +211,30 @@ def test_inverse_graphical_recognition():
         inverse_graphical_recognition(Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), C4)
 
 
+def oracle_recognition(g, h):
+    """Recognition as a path loop: None once an h-path between a non-edge
+    pair of g runs on edges of g only, else g plus the shared non-edges."""
+    g_non = set(g.non_edges())
+    for k, l in g.non_edges():
+        for path in oracle_all_paths(h.edges, k, l):
+            if not {tuple(sorted(e)) for e in zip(path, path[1:])} & g_non:
+                return None
+    return Graph.from_edges(g.n, list(g.edges) + [e for e in g.non_edges()
+                                                  if not h.has_edge(*e)])
+
+
+def test_recognition_matches_the_path_loop():
+    # primeness read off the minimal generators agrees with the path criterion
+    for n in (1, 2, 3, 4):
+        for g in all_graphs(n):
+            for h in all_graphs(n):
+                if unique_path_hypothesis(g, h):
+                    assert inverse_graphical_recognition(g, h) == oracle_recognition(g, h)
+                else:
+                    with pytest.raises(UniquePathRequired):
+                        inverse_graphical_recognition(g, h)
+
+
 def test_recognized_inverse_graphical_model_is_correct():
     # when recognition succeeds, points found on M(G, H) satisfy the covariance
     # zero pattern of the common-edge graph

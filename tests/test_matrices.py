@@ -103,6 +103,19 @@ def test_relation_of_matrix_rejects_non_pd():
         relation_of_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+def test_relation_of_matrix_refuses_17_vertices_before_any_table(monkeypatch):
+    from doublemarkov import ci, matrices
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(ci, "_statement_entries", no_table)
+    monkeypatch.setattr(matrices, "_minor_sweep", no_table)
+    for a in (np.eye(17), rational_matrix(np.eye(17, dtype=int).tolist())):
+        with pytest.raises(ValueError, match=r"ground set size must be in 1\.\.16"):
+            relation_of_matrix(a)
+
+
 @pytest.mark.parametrize("rows", [
     [["0", "0"], ["0", "1"]],                                   # zero first leading minor
     [["2", "1", "1"], ["1", "2", "1"], ["1", "1", "-1"]],       # negative last leading minor
