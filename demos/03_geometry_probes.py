@@ -61,7 +61,7 @@ for _ in range(200):
         res = dm.find_model_point(g, h, seed=3)
         if res.converged:
             dim_total += 1
-            d = dm.local_tangent_dimension(res.matrix, g, h, correlation_mode=True)
+            d = dm.local_tangent_dimension(res.matrix, g, h)
             dim_agree += d == edge_intersection(g, h).num_edges
 print("\ncertificate coverage over 200 random pairs:", dict(sorted(kinds.items())))
 print("complete-union pairs where tangent dim equals the bound:",

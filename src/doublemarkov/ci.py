@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graphs import Graph, _bits, _check_vertex, pairs_lex
+from .graphs import Graph, _bits, _check_vertex, _same_ground_set, pairs_lex
 
 MAX_GROUND_SET = 16
 HORN_RULES = ("semigraphoid", "intersection", "composition", "rule17")
@@ -246,7 +246,6 @@ def _reachability(g: Graph) -> np.ndarray:
 
 def relation_of_graph(g: Graph) -> Relation:
     """Separation relation <G>: all (ij|K) with K separating i and j in g."""
-    _check_ground_set(g.n)  # a Graph built directly skips from_edges' check
     masks, i0, j0 = _statement_entries(g.n)
     return _from_bool_array(g.n, ~_reachability(g)[masks, i0, j0])
 
@@ -299,8 +298,7 @@ def direct_sum_relations(r: Relation, r2: Relation) -> Relation:
 
 def double_markov_relation(g: Graph, h: Graph) -> Relation:
     """<G,H> = <G> union dual(<H>)."""
-    if g.n != h.n:
-        raise ValueError("graphs live on different vertex sets")
+    _same_ground_set(g, h)
     return relation_of_graph(g) | dual(relation_of_graph(h))
 
 

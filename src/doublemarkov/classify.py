@@ -178,8 +178,7 @@ def classify_small_intersection(g: Graph, h: Graph) -> ModelDescription:
     (run decompose first otherwise).  The three-edge star is not among the
     classified shapes and is rejected.
     """
-    if g.n != h.n:
-        raise ValueError("graphs live on different vertex sets")
+    graphs._same_ground_set(g, h)
     n = g.n
     shared = graphs.edge_intersection(g, h)
     m = shared.num_edges

@@ -150,8 +150,7 @@ def build_report(g, h, seed: int = 0, want_point: bool = False) -> ModelReport:
         }
         if res.converged:
             point_part["matrix"] = [[repr(float(x)) for x in row] for row in res.matrix]
-            point_part["local_tangent_dimension"] = geometry.local_tangent_dimension(
-                res.matrix, g, h, correlation_mode=True)
+            point_part["local_tangent_dimension"] = geometry.local_tangent_dimension(res.matrix, g, h)
     return ModelReport(
         input={"n": g.n, "G": _edge_list(g), "H": _edge_list(h)},
         decomposition={"blocks": [list(b) for b in dec.blocks]},

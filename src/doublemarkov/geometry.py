@@ -5,9 +5,10 @@ whose inverse vanishes off G and which themselves vanish off H.  This
 module works numerically: spans and kernels are measured by singular
 values, with rank tolerance relative to the largest singular value.
 
-Column order for Jacobians is the lexicographic order of positions (s, t),
-s <= t; correlation mode drops the diagonal columns, leaving exactly the
-pair-rank order used everywhere else.
+The pseudo-Jacobian's columns are the off-diagonal positions (s, t), s < t,
+in the pair order of graphs.pairs_lex.  The model is closed under diagonal
+rescaling a -> D a D, so both tangent verdicts read it at the point's
+correlation matrix, where they cannot depend on the scale.
 """
 
 from __future__ import annotations
@@ -22,11 +23,6 @@ from .errors import NotPositiveDefinite
 from .graphs import Graph
 
 RANK_TOL = 1e-8
-
-
-def _sym_index(n: int, correlation_mode: bool) -> tuple[np.ndarray, np.ndarray]:
-    """0-based rows and columns of the positions (s, t), s <= t (s < t), in lex order."""
-    return np.triu_indices(n, int(correlation_mode))
 
 
 def numerical_rank(a: np.ndarray, rank_tol: float = RANK_TOL) -> int:
@@ -57,7 +53,7 @@ def tangent_basis_concentration(p, g: Graph) -> TangentBasis:
     if p.shape[0] != g.n:
         raise ValueError("matrix size does not match the graph")
     tags = [("diag", i) for i in range(1, g.n + 1)] + [("edge", e) for e in g.edges]
-    ii, jj = _endpoints(g.n, g.edges)
+    ii, jj = _index_pairs([(i, i) for i in range(1, g.n + 1)] + list(g.edges))
     outer = p.T[ii, :, None] * p.T[jj, None, :]
     return TangentBasis(p, tuple(tags), tuple(outer + outer.transpose(0, 2, 1)))
 
@@ -67,16 +63,9 @@ def _index_pairs(pairs) -> np.ndarray:
     return (np.array(pairs, dtype=np.intp).reshape(-1, 2) - 1).T
 
 
-def _endpoints(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
-    """0-based endpoints of the diagonal pairs (i, i), then of the edges."""
-    diag = np.arange(n)
-    i, j = _index_pairs(edges)
-    return np.concatenate([diag, i]), np.concatenate([diag, j])
-
-
 def _basis_matrix(mats, n: int) -> np.ndarray:
     """Rows vech(m) of the symmetric matrices m, over the positions s <= t."""
-    s, t = _sym_index(n, False)
+    s, t = np.triu_indices(n)
     return np.reshape(mats, (-1, n, n))[:, s, t]
 
 
@@ -84,63 +73,57 @@ def span_dimension(basis: TangentBasis, rank_tol: float = RANK_TOL) -> int:
     return numerical_rank(_basis_matrix(basis.generators, basis.point.shape[0]), rank_tol)
 
 
-def _require_on_model(a: np.ndarray, g: Graph, h: Graph, tol: float):
-    """Raise ValueError unless the membership residual of a stays within tol."""
-    res = matrices.membership_residual(a, g, h)
-    if res.size and np.abs(res.astype(float)).max() > tol:
+def _model_correlation(a, g: Graph, h: Graph, tol: float) -> np.ndarray:
+    """Correlation matrix R of a = D R D; ValueError unless R is on the model within tol."""
+    r = matrices.to_correlation(matrices.as_sym(a).astype(float))[1]
+    if not matrices.is_member(r, g, h, tol):
         raise ValueError("point is not on the model; residual too large")
+    return r
 
 
 def is_transverse_at(p, g: Graph, h: Graph, rank_tol: float = RANK_TOL) -> bool:
-    """Whether the two tangent spaces at p sum to the whole symmetric space.
+    """Whether the two tangent spaces at the model point p sum to the whole symmetric space.
 
-    p must lie on the model (membership residual at most 1e-8).
+    They do exactly when the defining equations' gradients are independent,
+    that is when the pseudo-Jacobian at the correlation matrix of p has full
+    row rank, #non-edges(G) + #non-edges(H).  The diagonal columns are not
+    needed: the rescaling directions of p lie in both tangent spaces.  The
+    correlation matrix must be on the model (membership residual at most 1e-8).
     """
-    p = matrices.as_sym(p)
-    _require_on_model(p, g, h, 1e-8)
-    n = g.n
-    conc = tangent_basis_concentration(p, g).generators
-    # covariance directions E_ii and E_ij + E_ji for the edges ij of h
-    ii, jj = _endpoints(n, h.edges)
-    cov = np.zeros((len(ii), n, n))
-    q = np.arange(len(ii))
-    cov[q, ii, jj] += 1.0
-    cov[q, jj, ii] += 1.0
-    stack = _basis_matrix(np.concatenate([conc, cov]), n)
-    return numerical_rank(stack, rank_tol) == n * (n + 1) // 2
+    jac = stacked_jacobian(_model_correlation(p, g, h, 1e-8), g, h)
+    return jac.rank(rank_tol) == len(jac.rows)
 
 
 @dataclass(frozen=True)
 class PseudoJacobian:
-    """Stacked gradients: submaximal-minor rows (non-edges of G) then entry rows."""
+    """Stacked gradients, minor rows (non-edges of G) then entry rows, on pairs_lex columns."""
 
     rows: np.ndarray
     row_labels: tuple
     col_positions: tuple
-    correlation_mode: bool
 
     def rank(self, rank_tol: float = RANK_TOL) -> int:
         return numerical_rank(self.rows, rank_tol)
 
 
-def stacked_jacobian(a, g: Graph, h: Graph, correlation_mode: bool = False) -> PseudoJacobian:
+def stacked_jacobian(a, g: Graph, h: Graph) -> PseudoJacobian:
     """Jacobian of the defining equations at any symmetric matrix a.
 
     Rows: gradients of det(a_{N\\k, N\\l}) for non-edges kl of g (cofactor
     formula), then gradients of the entries a_ij for non-edges ij of h.
 
     The gradient of the minor at position (s, t) is its cofactor at (s, t)
-    plus, off the diagonal, its cofactor at (t, s); a cofactor of the minor
-    is a signed determinant of a with rows {k, r} and columns {l, c}
-    removed.  All of them, for every non-edge of g, are one stack through
-    one matrices.det call, so they work at singular points too.
+    plus its cofactor at (t, s); a cofactor of the minor is a signed
+    determinant of a with rows {k, r} and columns {l, c} removed.  All of
+    them, for every non-edge of g, are one stack through one matrices.det
+    call, so they work at singular points too.
     """
     a = matrices.as_sym(a).astype(float)
     n = g.n
     if n != h.n or n != a.shape[0]:
         raise ValueError("matrix and graphs must share the ground set")
-    s, t = _sym_index(n, correlation_mode)
-    positions = tuple(zip((s + 1).tolist(), (t + 1).tolist()))
+    positions = graphs.pairs_lex(n)
+    s, t = _index_pairs(positions)
     column = np.full((n, n), -1)
     column[s, t] = np.arange(len(s))
     minor_pairs, entry_pairs = g.non_edges(), h.non_edges()
@@ -151,14 +134,14 @@ def stacked_jacobian(a, g: Graph, h: Graph, correlation_mode: bool = False) -> P
     i, j = _index_pairs(entry_pairs)
     rows[len(minor_pairs) + np.arange(len(i)), column[i, j]] = 1.0
     labels = [("minor", e) for e in minor_pairs] + [("entry", e) for e in entry_pairs]
-    return PseudoJacobian(rows, tuple(labels), positions, correlation_mode)
+    return PseudoJacobian(rows, tuple(labels), positions)
 
 
 def _minor_gradients(a: np.ndarray, k, l, s, t) -> np.ndarray:
     """Rows of d det(a without row k, column l) / d sigma_st, one per (k, l).
 
     k and l are (N, 1) arrays of 0-based removed rows and columns, s and t
-    the 0-based positions.  Row r of the (n-1)-square minor is row
+    the 0-based positions, s < t.  Row r of the (n-1)-square minor is row
     r + (r >= k) of a; a cofactor removes one more row and column.
     """
     n = a.shape[0]
@@ -177,15 +160,18 @@ def _minor_gradients(a: np.ndarray, k, l, s, t) -> np.ndarray:
         return np.where(present, np.take_along_axis(cof, at, 1), 0.0)
 
     # summed from 0.0 in the order of the cofactor expansion, signed zeros included
-    return 0.0 + term(s, t, (s != k) & (t != l)) + term(t, s, (s != t) & (t != k) & (s != l))
+    return 0.0 + term(s, t, (s != k) & (t != l)) + term(t, s, (t != k) & (s != l))
 
 
-def local_tangent_dimension(a, g: Graph, h: Graph, correlation_mode: bool = False,
-                            rank_tol: float = RANK_TOL) -> int:
-    """dim ker of the stacked Jacobian at a model point; upper-bounds the local model dimension."""
-    a = matrices.as_sym(a)
-    _require_on_model(a, g, h, 1e-6)
-    jac = stacked_jacobian(a, g, h, correlation_mode)
+def local_tangent_dimension(a, g: Graph, h: Graph, rank_tol: float = RANK_TOL) -> int:
+    """dim ker of the pseudo-Jacobian at the correlation matrix R of a model point a.
+
+    It upper-bounds the local dimension of the correlation model at R.  The
+    covariance model is closed under a -> D a D for positive diagonal D, so
+    its tangent dimension at a is this value plus n.  R must be on the model
+    (membership residual at most 1e-6).
+    """
+    jac = stacked_jacobian(_model_correlation(a, g, h, 1e-6), g, h)
     return len(jac.col_positions) - jac.rank(rank_tol)
 
 
@@ -325,8 +311,7 @@ def find_model_point(g: Graph, h: Graph, seed: int = 0) -> FindPointResult:
     largest block residual, converged means every block converged, iterations
     is their sum, and restarts_used the largest block count (1 if none ran).
     """
-    if g.n != h.n:
-        raise ValueError("graphs live on different vertex sets")
+    graphs._same_ground_set(g, h)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     dec = decompose(g, h)

@@ -11,6 +11,7 @@ All functions here are pure; ``Graph`` values never mutate.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,6 +19,9 @@ from .errors import PathCapExceeded
 
 MAX_VERTICES = 16
 DEFAULT_PATH_CAP = 10**6
+# per n, the sums of 1 << (k * s) over k < n for the strides s = n, n + 1, n + 2
+_GRID_MASKS = {n: tuple(((1 << n * s) - 1) // ((1 << s) - 1) for s in (n, n + 1, n + 2))
+               for n in range(1, MAX_VERTICES + 1)}
 
 
 @dataclass(frozen=True)
@@ -27,16 +31,29 @@ class Graph:
     n: int
     adj: tuple[int, ...]
 
+    def __post_init__(self):
+        """Refuse a size outside 1..MAX_VERTICES and masks that are not a simple graph's."""
+        n, adj = self.n, self.adj
+        _check_vertex_count(n)
+        # O(n) integer operations on an n x (n + 1) bit grid whose row v is mask v:
+        # m * rep is n copies of m at stride n, and & diag keeps bit w of copy w, in
+        # row w, so shifted by v it is column v; loops marks the positions (v, v).
+        rep, diag, loops = _GRID_MASKS[n]
+        rows = cols = 0
+        for v, m in enumerate(adj):
+            rows |= m << v * (n + 1)
+            cols |= (m * rep & diag) << v
+        if len(adj) != n or min(adj) < 0 or max(adj) >> n or rows & loops or rows != cols:
+            raise ValueError(f"neighbor masks {adj} are not those of a simple graph on 1..{n}")
+
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
         """Build a graph on vertices 1..n from an iterable of 1-based pairs."""
-        if not 1 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+        _check_vertex_count(n)  # before [0] * n allocates
         adj = [0] * n
         for e in edges:
             i, j = e
-            _check_vertex(n, i)
-            _check_vertex(n, j)
+            i, j = _check_vertex(n, i), _check_vertex(n, j)
             if i == j:
                 raise ValueError(f"self-loop {i}-{j} is not allowed")
             adj[i - 1] |= 1 << (j - 1)
@@ -49,8 +66,7 @@ class Graph:
         return tuple(p for p in pairs_lex(self.n) if self.adj[p[0] - 1] >> (p[1] - 1) & 1)
 
     def has_edge(self, i: int, j: int) -> bool:
-        _check_vertex(self.n, i)
-        _check_vertex(self.n, j)
+        i, j = _check_vertex(self.n, i), _check_vertex(self.n, j)
         return i != j and bool(self.adj[i - 1] >> (j - 1) & 1)
 
     def neighbors(self, i: int) -> frozenset[int]:
@@ -82,9 +98,20 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple((full & ~m) & ~(1 << v) for v, m in enumerate(g.adj)))
 
 
-def _check_vertex(n: int, i: int):
-    if not isinstance(i, int) or not 1 <= i <= n:
-        raise ValueError(f"vertex {i!r} out of range 1..{n}")
+def _check_vertex_count(n: int):
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+
+
+def _check_vertex(n: int, i) -> int:
+    """Vertex i as a Python int; ValueError unless it is an integer in 1..n."""
+    try:
+        v = operator.index(i)
+    except TypeError:
+        raise ValueError(f"vertex {i!r} is not an integer") from None
+    if not 1 <= v <= n:
+        raise ValueError(f"vertex {v} out of range 1..{n}")
+    return v
 
 
 def _bits(mask: int):
@@ -110,8 +137,7 @@ def _reachable(g: Graph, start0: int, blocked_mask: int) -> int:
 
 def separates(g: Graph, i: int, j: int, K) -> bool:
     """True iff every path from i to j in g meets the vertex set K."""
-    _check_vertex(g.n, i)
-    _check_vertex(g.n, j)
+    i, j = _check_vertex(g.n, i), _check_vertex(g.n, j)
     if i == j:
         raise ValueError("separation needs two distinct vertices")
     K = frozenset(K)
@@ -119,8 +145,7 @@ def separates(g: Graph, i: int, j: int, K) -> bool:
         raise ValueError(f"separator {sorted(K)} overlaps endpoints {{{i}, {j}}}")
     blocked = 0
     for k in K:
-        _check_vertex(g.n, k)
-        blocked |= 1 << (k - 1)
+        blocked |= 1 << (_check_vertex(g.n, k) - 1)
     return not _reachable(g, i - 1, blocked) >> (j - 1) & 1
 
 
@@ -142,11 +167,7 @@ def conditional_minor(g: Graph, k: int) -> Graph:
 
 def direct_sum(g: Graph, g2: Graph) -> Graph:
     """Disjoint union; the second block's labels are offset by g.n."""
-    n = g.n + g2.n
-    if n > MAX_VERTICES:
-        raise ValueError(f"combined size {n} exceeds supported maximum {MAX_VERTICES}")
-    adj = list(g.adj) + [m << g.n for m in g2.adj]
-    return Graph(n, tuple(adj))
+    return Graph(g.n + g2.n, (*g.adj, *(m << g.n for m in g2.adj)))
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
@@ -180,8 +201,7 @@ def all_paths(g: Graph, k: int, l: int, cap: int = DEFAULT_PATH_CAP):
     Raises PathCapExceeded once more than ``cap`` paths are found, which is
     distinguishable from the empty result for disconnected endpoints.
     """
-    _check_vertex(g.n, k)
-    _check_vertex(g.n, l)
+    k, l = _check_vertex(g.n, k), _check_vertex(g.n, l)
     if k == l:
         raise ValueError("path endpoints must be distinct")
     paths = []
@@ -240,8 +260,7 @@ def pair_rank(n: int, i: int, j: int) -> int:
         i, j = j, i
     if i == j:
         raise ValueError("pair needs distinct vertices")
-    _check_vertex(n, i)
-    _check_vertex(n, j)
+    i, j = _check_vertex(n, i), _check_vertex(n, j)
     return (2 * n - i) * (i - 1) // 2 + (j - i - 1)
 
 

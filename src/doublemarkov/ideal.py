@@ -212,8 +212,7 @@ def _path_edges(path) -> tuple[Edge, ...]:
 
 def _unique_paths(g: Graph, h: Graph) -> list[tuple[int, ...]] | None:
     """The h-path of every non-edge of g that has one, or None if one has two."""
-    if g.n != h.n:
-        raise ValueError("graphs live on different vertex sets")
+    graphs._same_ground_set(g, h)
     try:
         return [p for k, l in g.non_edges() for p in graphs.all_paths(h, k, l, cap=1)]
     except PathCapExceeded:

@@ -152,17 +152,15 @@ def chol_inverse(L: np.ndarray) -> np.ndarray:
 def _pd_factor(a: np.ndarray):
     """Cholesky factor of float a if every pivot clears the is_pd threshold, else None."""
     L = cholesky_or_none(a)
-    if L is None:
-        return None
-    scale = max(1.0, float(np.abs(a).max()))
-    return L if (np.diag(L) ** 2 > PIVOT_TOL * scale).all() else None
+    return L if L is not None and (np.diag(L) ** 2 > PIVOT_TOL * np.diag(a)).all() else None
 
 
 def is_pd(a) -> bool:
     """Positive definiteness; Cholesky pivots (exact: Sylvester's criterion).
 
-    Float mode requires every Cholesky pivot to exceed
-    PIVOT_TOL * max(1, max|entry|), so barely singular matrices are rejected.
+    Float mode requires every squared Cholesky pivot L_ii^2 to exceed
+    PIVOT_TOL * a_ii, so barely singular matrices are rejected; both sides
+    scale alike under a -> D a D, so the verdict does not depend on the scale.
     """
     a = as_sym(a)
     if is_exact(a):

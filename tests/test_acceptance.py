@@ -234,7 +234,7 @@ def test_criterion_7_rank_bound(model_points):
             g = graph_from_edge_mask(n, gm)
             for hm in range(1 << total):
                 h = graph_from_edge_mask(n, hm)
-                jac = stacked_jacobian(eye, g, h, correlation_mode=True)
+                jac = stacked_jacobian(eye, g, h)
                 want = total - edge_intersection(g, h).num_edges
                 for rank_tol in (1e-6, 1e-8, 1e-10):
                     assert jac.rank(rank_tol) == want
@@ -243,7 +243,7 @@ def test_criterion_7_rank_bound(model_points):
         for res in points:
             if not res.converged:
                 continue
-            jac = stacked_jacobian(res.matrix, g, h, correlation_mode=True)
+            jac = stacked_jacobian(res.matrix, g, h)
             bound = g.n * (g.n - 1) // 2 - edge_intersection(g, h).num_edges
             assert jac.rank() >= bound
 

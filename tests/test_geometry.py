@@ -19,6 +19,7 @@ from doublemarkov.geometry import (
     stacked_jacobian,
     tangent_basis_concentration,
 )
+from doublemarkov.classify import enumerate_inequivalent
 from doublemarkov.graphs import all_graphs, edge_intersection, edge_union
 from doublemarkov.ideal import unique_path_hypothesis
 from doublemarkov.matrices import inverse, is_pd, membership_residual
@@ -107,7 +108,7 @@ def test_stacked_jacobian_rank_at_identity():
     for _ in range(15):
         n = int(rng.integers(2, 6))
         g, h = random_graph(n, rng), random_graph(n, rng)
-        jac = stacked_jacobian(np.eye(n), g, h, correlation_mode=True)
+        jac = stacked_jacobian(np.eye(n), g, h)
         shared = edge_intersection(g, h).num_edges
         assert jac.rank() == n * (n - 1) // 2 - shared
     kn = complete_graph(4)
@@ -121,7 +122,7 @@ def test_minor_gradients_match_finite_differences():
     g = random_graph(n, rng)
     h = random_graph(n, rng)
     a = random_pd(n, rng)
-    jac = stacked_jacobian(a, g, h, correlation_mode=False)
+    jac = stacked_jacobian(a, g, h)
     t = 1e-6
     for row, (kind, (k, l)) in zip(jac.rows, jac.row_labels):
         if kind != "minor":
@@ -352,18 +353,17 @@ def test_find_model_point_block_by_block():
             assert is_pd(res.matrix)
             r = membership_residual(res.matrix, g, h)
             assert r.size == 0 or np.abs(r).max() <= 1e-9
-            assert (local_tangent_dimension(res.matrix, g, h, correlation_mode=True)
-                    <= dimension_bound(g, h)[1])
+            assert local_tangent_dimension(res.matrix, g, h) <= dimension_bound(g, h)[1]
         unrestricted_converged += unrestricted_point(g, h, seed % 5).converged
     assert converged >= unrestricted_converged
 
 
 def test_local_tangent_dimension():
     kn = complete_graph(4)
-    assert local_tangent_dimension(np.eye(4), kn, kn, correlation_mode=True) == 6
+    assert local_tangent_dimension(np.eye(4), kn, kn) == 6
     # non-smooth example: kernel dimension 2 exceeds the model dimension 1
     g = Graph.from_edges(4, [(1, 3), (2, 3)])
-    assert local_tangent_dimension(np.eye(4), g, g, correlation_mode=True) == 2
+    assert local_tangent_dimension(np.eye(4), g, g) == 2
     # union-complete pairs: kernel equals the shared edge count at identity
     rng = np.random.default_rng(17)
     for _ in range(10):
@@ -373,7 +373,7 @@ def test_local_tangent_dimension():
                              + [e for e in g.edges if rng.random() < 0.4])
         assert edge_union(g, h).num_edges == n * (n - 1) // 2
         shared = edge_intersection(g, h).num_edges
-        assert local_tangent_dimension(np.eye(n), g, h, correlation_mode=True) == shared
+        assert local_tangent_dimension(np.eye(n), g, h) == shared
 
 
 def test_local_tangent_dimension_requires_model_point():
@@ -381,6 +381,50 @@ def test_local_tangent_dimension_requires_model_point():
     a[0, 1] = a[1, 0] = 0.5
     with pytest.raises(ValueError):
         local_tangent_dimension(a, complete_graph(4), empty_graph(4))
+
+
+@pytest.fixture(scope="module")
+def found_points():
+    """Converged model points of the n = 4 orbits and of random pairs with n = 4..7."""
+    rng = np.random.default_rng(31)
+    pairs = [(g, h) for _, g, h in enumerate_inequivalent(4).representatives]
+    pairs += [(random_graph(n, rng), random_graph(n, rng)) for n in (4, 5, 6, 7) for _ in range(10)]
+    found = [(g, h, find_model_point(g, h, seed=3)) for g, h in pairs]
+    return [(g, h, res.matrix) for g, h, res in found if res.converged]
+
+
+def _relabel(g, perm):
+    """g with 0-based vertex v renamed perm[v]."""
+    return Graph.from_edges(g.n, [(perm[i - 1] + 1, perm[j - 1] + 1) for i, j in g.edges])
+
+
+def test_tangent_verdicts_invariant_under_rescaling_and_relabelling(found_points):
+    rng = np.random.default_rng(33)
+    assert len(found_points) >= 90
+    for g, h, a in found_points:
+        want = local_tangent_dimension(a, g, h), is_transverse_at(a, g, h)
+        for _ in range(3):
+            d = np.exp(rng.uniform(-2, 2, size=g.n))
+            scaled = a * np.outer(d, d)
+            assert (local_tangent_dimension(scaled, g, h), is_transverse_at(scaled, g, h)) == want
+        perm = rng.permutation(g.n)
+        moved = np.empty_like(a)
+        moved[np.ix_(perm, perm)] = a
+        pg, ph = _relabel(g, perm), _relabel(h, perm)
+        assert (local_tangent_dimension(moved, pg, ph), is_transverse_at(moved, pg, ph)) == want
+
+
+def test_transverse_iff_tangent_dimension_is_the_edge_excess(found_points):
+    for g, h, a in found_points:
+        excess = g.num_edges + h.num_edges - g.n * (g.n - 1) // 2
+        assert is_transverse_at(a, g, h) == (local_tangent_dimension(a, g, h) == excess)
+
+
+def test_covariance_kernel_is_tangent_dimension_plus_n(found_points):
+    # the loop form over the positions s <= t is the Jacobian in covariance coordinates
+    for g, h, a in found_points:
+        cov = _loop_jacobian_rows(a, g, h, diagonal=True)
+        assert cov.shape[1] - numerical_rank(cov) == local_tangent_dimension(a, g, h) + g.n
 
 
 def test_numerical_rank_threshold():
@@ -392,8 +436,8 @@ def test_numerical_rank_threshold():
 
 # -- loop forms of the array kernels, kept as references ------------------------
 
-def _loop_positions(n, correlation_mode):
-    return [(s, t) for s in range(1, n + 1) for t in range(s + correlation_mode, n + 1)]
+def _loop_positions(n, diagonal):
+    return [(s, t) for s in range(1, n + 1) for t in range(s + (not diagonal), n + 1)]
 
 
 def _loop_vech(a, positions):
@@ -434,8 +478,9 @@ def _loop_minor_gradient(a, k, l, positions):
     return grad
 
 
-def _loop_jacobian_rows(a, g, h, correlation_mode):
-    positions = _loop_positions(g.n, correlation_mode)
+def _loop_jacobian_rows(a, g, h, diagonal=False):
+    """The pseudo-Jacobian by loops; with diagonal, over the covariance positions s <= t."""
+    positions = _loop_positions(g.n, diagonal)
     pos_index = {p: m for m, p in enumerate(positions)}
     rows = [_loop_minor_gradient(a, k, l, positions) for k, l in g.non_edges()]
     for i, j in h.non_edges():
@@ -498,16 +543,15 @@ def test_chol_inverse_matches_triangular_solve():
 
 
 @pytest.mark.parametrize("n", range(2, 8))
-@pytest.mark.parametrize("correlation_mode", [False, True])
-def test_stacked_jacobian_matches_loop_form(n, correlation_mode):
+def test_stacked_jacobian_matches_loop_form(n):
     rng = np.random.default_rng(200 + n)
     b = rng.normal(size=(n, n - 1))
     points = [random_pd(n, rng), np.eye(n), b @ b.T]     # the last one is singular
     for g, h in _seeded_pairs(n, rng):
         for a in points:
-            jac = stacked_jacobian(a, g, h, correlation_mode)
-            assert jac.col_positions == tuple(_loop_positions(n, correlation_mode))
-            assert np.array_equal(jac.rows, _loop_jacobian_rows(a, g, h, correlation_mode))
+            jac = stacked_jacobian(a, g, h)
+            assert jac.col_positions == tuple(_loop_positions(n, diagonal=False))
+            assert np.array_equal(jac.rows, _loop_jacobian_rows(a, g, h))
 
 
 def test_tangent_generators_and_vech_match_loop_forms():
@@ -522,7 +566,7 @@ def test_tangent_generators_and_vech_match_loop_forms():
                  for i, j in g.edges]
         assert len(tb.generators) == len(want)
         assert all(np.array_equal(got, w) for got, w in zip(tb.generators, want))
-        positions = _loop_positions(n, False)
+        positions = _loop_positions(n, diagonal=True)
         assert np.array_equal(geometry._basis_matrix(tb.generators, n),
                               np.stack([_loop_vech(m, positions) for m in want]))
     assert geometry._basis_matrix((), 3).shape == (0, 6)

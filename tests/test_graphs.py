@@ -4,6 +4,7 @@ import types
 import numpy as np
 import pytest
 
+from doublemarkov import ci, classify, geometry, ideal
 from doublemarkov import graphs as graphs_mod
 from doublemarkov import (
     Graph,
@@ -45,8 +46,42 @@ def test_construction_validation():
         Graph.from_edges(3, [(0, 2)])
     with pytest.raises(ValueError):
         Graph.from_edges(17, [])
+    with pytest.raises(ValueError, match="vertex count"):
+        Graph.from_edges(10**12, [])  # refused before the masks are allocated
     g = Graph.from_edges(3, [(2, 1), (1, 2)])
     assert g.edges == ((1, 2),)
+
+
+@pytest.mark.parametrize("n, adj", [
+    (0, ()), (17, (0,) * 17), (3, (0, 0)), (3, (0, 0, 0, 0)),
+    (3, (0b1000, 0, 0)), (3, (-1, 0, 0)), (3, (0b001, 0, 0)), (3, (0b010, 0, 0)),
+])
+def test_direct_construction_refuses_what_from_edges_cannot_build(n, adj):
+    with pytest.raises(ValueError):
+        Graph(n, adj)
+
+
+def test_direct_construction_takes_a_simple_graph():
+    assert Graph(3, (0b010, 0b101, 0b010)) == Graph.from_edges(3, [(1, 2), (2, 3)])
+
+
+def test_from_edges_converts_integer_vertices_and_refuses_others():
+    g = Graph.from_edges(4, [(np.int64(1), np.int64(3))])
+    assert g == Graph.from_edges(4, [(1, 3)])
+    assert all(type(m) is int for m in g.adj)
+    with pytest.raises(ValueError, match=r"vertex 2\.0 is not an integer"):
+        Graph.from_edges(4, [(2.0, 3)])
+    with pytest.raises(ValueError, match=r"vertex 5 out of range 1\.\.4"):
+        Graph.from_edges(4, [(np.int64(5), 1)])
+
+
+@pytest.mark.parametrize("pair_function", [
+    ci.double_markov_relation, classify.classify_small_intersection,
+    geometry.find_model_point, ideal.unique_path_hypothesis,
+])
+def test_pair_functions_refuse_different_vertex_sets(pair_function):
+    with pytest.raises(ValueError, match="graphs live on different vertex sets"):
+        pair_function(complete_graph(3), complete_graph(4))
 
 
 def test_separates_examples():

@@ -514,6 +514,14 @@ def test_float_inverse_agrees_with_is_pd():
         inverse(near)
 
 
+def test_float_pd_verdicts_do_not_depend_on_the_scale():
+    a = np.array([[1, .5, 0], [.5, 1, 0], [0, 0, 1]])
+    want = relation_of_matrix(a)
+    for e in range(-14, 13):
+        assert is_pd(10.0 ** e * a)
+        assert relation_of_matrix(10.0 ** e * a) == want
+
+
 @pytest.mark.parametrize("text", [
     "2\n1 0\n0 1\n1 1\n",         # a row too many
     "1\n1\n\n# trailing note\n",  # non-blank text after row n

@@ -24,7 +24,7 @@ def test_almost_complete_pair_singular_at_identity():
     # G = H = K_4 minus the edge 12: dimension 4 < 5, identity is singular
     g = Graph.from_edges(4, [e for e in complete_graph(4).edges if e != (1, 2)])
     assert dimension_bound(g, g)[1] == 5
-    assert local_tangent_dimension(np.eye(4), g, g, correlation_mode=True) == 5
+    assert local_tangent_dimension(np.eye(4), g, g) == 5
     rng = np.random.default_rng(8)
     generic_dims = []
     for _ in range(20):
@@ -38,7 +38,7 @@ def test_almost_complete_pair_singular_at_identity():
         if not is_pd(a):
             continue
         assert np.abs(membership_residual(a, g, g)).max() <= 1e-12
-        generic_dims.append(local_tangent_dimension(a, g, g, correlation_mode=True))
+        generic_dims.append(local_tangent_dimension(a, g, g))
     assert generic_dims and set(generic_dims) == {4}
 
 
