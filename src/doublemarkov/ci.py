@@ -10,10 +10,15 @@ Frozen statement index (file format compatibility depends on it):
 
 where pair_rank is the lexicographic rank of {i, j} among all pairs and
 subset_rank encodes K inside the increasing enumeration m_0 < m_1 < ... of
-the vertices other than i and j as sum of 2^t over m_t in K.  This
-encoding lives in exactly two places: the table _statement_entries (index
--> K bitmask, i - 1, j - 1) and its vectorized inverse _index_of.  Every
-relation, rule table and permutation map here is a gather over them.
+the vertices other than i and j as sum of 2^t over m_t in K.  So each pair
+owns one row of 2^(n-2) subset ranks, and a relation is a C(n,2) x 2^(n-2)
+bool array in pairs_lex order (_pair_rows).  Transforms that only move K
+read the rows: the rank of N \\ ijK is the complement of that of K, so dual
+reverses every row, and the last column holds the maximal statements.  The
+table _statement_entries (index -> K bitmask, i - 1, j - 1) and its
+vectorized inverse _index_of are the only other encoding of the index; the
+separation relations, minors, rule tables and permutation maps are gathers
+over them.
 
 The hex serialization packs bit s of the relation into bit 7 - (s mod 8) of
 byte s // 8, so the hex digit stream reads left to right in statement
@@ -29,9 +34,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graphs import Graph, _bits, _check_vertex, _same_ground_set, pairs_lex
+from .graphs import (Graph, _bits, _check_vertex, _check_vertex_count, _parse_n_line,
+                     _same_ground_set, pairs_lex)
 
-MAX_GROUND_SET = 16
 HORN_RULES = ("semigraphoid", "intersection", "composition", "rule17")
 
 
@@ -129,14 +134,8 @@ def statement_index(n: int, stmt: Statement) -> int:
     return int(_index_of(n, stmt.i - 1, stmt.j - 1, _vertex_mask(n, stmt)))
 
 
-def _check_ground_set(n: int):
-    """Refuse a ground set size outside 1..MAX_GROUND_SET before any table is built."""
-    if not 1 <= n <= MAX_GROUND_SET:
-        raise ValueError(f"ground set size must be in 1..{MAX_GROUND_SET}, got {n}")
-
-
 def statement_at(n: int, index: int) -> Statement:
-    _check_ground_set(n)
+    _check_vertex_count(n)
     if not 0 <= index < num_statements(n):
         raise ValueError(f"need 0 <= index < {num_statements(n)} for n = {n}, got {index}")
     return _statement(*(int(col[index]) for col in _statement_entries(n)))
@@ -144,7 +143,7 @@ def statement_at(n: int, index: int) -> Statement:
 
 @lru_cache(maxsize=8)
 def all_statements(n: int) -> tuple[Statement, ...]:
-    _check_ground_set(n)
+    _check_vertex_count(n)
     return tuple(map(_statement, *(col.tolist() for col in _statement_entries(n))))
 
 
@@ -164,13 +163,13 @@ class Relation:
     bits: int
 
     def __post_init__(self):
-        _check_ground_set(self.n)
+        _check_vertex_count(self.n)
         if self.bits < 0 or self.bits >> num_statements(self.n):
             raise ValueError("bitset has bits outside the statement range")
 
     @staticmethod
     def from_statements(n: int, statements) -> "Relation":
-        _check_ground_set(n)  # before 1 << index allocates 2^(n-2)-bit ints
+        _check_vertex_count(n)  # before 1 << index allocates 2^(n-2)-bit ints
         stmts = [s if isinstance(s, Statement) else make_statement(*s) for s in statements]
         cols = np.array([(s.i - 1, s.j - 1, _vertex_mask(n, s)) for s in stmts], dtype=np.intp)
         return Relation(n, sum(1 << t for t in set(_index_of(n, *cols.reshape(-1, 3).T).tolist())))
@@ -212,8 +211,7 @@ class Relation:
 
 
 def full_relation(n: int) -> Relation:
-    if not 2 <= n <= MAX_GROUND_SET:
-        raise ValueError(f"ground set size must be in 2..{MAX_GROUND_SET}")
+    _check_vertex_count(n)  # before 1 << num_statements(n) allocates
     return Relation(n, (1 << num_statements(n)) - 1)
 
 
@@ -250,11 +248,14 @@ def relation_of_graph(g: Graph) -> Relation:
     return _from_bool_array(g.n, ~_reachability(g)[masks, i0, j0])
 
 
+def _pair_rows(r: Relation) -> np.ndarray:
+    """Membership as one row of 2^(n-2) subset ranks per pair, rows in pairs_lex order."""
+    return _to_bool_array(r).reshape(-1, 1 << max(r.n - 2, 0))
+
+
 def dual(r: Relation) -> Relation:
-    """Complement every conditioning set: (ij|K) -> (ij|N \\ ijK)."""
-    n = r.n
-    masks, i0, j0 = _statement_entries(n)
-    return _from_bool_array(n, _to_bool_array(r)[_index_of(n, i0, j0, ~masks & ((1 << n) - 1))])
+    """Complement every conditioning set: (ij|K) -> (ij|N \\ ijK), a reversal of every row."""
+    return _from_bool_array(r.n, _pair_rows(r)[:, ::-1])
 
 
 def _minor(r: Relation, k: int, given: bool) -> Relation:
@@ -281,19 +282,18 @@ def conditional(r: Relation, k: int) -> Relation:
 def direct_sum_relations(r: Relation, r2: Relation) -> Relation:
     """Direct sum on the concatenated ground set; second block offset by r.n.
 
-    Cross pairs hold in any context, a pair inside one block iff its block holds it.
+    Cross pairs hold in any context, a pair inside one block iff its block holds it;
+    the other block's vertices are the high rank bits of a first-block pair, the low
+    ones of a second-block pair.
     """
     n, m = r.n, r2.n
-    if n + m > MAX_GROUND_SET:
-        raise ValueError(f"combined ground set {n + m} exceeds {MAX_GROUND_SET}")
-    masks, i0, j0 = _statement_entries(n + m)
-    hits = (i0 < n) & (j0 >= n)
-    first, second = j0 < n, i0 >= n
-    hits[first] = _to_bool_array(r)[
-        _index_of(n, i0[first], j0[first], masks[first] & ((1 << n) - 1))]
-    hits[second] = _to_bool_array(r2)[
-        _index_of(m, i0[second] - n, j0[second] - n, masks[second] >> n)]
-    return _from_bool_array(n + m, hits)
+    _check_vertex_count(n + m)
+    i0, j0 = np.array(pairs_lex(n + m)).reshape(-1, 2).T
+    rows = np.ones((len(i0), 1 << (n + m - 2)), dtype=bool)
+    # a one-vertex block has no rows; reshape gives its empty array the full width
+    rows[j0 <= n] = np.tile(_pair_rows(r), 1 << m).reshape(-1, rows.shape[1])
+    rows[i0 > n] = np.repeat(_pair_rows(r2), 1 << n, axis=1).reshape(-1, rows.shape[1])
+    return _from_bool_array(n + m, rows)
 
 
 def double_markov_relation(g: Graph, h: Graph) -> Relation:
@@ -478,29 +478,24 @@ def _rules_fired(r: Relation, closed: Relation, rules) -> list[str]:
 
 
 def is_upward_stable(r: Relation) -> bool:
-    """(ij|L) implies (ij|kL) for every k outside ijL."""
-    n = r.n
-    held = _to_bool_array(r)
-    masks, i0, j0 = _statement_entries(n)
-    for k in range(n):
-        grow = held & (masks >> k & 1 == 0) & (i0 != k) & (j0 != k)
-        if not held[_index_of(n, i0[grow], j0[grow], masks[grow] | 1 << k)].all():
+    """(ij|L) implies (ij|kL) for every k outside ijL: adding m_t to L sets rank bit t, so in
+    each run of 2^(t+1) ranks, all in one row, the half with bit t clear implies the other."""
+    rows = _pair_rows(r)
+    for t in range(r.n - 2):
+        halves = rows.reshape(-1, 2, 1 << t)
+        if (halves[:, 0] & ~halves[:, 1]).any():
             return False
     return True
 
 
 def recognize_markov(r: Relation):
-    """The graph G with <G> = r if r is an upward-stable gaussoid, else None.
+    """The graph G with <G> = r, else None.
 
-    Edges are read off the maximal statements: ij is an edge iff
-    (ij|N \\ ij) is absent.  The reconstruction is verified before returning.
+    ij is an edge iff the maximal statement (ij|N \\ ij), last in its row, is absent.
+    Every separation relation is an upward-stable gaussoid, so comparing <G> with r decides.
     """
-    if not is_upward_stable(r) or not is_gaussoid(r):
-        return None
-    n = r.n
-    everything = frozenset(range(1, n + 1))
-    edges = [(i, j) for i, j in pairs_lex(n) if not r.has(i, j, everything - {i, j})]
-    g = Graph.from_edges(n, edges)
+    held = _pair_rows(r)[:, -1]
+    g = Graph.from_edges(r.n, [p for p, h in zip(pairs_lex(r.n), held) if not h])
     return g if relation_of_graph(g) == r else None
 
 
@@ -575,10 +570,7 @@ def parse_relation(text: str) -> Relation:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty relation file")
-    toks = lines[0].split()
-    if len(toks) != 2 or toks[0] != "n":
-        raise ValueError(f"line 1: expected 'n <count>', got {lines[0]!r}")
-    n = int(toks[1])
+    n = _parse_n_line(lines[0])
     if len(lines) > 1 and lines[1].startswith("hex"):
         return _parse_hex(n, lines[1:])
     stmts = [_parse_statement_line(ln, no + 2) for no, ln in enumerate(lines[1:])]

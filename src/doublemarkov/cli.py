@@ -233,7 +233,7 @@ def cmd_verify(args) -> int:
     if a.shape[0] != g.n:
         raise ValueError(f"matrix size {a.shape[0]} does not match n={g.n}")
     try:
-        res = matrices.membership_residual(a, g, h)
+        res, member = matrices._membership(a, g, h, args.tol)
     except NotPositiveDefinite:
         _non_pd_diagnostics(a)
         return 1
@@ -241,7 +241,6 @@ def cmd_verify(args) -> int:
         rmax = float(max(map(abs, res.tolist()), default=0.0))
     except OverflowError:  # an exact residual beyond the float range
         rmax = math.inf
-    member = matrices._residual_is_member(res, args.tol)
     print(f"max residual: {rmax:.6e}")
     print("member" if member else "not a member")
     return 0 if member else 1

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotPositiveDefinite
-from .graphs import Graph
+from .graphs import Graph, _check_vertex_count
 from . import ci
 
 DEFAULT_TOL = 1e-8
@@ -271,7 +271,7 @@ def relation_of_matrix(a, tol: float = DEFAULT_TOL) -> ci.Relation:
     _check_tol(tol)
     a = as_sym(a)
     n = a.shape[0]
-    ci._check_ground_set(n)  # before the statement table and the 2^n n^2 sweep
+    _check_vertex_count(n)  # before the statement table and the 2^n n^2 sweep
     masks, rows, cols = ci._statement_entries(n)
     if is_exact(a):
         ints = np.array(_integer_form(a)[0], dtype=object).reshape(n, n)
@@ -361,15 +361,18 @@ def membership_residual(a, g: Graph, h: Graph) -> np.ndarray:
 
 
 def is_member(a, g: Graph, h: Graph, tol: float = DEFAULT_TOL) -> bool:
-    return _residual_is_member(membership_residual(a, g, h), tol)
+    return _membership(a, g, h, tol)[1]
 
 
-def _residual_is_member(res: np.ndarray, tol: float) -> bool:
-    """The verdict on a membership_residual: exact residuals must all be 0, float ones <= tol."""
+def _membership(a, g: Graph, h: Graph, tol: float) -> tuple[np.ndarray, bool]:
+    """The residual the verdict judges, and the verdict: exact a as it is, every residual 0;
+    float a at its correlation matrix, every residual <= tol, so a -> D a D keeps the verdict."""
+    a = as_sym(a)
+    res = membership_residual(a if is_exact(a) else to_correlation(a)[1], g, h)
     _check_tol(tol)
     if res.dtype == object:
-        return not any(res)
-    return bool(np.abs(res).max(initial=0.0) <= tol)
+        return res, not any(res)
+    return res, bool(np.abs(res).max(initial=0.0) <= tol)
 
 
 def _check_tol(tol: float):

@@ -108,7 +108,7 @@ def test_statement_tables_refuse_sizes_out_of_range_before_building(monkeypatch,
     monkeypatch.setattr(ci, "_statement_entries", no_table)
     for build in (ci.all_statements, lambda n: ci.statement_at(n, 0),
                   lambda n: Relation.from_statements(n, [])):
-        with pytest.raises(ValueError, match=r"ground set size must be in 1\.\.16"):
+        with pytest.raises(ValueError, match=r"vertex count must be in 1\.\.16"):
             build(n)
     with pytest.raises(ValueError, match=r"vertex count must be in 1\.\.16"):
         ci.relation_of_graph(Graph(n, (0,) * n))  # the graph refuses before relation_of_graph runs
@@ -421,7 +421,8 @@ def test_statement_text_is_computed_once_and_changes_nothing_else():
 
 
 def test_graph_relations_are_upward_stable_gaussoids():
-    for n in (2, 3, 4):
+    # the fact that lets recognize_markov decide by comparing <G> with r alone
+    for n in (1, 2, 3, 4, 5):
         for mask in range(1 << len(pairs_lex(n))):
             r = relation_of_graph(graph_from_edge_mask(n, mask))
             assert is_upward_stable(r)
@@ -650,6 +651,93 @@ def test_recognize_markov_roundtrip():
         assert recognize_markov(relation_of_graph(g)) == g
 
 
+# -- the row-layout transforms against the statement-by-statement gathers they replaced
+
+def _dual_by_gather(r):
+    n = r.n
+    masks, i0, j0 = ci._statement_entries(n)
+    return ci._from_bool_array(
+        n, ci._to_bool_array(r)[ci._index_of(n, i0, j0, ~masks & ((1 << n) - 1))])
+
+
+def _upward_stable_by_gather(r):
+    n = r.n
+    held = ci._to_bool_array(r)
+    masks, i0, j0 = ci._statement_entries(n)
+    for k in range(n):
+        grow = held & (masks >> k & 1 == 0) & (i0 != k) & (j0 != k)
+        if not held[ci._index_of(n, i0[grow], j0[grow], masks[grow] | 1 << k)].all():
+            return False
+    return True
+
+
+def _direct_sum_by_gather(r, r2):
+    n, m = r.n, r2.n
+    masks, i0, j0 = ci._statement_entries(n + m)
+    hits = (i0 < n) & (j0 >= n)
+    first, second = j0 < n, i0 >= n
+    hits[first] = ci._to_bool_array(r)[
+        ci._index_of(n, i0[first], j0[first], masks[first] & ((1 << n) - 1))]
+    hits[second] = ci._to_bool_array(r2)[
+        ci._index_of(m, i0[second] - n, j0[second] - n, masks[second] >> n)]
+    return ci._from_bool_array(n + m, hits)
+
+
+def _recognize_markov_with_prechecks(r):
+    if not _upward_stable_by_gather(r) or not ci.is_gaussoid(r):
+        return None
+    everything = frozenset(range(1, r.n + 1))
+    g = Graph.from_edges(r.n, [(i, j) for i, j in pairs_lex(r.n)
+                               if not r.has(i, j, everything - {i, j})])
+    return g if relation_of_graph(g) == r else None
+
+
+def _random_relation(n, density, rng):
+    return ci._from_bool_array(n, rng.random(num_statements(n)) < density)
+
+
+@functools.cache
+def _layout_inputs():
+    """Every relation with n <= 3, seeded ones with n = 4..8 at three densities, and
+    every graphical and double Markov relation with n = 4."""
+    rels = {Relation(n, bits) for n in (1, 2, 3) for bits in range(1 << num_statements(n))}
+    rng = np.random.default_rng(41)
+    rels |= {_random_relation(n, density, rng)
+             for n in range(4, 9) for density in (0.1, 0.5, 0.9) for _ in range(4)}
+    gs = [graph_from_edge_mask(4, mask) for mask in range(1 << 6)]
+    rels |= {relation_of_graph(g) for g in gs}
+    rels |= {double_markov_relation(g, h) for g in gs for h in gs}
+    return sorted(rels, key=lambda r: (r.n, r.bits))
+
+
+def test_dual_reverses_rows_like_the_gather():
+    for r in _layout_inputs():
+        assert dual(r) == _dual_by_gather(r)
+
+
+def test_upward_stability_reads_rows_like_the_gather():
+    verdicts = [is_upward_stable(r) for r in _layout_inputs()]
+    assert verdicts == [_upward_stable_by_gather(r) for r in _layout_inputs()]
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_recognize_markov_needs_no_prechecks():
+    graphs_found = [recognize_markov(r) for r in _layout_inputs()]
+    assert graphs_found == [_recognize_markov_with_prechecks(r) for r in _layout_inputs()]
+    assert sum(g is not None for g in graphs_found) >= 64 + 8 + 2 + 1  # every graph, n <= 4
+
+
+def test_direct_sum_tiles_rows_like_the_gather():
+    rng = np.random.default_rng(43)
+    for r in _layout_inputs():
+        if r.n > 3:
+            continue
+        for m in (1, 2, 3, 4):  # one-vertex blocks on either side, r.n = 1 among them
+            r2 = _random_relation(m, 0.5, rng)
+            assert direct_sum_relations(r, r2) == _direct_sum_by_gather(r, r2)
+            assert direct_sum_relations(r2, r) == _direct_sum_by_gather(r2, r)
+
+
 def test_canonical_form_invariance():
     rng = np.random.default_rng(41)
     for _ in range(20):
@@ -760,7 +848,7 @@ def test_parse_relation_refuses_a_large_n_before_building_bits():
 
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="ground set size"):
+        with pytest.raises(ValueError, match="vertex count"):
             parse_relation("n 30\n(1 3 | 2)\n")
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -66,6 +66,31 @@ def test_analyze_golden_report():
     assert rep.to_json() == golden
 
 
+def _report_facts(g, h):
+    """The parts of the report that the symmetries of the model keep, in two groups:
+    (kept under relabelling only, kept under the G/H swap as well)."""
+    rep = cli.build_report(g, h)
+    gens = rep.ideal.get("generators")
+    case = rep.classification and rep.classification["case"]
+    return ((rep.connectedness_certificate["kind"], gens and len(gens), case),
+            (rep.ci["relation_size"], rep.ci["gaussoid"], len(rep.ci["violations"]),
+             rep.dimension_bound))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_report_is_equivariant_under_relabelling_and_swap(n):
+    rng = random.Random(61 + n)
+    for _ in range(100):
+        g, h = (graphs.graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
+                for _ in range(2))
+        perm = rng.sample(range(1, n + 1), n)
+        moved = [graphs.Graph.from_edges(n, [(perm[i - 1], perm[j - 1]) for i, j in x.edges])
+                 for x in (g, h)]
+        facts = _report_facts(g, h)
+        assert _report_facts(*moved) == facts
+        assert _report_facts(h, g)[1] == facts[1]
+
+
 def test_analyze_complete_pair(tmp_path, capsys):
     pair = write(tmp_path, "k4.pair", "n 4\nG " + " ".join(
         f"{i}-{j}" for i in range(1, 5) for j in range(i + 1, 5)) + "\nH " + " ".join(
@@ -278,6 +303,18 @@ def test_verify_agrees_with_is_member(tmp_path, capsys, matrix, rc, verdict):
     assert capsys.readouterr().out == f"max residual: 1.000000e-11\n{verdict}\n"
     g, h = graphs.parse_pair_file(open(pair).read())
     assert matrices.is_member(matrices.parse_matrix(open(mat).read()), g, h) == (rc == 0)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_verify_judges_the_correlation_matrix(tmp_path, capsys, scale):
+    # G complete, H the path 1-2-3: the residual is the (1, 3) entry of the
+    # correlation matrix, 5e-9 at every scale
+    a = np.eye(3)
+    a[0, 2] = a[2, 0] = 5e-9
+    mat = write(tmp_path, "m.mat", matrices.format_matrix(scale * a))
+    pair = write(tmp_path, "p.pair", "n 3\nG 1-2 1-3 2-3\nH 1-2 2-3\n")
+    assert main(["verify", mat, pair]) == 0
+    assert capsys.readouterr().out == "max residual: 5.000000e-09\nmember\n"
 
 
 @pytest.mark.parametrize("flags", [[], ["--connected"]])

@@ -112,7 +112,7 @@ def test_relation_of_matrix_refuses_17_vertices_before_any_table(monkeypatch):
     monkeypatch.setattr(ci, "_statement_entries", no_table)
     monkeypatch.setattr(matrices, "_minor_sweep", no_table)
     for a in (np.eye(17), rational_matrix(np.eye(17, dtype=int).tolist())):
-        with pytest.raises(ValueError, match=r"ground set size must be in 1\.\.16"):
+        with pytest.raises(ValueError, match=r"vertex count must be in 1\.\.16"):
             relation_of_matrix(a)
 
 
@@ -290,6 +290,17 @@ def test_membership_residual():
     res = membership_residual(bad, g, h)
     assert 0.125 in np.abs(np.round(res, 12)).tolist()
     assert not is_member(bad, g, h)
+
+
+def test_membership_verdict_does_not_depend_on_the_scale():
+    # G complete, H the path 1-2-3: the (1, 3) entry is the only residual
+    g, h = complete_graph(3), Graph.from_edges(3, [(1, 2), (2, 3)])
+    for entry, member in ((5e-9, True), (2e-8, False)):
+        a = np.eye(3)
+        a[0, 2] = a[2, 0] = entry
+        d = np.diag([1e3, 1.0, 1e-3])
+        scaled = [s * a for s in (1e-3, 1.0, 1e3)] + [d @ a @ d]
+        assert [is_member(b, g, h) for b in scaled] == [member] * 4
 
 
 def test_membership_exact():
