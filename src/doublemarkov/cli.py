@@ -248,16 +248,15 @@ def cmd_verify(args) -> int:
 
 def _non_pd_diagnostics(a):
     print("not positive definite")
+    n = a.shape[0]
+    # the test that refused a, on a as parsed, so exact stays exact
+    order = next((k for k in range(1, n) if not matrices.is_pd(a[:k, :k])), n)
+    print(f"first failing leading principal minor: order {order}")
     try:
         af = a.astype(float)
     except OverflowError:  # an exact entry beyond the float range
         print("entries exceed the float range: no minor diagnostics")
         return
-    n = af.shape[0]
-    for k in range(n):
-        if matrices.det(af[: k + 1, : k + 1]) <= 0:
-            print(f"first failing leading principal minor: order {k + 1}")
-            break
     print(f"determinant: {matrices.det(af):.17g}")
     if n <= 12:
         # each minor against the product of its diagonal entries, the scale of

@@ -5,9 +5,10 @@ path in H) the vanishing ideal of the correlation model is generated by
 square-free monomials: one variable per non-edge of H, one path monomial
 per H-path whose endpoint pair is a non-edge of G.
 
-The exact oracle expands submaximal minors of the generic unit-diagonal
-symmetric matrix patterned on H by cofactors over rational coefficients;
-it is the single source of truth for signs.
+The exact oracle expands minors of the generic unit-diagonal symmetric
+matrix patterned on H by the Leibniz formula over the pattern's nonzero
+entries, with rational coefficients; it is the single source of truth for
+signs.
 """
 
 from __future__ import annotations
@@ -36,12 +37,18 @@ class SparsePolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    self.terms[tuple(sorted(mono))] = coeff
+        self.terms = self._summed((m, Fraction(c)) for m, c in (terms or {}).items()).terms
+
+    @classmethod
+    def _summed(cls, pairs) -> "SparsePolynomial":
+        """The sum of (monomial, coefficient) pairs: monomials sorted, zero sums dropped."""
+        out = {}
+        for mono, c in pairs:
+            mono = tuple(sorted(mono))
+            out[mono] = out.get(mono, 0) + c
+        res = cls.__new__(cls)
+        res.terms = {m: Fraction(c) for m, c in out.items() if c}
+        return res
 
     @staticmethod
     def zero() -> "SparsePolynomial":
@@ -63,21 +70,10 @@ class SparsePolynomial:
         return not self.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        res = SparsePolynomial()
-        res.terms = out
-        return res
+        return self._summed([*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
-        res = SparsePolynomial()
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return self._summed((m, -c) for m, c in self.terms.items())
 
     def __sub__(self, other):
         return self + (-other)
@@ -85,18 +81,8 @@ class SparsePolynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = SparsePolynomial.constant(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(sorted(m1 + m2))
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        res = SparsePolynomial()
-        res.terms = out
-        return res
+        return self._summed((m1 + m2, c1 * c2) for m1, c1 in self.terms.items()
+                            for m2, c2 in other.terms.items())
 
     __rmul__ = __mul__
 
@@ -126,38 +112,35 @@ class SparsePolynomial:
         return " + ".join(bits)
 
 
-def _symbolic_entry(h: Graph, a: int, b: int) -> SparsePolynomial:
-    if a == b:
-        return SparsePolynomial.constant(1)
-    if h.has_edge(a, b):
-        return SparsePolynomial.variable(a, b)
-    return SparsePolynomial.zero()
+def _check_symbolic(h: Graph, vertices) -> list[int]:
+    """The vertices as ints, after refusing h past 7 vertices or a vertex outside h."""
+    if h.n > 7:
+        raise ValueError("symbolic expansion supported for n <= 7")
+    return [graphs._check_vertex(h.n, v) for v in vertices]
 
 
-def _sym_det(rows: list[int], cols: list[int], entry) -> SparsePolynomial:
-    """Cofactor expansion along the row with fewest structural nonzeros."""
-    m = len(rows)
-    if m == 0:
-        return SparsePolynomial.constant(1)
-    if m == 1:
-        return entry(rows[0], cols[0])
-    grid = [[entry(r, c) for c in cols] for r in rows]
-    counts = [sum(not e.is_zero() for e in row) for row in grid]
-    r = counts.index(min(counts))
-    if counts[r] == 0:
-        return SparsePolynomial.zero()
-    total = SparsePolynomial.zero()
-    sub_rows = rows[:r] + rows[r + 1 :]
-    for c, e in enumerate(grid[r]):
-        if e.is_zero():
-            continue
-        sub_cols = cols[:c] + cols[c + 1 :]
-        minor = _sym_det(sub_rows, sub_cols, entry)
-        term = e * minor
-        if (r + c) % 2:
-            term = -term
-        total = total + term
-    return total
+def _patterned_det(h: Graph, rows: list[int], cols: list[int]) -> SparsePolynomial:
+    """Leibniz expansion of the unit-diagonal h-patterned matrix on rows x cols.
+
+    The walk emits one signed term per bijection rows -> cols through nonzero
+    entries, the diagonal (1) or an edge of h (s_ij): taking the p-th remaining
+    column (from 0) flips the sign when p is odd.  The terms are summed once.
+    """
+    entry = {(r, c): () if r == c else (_edge(r, c),)
+             for r in rows for c in cols if r == c or h.has_edge(r, c)}
+    terms = []
+
+    def walk(i, free, mono, sign):
+        if i == len(rows):
+            terms.append((mono, sign))
+            return
+        for p, c in enumerate(free):
+            e = entry.get((rows[i], c))
+            if e is not None:
+                walk(i + 1, free[:p] + free[p + 1:], mono + e, -sign if p % 2 else sign)
+
+    walk(0, tuple(cols), (), 1)
+    return SparsePolynomial._summed(terms)
 
 
 def symbolic_apm(h: Graph, k: int, l: int) -> SparsePolynomial:
@@ -165,24 +148,17 @@ def symbolic_apm(h: Graph, k: int, l: int) -> SparsePolynomial:
 
     Unit diagonal, zero entries off the edges of h, variable s_ij on edges.
     """
-    if h.n > 7:
-        raise ValueError("symbolic expansion supported for n <= 7")
-    graphs._check_vertex(h.n, k)
-    graphs._check_vertex(h.n, l)
+    k, l = _check_symbolic(h, (k, l))
     if k == l:
         raise ValueError("needs two distinct vertices")
-    verts = list(range(1, h.n + 1))
-    rows = [v for v in verts if v != k]
-    cols = [v for v in verts if v != l]
-    return _sym_det(rows, cols, lambda a, b: _symbolic_entry(h, a, b))
+    verts = range(1, h.n + 1)
+    return _patterned_det(h, [v for v in verts if v != k], [v for v in verts if v != l])
 
 
 def symbolic_principal_minor(h: Graph, keep) -> SparsePolynomial:
     """Exact det of the H-patterned matrix restricted to the kept vertices."""
-    if h.n > 7:
-        raise ValueError("symbolic expansion supported for n <= 7")
-    vs = sorted(keep)
-    return _sym_det(vs, vs, lambda a, b: _symbolic_entry(h, a, b))
+    vs = sorted(_check_symbolic(h, keep))
+    return _patterned_det(h, vs, vs)
 
 
 @dataclass(frozen=True)

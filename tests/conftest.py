@@ -1,6 +1,13 @@
 import numpy as np
+import pytest
 
 from doublemarkov import Graph, geometry, graphs
+
+
+@pytest.fixture
+def sympy():
+    """The independent exact oracle: sympy is a test-only dependency."""
+    return pytest.importorskip("sympy")
 
 
 def random_graph(n, rng, p=0.5):

@@ -266,6 +266,23 @@ def test_verify_non_pd_minors_are_judged_at_their_own_scale(tmp_path, capsys, ma
 BIG = "1" + "0" * 400  # 10^400, beyond the float range
 
 
+@pytest.mark.parametrize("matrix, order", [
+    # the order-2 pivot fails PIVOT_TOL, though that minor's float determinant is 2e-13 > 0
+    ("3\n1 0.9999999999999 0\n0.9999999999999 1 0\n0 0 1\n", 2),
+    # exactly singular, with a float determinant that rounds to 8.6e-15
+    ("3\n49/9 -14/5 0\n-14/5 1924/225 -28/9\n0 -28/9 49/36\n", 3),
+    # exact entries beyond the float range
+    (f"3\n1/2 {BIG} 0\n{BIG} 1 0\n0 0 1\n", 2),
+], ids=["pivot-tolerance", "exact-singular", "beyond-float"])
+def test_verify_names_the_leading_minor_the_pd_test_refused(tmp_path, capsys, matrix, order):
+    pair = "n 3\nG 1-2 1-3 2-3\nH 1-2 1-3 2-3\n"
+    files = [write(tmp_path, "m.mat", matrix), write(tmp_path, "p.pair", pair)]
+    assert main(["verify", *files]) == 1
+    out = capsys.readouterr().out
+    assert "not positive definite" in out
+    assert f"first failing leading principal minor: order {order}\n" in out
+
+
 @pytest.mark.parametrize("matrix, pair, rc, line", [
     # not positive definite: the float diagnostics cannot convert the entries
     (f"2\n1/2 {BIG}\n{BIG} 1\n", "n 2\nG 1-2\nH 1-2\n", 1,
@@ -610,6 +627,7 @@ KINDS = {"analyze": ("pair",), "closure": ("relation",), "verify": ("matrix", "p
 PARSERS = {"pair": lambda text: graphs.parse_pair_file(text)[0].n,
            "relation": lambda text: ci.parse_relation(text).n,
            "matrix": lambda text: matrices.parse_matrix(text).shape[0]}
+FLAGS = {"analyze": [[], ["--point", "--seed", "0"]]}  # each flag set runs on every input
 MAX_FUZZ_N = 6  # analyze and closure grow about 2x per vertex beyond this; both
 # refuse n above cli.MAX_TABLE_N at once, so those headers are fed too
 
@@ -645,14 +663,15 @@ def _run_on_files(tmp_dir, command, contents):
         past_budget = command in ("analyze", "closure") and size is not None and size > cli.MAX_TABLE_N
         assume(size is None or size <= MAX_FUZZ_N or past_budget)
         paths.append(path)
-    out, err = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main([command, *paths])
-    assert rc in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
-    if past_budget:
-        assert rc == 3 and time.perf_counter() - start < 1.0
+    for flags in FLAGS.get(command, [[]]):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([command, *paths, *flags])
+        assert rc in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if past_budget:
+            assert rc == 3 and time.perf_counter() - start < 1.0
 
 
 def _fuzzed_inputs(data, command, corrupt):

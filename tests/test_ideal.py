@@ -98,6 +98,70 @@ def test_symbolic_apm_examples():
     assert symbolic_apm(empty_graph(4), 1, 3).is_zero()
 
 
+def test_sparse_polynomial_constructor_sums_keys_that_sort_alike():
+    x12, x23 = (1, 2), (2, 3)
+    assert SparsePolynomial({(x12, x23): 1, (x23, x12): -1}).is_zero()
+    twice = SparsePolynomial({(x12, x23): 1, (x23, x12): 1})
+    assert twice == 2 * SparsePolynomial.monomial([x12, x23])
+
+
+def test_symbolic_minors_refuse_vertices_outside_h():
+    with pytest.raises(ValueError, match="out of range"):
+        symbolic_principal_minor(complete_graph(4), [9])
+    with pytest.raises(ValueError, match="out of range"):
+        symbolic_apm(complete_graph(4), 1, 5)
+    with pytest.raises(ValueError, match="n <= 7"):
+        symbolic_principal_minor(complete_graph(8), [9])
+
+
+def _sympy_minor(sympy, h, rows, cols) -> dict:
+    """The term dict of det of the symbolic h-patterned matrix on rows x cols, by sympy."""
+    edges = list(h.edges)
+    symbols = [sympy.Symbol(f"s{i}_{j}") for i, j in edges]
+    var = dict(zip(edges, symbols))
+    m = sympy.Matrix([[1 if r == c else var.get((min(r, c), max(r, c)), 0) for c in cols]
+                      for r in rows])
+    poly = sympy.Poly(m.det(method="berkowitz"), *(symbols or [sympy.Symbol("x")]))
+    return {tuple(e for e, k in zip(edges, exps) for _ in range(k)): Fraction(int(c.p), int(c.q))
+            for exps, c in poly.terms() if c}
+
+
+def _assert_minors_match_sympy(sympy, h, apms=None, principal=True):
+    verts = range(1, h.n + 1)
+    for k, l in apms or itertools.permutations(verts, 2):
+        rows, cols = [v for v in verts if v != k], [v for v in verts if v != l]
+        assert symbolic_apm(h, k, l).terms == _sympy_minor(sympy, h, rows, cols), (h, k, l)
+    for r in range(1, h.n + 1) if principal else ():
+        for keep in itertools.combinations(verts, r):
+            got = symbolic_principal_minor(h, keep).terms
+            assert got == _sympy_minor(sympy, h, keep, keep), (h, keep)
+
+
+def test_symbolic_minors_match_sympy_small(sympy):
+    for n in (1, 2, 3, 4):
+        for h in all_graphs(n):
+            _assert_minors_match_sympy(sympy, h)
+
+
+def test_symbolic_minors_match_sympy_seeded(sympy):
+    rng = np.random.default_rng(67)
+    for n, p in ((5, 0.5), (5, 0.8), (6, 0.4)):
+        _assert_minors_match_sympy(sympy, random_graph(n, rng, p))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_symbolic_apm_of_a_complete_graph_matches_sympy(sympy, n):
+    _assert_minors_match_sympy(sympy, complete_graph(n), apms=[(2, n)], principal=False)
+
+
+def test_submaximal_minors_of_k7_are_fast():
+    h = complete_graph(7)
+    start = time.perf_counter()
+    minors = [symbolic_apm(h, k, l) for k, l in itertools.permutations(range(1, 8), 2)]
+    assert time.perf_counter() - start < 1.5
+    assert len(minors) == 42 and all(len(m.terms) > 1 for m in minors)
+
+
 def test_path_expansion_identity_exact_small():
     for n in (2, 3, 4):
         for h in all_graphs(n):

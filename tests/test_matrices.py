@@ -434,12 +434,6 @@ def test_sweep_matches_minors_exact_up_to_5():
     assert relation_of_matrix(ints) == _relation_by_minors(ints)
 
 
-@pytest.fixture
-def sympy():
-    """The independent exact oracle: sympy is a test-only dependency."""
-    return pytest.importorskip("sympy")
-
-
 def _as_fraction(x) -> Fraction:
     return Fraction(int(x.p), int(x.q))
 
