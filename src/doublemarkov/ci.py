@@ -40,7 +40,7 @@ from .graphs import (Graph, _bits, _check_vertex, _check_vertex_count, _parse_n_
 HORN_RULES = ("semigraphoid", "intersection", "composition", "rule17")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Statement:
     """CI statement (ij|K) with 1-based i < j and K a frozenset disjoint from ij."""
 

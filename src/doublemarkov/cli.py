@@ -307,7 +307,7 @@ def make_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="check matrix membership in a model")
     pv.add_argument("matrix_file")
     pv.add_argument("pair_file")
-    pv.add_argument("--tol", type=float, default=1e-8)
+    pv.add_argument("--tol", type=float, default=matrices.DEFAULT_TOL)
     pv.set_defaults(func=cmd_verify)
 
     pc = sub.add_parser("closure", help="Horn closure of a relation file")

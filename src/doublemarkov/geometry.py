@@ -73,10 +73,10 @@ def span_dimension(basis: TangentBasis, rank_tol: float = RANK_TOL) -> int:
     return numerical_rank(_basis_matrix(basis.generators, basis.point.shape[0]), rank_tol)
 
 
-def _model_correlation(a, g: Graph, h: Graph, tol: float) -> np.ndarray:
-    """Correlation matrix R of a = D R D; ValueError unless R is on the model within tol."""
+def _model_correlation(a, g: Graph, h: Graph) -> np.ndarray:
+    """Correlation matrix R of a = D R D; ValueError unless matrices.is_member accepts R."""
     r = matrices.to_correlation(matrices.as_sym(a).astype(float))[1]
-    if not matrices.is_member(r, g, h, tol):
+    if not matrices.is_member(r, g, h):
         raise ValueError("point is not on the model; residual too large")
     return r
 
@@ -87,10 +87,11 @@ def is_transverse_at(p, g: Graph, h: Graph, rank_tol: float = RANK_TOL) -> bool:
     They do exactly when the defining equations' gradients are independent,
     that is when the pseudo-Jacobian at the correlation matrix of p has full
     row rank, #non-edges(G) + #non-edges(H).  The diagonal columns are not
-    needed: the rescaling directions of p lie in both tangent spaces.  The
-    correlation matrix must be on the model (membership residual at most 1e-8).
+    needed: the rescaling directions of p lie in both tangent spaces.  Like
+    local_tangent_dimension, it accepts p exactly when matrices.is_member does
+    at DEFAULT_TOL (1e-8), and raises ValueError otherwise.
     """
-    jac = stacked_jacobian(_model_correlation(p, g, h, 1e-8), g, h)
+    jac = stacked_jacobian(_model_correlation(p, g, h), g, h)
     return jac.rank(rank_tol) == len(jac.rows)
 
 
@@ -168,10 +169,11 @@ def local_tangent_dimension(a, g: Graph, h: Graph, rank_tol: float = RANK_TOL) -
 
     It upper-bounds the local dimension of the correlation model at R.  The
     covariance model is closed under a -> D a D for positive diagonal D, so
-    its tangent dimension at a is this value plus n.  R must be on the model
-    (membership residual at most 1e-6).
+    its tangent dimension at a is this value plus n.  Like is_transverse_at,
+    it accepts a exactly when matrices.is_member does at DEFAULT_TOL (1e-8),
+    and raises ValueError otherwise.
     """
-    jac = stacked_jacobian(_model_correlation(a, g, h, 1e-6), g, h)
+    jac = stacked_jacobian(_model_correlation(a, g, h), g, h)
     return len(jac.col_positions) - jac.rank(rank_tol)
 
 
@@ -342,20 +344,27 @@ def _search_point(g: Graph, h: Graph, seed: int) -> FindPointResult:
     n = g.n
     fi, fj = _index_pairs(h.edges)
     tk, tl = _index_pairs(g.non_edges())
+
+    def evaluate(x):
+        """(matrix, inverse, residuals) at the free entries x, or None where Cholesky fails."""
+        a = _build_corr(n, fi, fj, x)
+        chol = matrices.cholesky_or_none(a)
+        if chol is None:
+            return None
+        inv = matrices.chol_inverse(chol)
+        return a, inv, inv[tk, tl]
+
     best = None
     for restart in range(RESTARTS):
         rng = random.Random(f"{seed}:{restart}")
         x = np.array([rng.uniform(-INIT_SCALE / n, INIT_SCALE / n) for _ in fi])
-        a = _build_corr(n, fi, fj, x)
-        # off-diagonal row sums <= (n - 1) INIT_SCALE / n < 1: a is strictly diagonally
-        # dominant, hence positive definite, so Cholesky succeeds and restart 0 sets best
-        inv = matrices.chol_inverse(matrices.cholesky_or_none(a))
-        r = inv[tk, tl]
-        iters = 0
-        stall = 0
+        # off-diagonal row sums <= (n - 1) INIT_SCALE / n < 1: the start is strictly diagonally
+        # dominant, hence positive definite, so evaluate succeeds and restart 0 sets best
+        a, inv, r = evaluate(x)
+        iters = stall = 0
         best_rmax = np.inf
         while iters < MAX_ITER:
-            rmax = np.abs(r).max() if r.size else 0.0
+            rmax = np.abs(r).max(initial=0.0)
             if rmax <= RESIDUAL_TOL:
                 break
             if rmax <= 0.9 * best_rmax:
@@ -369,37 +378,25 @@ def _search_point(g: Graph, h: Graph, seed: int) -> FindPointResult:
             # rcond cut kills near-null step components that would otherwise
             # drift the iterate toward the cone boundary
             d, *_ = np.linalg.lstsq(jac, -r, rcond=1e-8)
-            dmax = np.abs(d).max() if d.size else 0.0
+            dmax = np.abs(d).max()
             if dmax > 0.5:
                 d *= 0.5 / dmax
-            grad = jac.T @ r
-            slope = grad @ d
-            if slope >= 0:
-                d = -grad
-                slope = grad @ d
-                if slope >= 0:
-                    break
+            slope = (jac.T @ r) @ d
+            if slope >= 0:  # the step is no descent direction
+                break
+            iters += 1
             fval = 0.5 * (r @ r)
-            alpha, accepted = 1.0, False
+            alpha = 1.0
             while alpha > 1e-14:
                 xn = x + alpha * d
-                if xn.size and np.abs(xn).max() >= ENTRY_CAP:
-                    alpha *= 0.5
-                    continue
-                an = _build_corr(n, fi, fj, xn)
-                Ln = matrices.cholesky_or_none(an)
-                if Ln is not None:
-                    invn = matrices.chol_inverse(Ln)
-                    rn = invn[tk, tl]
-                    if 0.5 * (rn @ rn) <= fval + 1e-4 * alpha * slope:
-                        x, a, inv, r = xn, an, invn, rn
-                        accepted = True
-                        break
+                trial = None if np.abs(xn).max() >= ENTRY_CAP else evaluate(xn)
+                if trial is not None and 0.5 * (trial[2] @ trial[2]) <= fval + 1e-4 * alpha * slope:
+                    break
                 alpha *= 0.5
-            iters += 1
-            if not accepted:
-                break
-        rmax = float(np.abs(r).max()) if r.size else 0.0
+            else:
+                break  # no trial step decreases the residual enough
+            x, (a, inv, r) = xn, trial
+        rmax = float(np.abs(r).max(initial=0.0))
         result = FindPointResult(a, rmax, rmax <= RESIDUAL_TOL, seed, restart + 1, iters)
         if best is None or result.residual < best.residual:
             best = result

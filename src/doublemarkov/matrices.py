@@ -367,9 +367,9 @@ def is_member(a, g: Graph, h: Graph, tol: float = DEFAULT_TOL) -> bool:
 def _membership(a, g: Graph, h: Graph, tol: float) -> tuple[np.ndarray, bool]:
     """The residual the verdict judges, and the verdict: exact a as it is, every residual 0;
     float a at its correlation matrix, every residual <= tol, so a -> D a D keeps the verdict."""
+    _check_tol(tol)  # before any residual, so a bad tol is refused whatever a is
     a = as_sym(a)
     res = membership_residual(a if is_exact(a) else to_correlation(a)[1], g, h)
-    _check_tol(tol)
     if res.dtype == object:
         return res, not any(res)
     return res, bool(np.abs(res).max(initial=0.0) <= tol)

@@ -760,13 +760,26 @@ def test_enumerate_never_tracebacks(token, connected):
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_verify_refuses_bad_tolerances(tmp_path, capsys, tol):
     eye = write(tmp_path, "eye.mat", "3\n1 0 0\n0 1 0\n0 0 1\n")
+    not_pd = write(tmp_path, "not_pd.mat", "3\n1 2 0\n2 1 0\n0 0 1\n")
     pair = write(tmp_path, "p.pair", "n 3\nG 1-2\nH 2-3\n")
-    assert main(["verify", eye, pair, "--tol", tol]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "tolerance must be finite and non-negative" in captured.err
+    for mat in (eye, not_pd):  # refused before the matrix is judged
+        assert main(["verify", mat, pair, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be finite and non-negative" in captured.err
     assert main(["verify", eye, pair, "--tol", "0"]) == 0
     assert capsys.readouterr().out.endswith("\nmember\n")
+    assert cli.make_parser().parse_args(["verify", eye, pair]).tol == matrices.DEFAULT_TOL
+
+
+@pytest.mark.parametrize("n", range(MAX_FUZZ_N + 1, cli.MAX_TABLE_N + 1))
+def test_closure_of_relation_headers_past_the_fuzz_bound_is_fast(tmp_path, capsys, n):
+    """The fuzz tests skip relation headers with MAX_FUZZ_N < n <= MAX_TABLE_N; time one each."""
+    rel = write(tmp_path, "one.rel", f"n {n}\n(1 2 | 3)\n")
+    start = time.perf_counter()
+    assert main(["closure", rel, "--rules", "all"]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().out.startswith("(1 2 | 3)\n")
 
 
 def test_verify_refuses_extra_tokens_on_the_size_line(tmp_path, capsys):

@@ -383,6 +383,41 @@ def test_local_tangent_dimension_requires_model_point():
         local_tangent_dimension(a, complete_graph(4), empty_graph(4))
 
 
+def _converged_points():
+    """Converged points of find_model_point on the n <= 4 orbits and on seeded random pairs, n = 5..7."""
+    rng = np.random.default_rng(41)
+    pairs = [(g, h) for n in (3, 4)
+             for _, g, h in enumerate_inequivalent(n, connected_only=False).representatives]
+    pairs += [(random_graph(n, rng), random_graph(n, rng)) for n in (5, 6, 7) for _ in range(30)]
+    found = [(g, h, find_model_point(g, h, seed=int(rng.integers(100)))) for g, h in pairs]
+    return [(g, h, res.matrix) for g, h, res in found if res.converged]
+
+
+def test_converged_points_are_accepted_by_every_model_check():
+    points = _converged_points()
+    assert len(points) >= 170  # of 180 pairs
+    for g, h, a in points:
+        assert is_pd(a) and matrices.is_member(a, g, h)
+        local_tangent_dimension(a, g, h)
+        is_transverse_at(a, g, h)
+
+
+def test_both_tangent_verdicts_refuse_a_point_off_the_model_by_the_membership_rule():
+    g = Graph.from_edges(3, [(1, 2), (2, 3)])
+    k3 = complete_graph(3)
+    near = 0.25 + 2e-7  # the inverse's (1, 3) entry is about 3.6e-7, past DEFAULT_TOL
+    a = np.array([[1, 0.5, near], [0.5, 1, 0.5], [near, 0.5, 1]])
+    assert 1e-8 < np.abs(membership_residual(a, g, k3)).max() <= 1e-6
+    assert not matrices.is_member(a, g, k3)
+    for verdict in (local_tangent_dimension, is_transverse_at):
+        with pytest.raises(ValueError, match="not on the model"):
+            verdict(a, g, k3)
+    on = a.copy()
+    on[0, 2] = on[2, 0] = 0.25
+    assert matrices.is_member(on, g, k3)
+    assert (local_tangent_dimension(on, g, k3), is_transverse_at(on, g, k3)) == (2, True)
+
+
 @pytest.fixture(scope="module")
 def found_points():
     """Converged model points of the n = 4 orbits and of random pairs with n = 4..7."""

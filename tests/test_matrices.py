@@ -548,6 +548,11 @@ def test_bad_tolerances_are_refused(tol):
     with pytest.raises(ValueError, match="tolerance"):
         is_member(rational_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), g, h, tol=tol)
     assert is_member(np.eye(3), g, h, tol=0.0)
+    not_pd = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="tolerance"):  # before the positive definiteness test
+        is_member(not_pd, g, h, tol=tol)
+    with pytest.raises(NotPositiveDefinite):
+        is_member(not_pd, g, h)
     assert relation_of_matrix(np.eye(3), tol=0.0) == relation_of_graph(empty_graph(3))
 
 
