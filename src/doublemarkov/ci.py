@@ -34,8 +34,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graphs import (Graph, _bits, _check_vertex, _check_vertex_count, _parse_n_line,
-                     _same_ground_set, pairs_lex)
+from .graphs import (Graph, _bits, _check_vertex, _check_vertex_count, _numbered_lines,
+                     _parse_n_line, _same_ground_set, pairs_lex)
 
 HORN_RULES = ("semigraphoid", "intersection", "composition", "rule17")
 
@@ -117,21 +117,25 @@ def _statement(kmask: int, i0: int, j0: int) -> Statement:
     return Statement(i0 + 1, j0 + 1, frozenset(v + 1 for v in _bits(kmask)))
 
 
-def _vertex_mask(n: int, stmt: Statement) -> int:
-    """Bitmask of i, j and K, checked distinct and in 1..n; _index_of drops i and j."""
-    i, j = stmt.i, stmt.j
-    mask = 1 << (i - 1) | 1 << (j - 1) if 0 < i <= n and 0 < j <= n else 0
-    for v in stmt.K:
-        if 0 < v <= n:
-            mask |= 1 << (v - 1)
+def _vertex_mask(n: int, i: int, j: int, K=()) -> int:
+    """Bitmask of i, j and K as written, refused unless they are distinct vertices in 1..n."""
+    vs = (i, j, *K)
+    mask = 0
+    for v in vs:
+        mask |= 1 << (v - 1) if 0 < v <= n else 0
     # a repeated or out-of-range vertex leaves fewer bits than vertices
-    if mask.bit_count() != len(stmt.K) + 2:
-        raise ValueError(f"statement {stmt} does not fit ground set 1..{n}")
+    if mask.bit_count() != len(vs):
+        raise ValueError(f"statement {Statement(i, j, vs[2:])} does not fit ground set 1..{n}")
     return mask
 
 
+def _checked_index(n: int, i: int, j: int, K=()) -> int:
+    """Index of (ij|K) after the ground-set check; _index_of drops i and j from the mask."""
+    return int(_index_of(n, i - 1, j - 1, _vertex_mask(n, i, j, K)))
+
+
 def statement_index(n: int, stmt: Statement) -> int:
-    return int(_index_of(n, stmt.i - 1, stmt.j - 1, _vertex_mask(n, stmt)))
+    return _checked_index(n, stmt.i, stmt.j, stmt.K)
 
 
 def statement_at(n: int, index: int) -> Statement:
@@ -170,16 +174,18 @@ class Relation:
     @staticmethod
     def from_statements(n: int, statements) -> "Relation":
         _check_vertex_count(n)  # before 1 << index allocates 2^(n-2)-bit ints
-        stmts = [s if isinstance(s, Statement) else make_statement(*s) for s in statements]
-        cols = np.array([(s.i - 1, s.j - 1, _vertex_mask(n, s)) for s in stmts], dtype=np.intp)
-        return Relation(n, sum(1 << t for t in set(_index_of(n, *cols.reshape(-1, 3).T).tolist())))
+        bits = 0
+        for s in statements:
+            bits |= 1 << (statement_index(n, s) if isinstance(s, Statement)
+                          else _checked_index(n, *s))
+        return Relation(n, bits)
 
     def statements(self) -> tuple[Statement, ...]:
         held = np.flatnonzero(_to_bool_array(self))
         return tuple(map(_statement, *(col[held].tolist() for col in _statement_entries(self.n))))
 
     def has(self, i: int, j: int, K=()) -> bool:
-        return bool(self.bits >> statement_index(self.n, make_statement(i, j, K)) & 1)
+        return bool(self.bits >> _checked_index(self.n, i, j, K) & 1)
 
     def __contains__(self, stmt: Statement) -> bool:
         return bool(self.bits >> statement_index(self.n, stmt) & 1)
@@ -567,44 +573,49 @@ def relation_to_text(r: Relation, form: str = "list") -> str:
 
 def parse_relation(text: str) -> Relation:
     """Parse either serialization form produced by relation_to_text."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = _numbered_lines(text)
     if not lines:
         raise ValueError("empty relation file")
-    n = _parse_n_line(lines[0])
-    if len(lines) > 1 and lines[1].startswith("hex"):
+    n = _parse_n_line(*lines[0])
+    if len(lines) > 1 and lines[1][1].startswith("hex"):
         return _parse_hex(n, lines[1:])
-    stmts = [_parse_statement_line(ln, no + 2) for no, ln in enumerate(lines[1:])]
-    return Relation.from_statements(n, stmts)
+    bits = 0
+    for no, line in lines[1:]:
+        try:
+            bits |= 1 << _checked_index(n, *_parse_statement(line))
+        except ValueError as e:
+            raise ValueError(f"line {no}: {e}") from None
+    return Relation(n, bits)
 
 
-def _parse_hex(n: int, lines: list[str]) -> Relation:
+def _parse_hex(n: int, lines: list[tuple[int, str]]) -> Relation:
     """The 'hex <digits>' line: exactly ceil(m / 8) bytes for m statements, zero padding."""
     if len(lines) > 1:
-        raise ValueError(f"line 3: unexpected text after the hex line: {lines[1]!r}")
-    toks = lines[0].split()
+        raise ValueError("line {}: unexpected text after the hex line: {!r}".format(*lines[1]))
+    no, line = lines[0]
+    toks = line.split()
     if toks[0] != "hex" or len(toks) > 2:
-        raise ValueError(f"line 2: expected 'hex <digits>', got {lines[0]!r}")
+        raise ValueError(f"line {no}: expected 'hex <digits>', got {line!r}")
     try:
         raw = bytes.fromhex(toks[1] if len(toks) == 2 else "")
     except ValueError:
-        raise ValueError(f"line 2: malformed hex digits {lines[0]!r}") from None
+        raise ValueError(f"line {no}: malformed hex digits {line!r}") from None
     m = num_statements(n)
     if len(raw) != -(-m // 8):
-        raise ValueError(f"line 2: {m} statements need {-(-m // 8)} hex bytes, got {len(raw)}")
+        raise ValueError(f"line {no}: {m} statements need {-(-m // 8)} hex bytes, got {len(raw)}")
     arr = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
     if arr[m:].any():
-        raise ValueError(f"line 2: padding bits beyond statement {m - 1} are set")
+        raise ValueError(f"line {no}: padding bits beyond statement {m - 1} are set")
     return _from_bool_array(n, arr[:m])
 
 
-def _parse_statement_line(line: str, line_no: int) -> Statement:
-    body = line.strip()
-    if not (body.startswith("(") and body.endswith(")")):
-        raise ValueError(f"line {line_no}: expected '(i j | k ...)', got {line!r}")
+def _parse_statement(line: str) -> tuple[int, int, tuple[int, ...]]:
+    """(i, j, K) of the statement '(i j | k ...)', with K as written."""
+    if not (line.startswith("(") and line.endswith(")")):
+        raise ValueError(f"expected '(i j | k ...)', got {line!r}")
+    left, _, right = line[1:-1].partition("|")
     try:
-        left, _, right = body[1:-1].partition("|")
         i, j = map(int, left.split())
-        K = tuple(map(int, right.split()))
-        return make_statement(i, j, K)
+        return i, j, tuple(map(int, right.split()))
     except ValueError:
-        raise ValueError(f"line {line_no}: malformed statement {line!r}") from None
+        raise ValueError(f"malformed statement {line!r}") from None

@@ -283,46 +283,44 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
 
 def parse_pair_file(text: str) -> tuple[Graph, Graph]:
     """Parse the three-line pair format: ``n <count>``, ``G <i>-<j> ...``, ``H ...``."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = _numbered_lines(text)
     if len(lines) != 3:
         raise ValueError(f"pair file needs exactly three non-blank lines (n, G, H), "
                          f"found {len(lines)}")
-    n = _parse_n_line(lines[0])
-    g = _parse_edge_line(lines[1], "G", n, line_no=2)
-    h = _parse_edge_line(lines[2], "H", n, line_no=3)
-    return g, h
+    n = _parse_n_line(*lines[0])
+    return tuple(_parse_edge_line(no, line, tag, n) for (no, line), tag in zip(lines[1:], "GH"))
 
 
-def _parse_n_line(line: str) -> int:
+def _numbered_lines(text: str) -> list[tuple[int, str]]:
+    """(line number in the file, stripped text) per non-blank line, for all three formats."""
+    return [(no, s) for no, line in enumerate(text.splitlines(), start=1) if (s := line.strip())]
+
+
+def _parse_n_line(no: int, line: str) -> int:
     toks = line.split()
     if len(toks) != 2 or toks[0] != "n":
-        raise ValueError(f"line 1: expected 'n <count>', got {line.strip()!r}")
+        raise ValueError(f"line {no}: expected 'n <count>', got {line!r}")
     try:
         n = int(toks[1])
     except ValueError:
-        raise ValueError(f"line 1: vertex count {toks[1]!r} is not an integer") from None
+        raise ValueError(f"line {no}: vertex count {toks[1]!r} is not an integer") from None
     if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"line 1: vertex count must be in 1..{MAX_VERTICES}, got {n}")
+        raise ValueError(f"line {no}: vertex count must be in 1..{MAX_VERTICES}, got {n}")
     return n
 
 
-def _parse_edge_line(line: str, tag: str, n: int, line_no: int) -> Graph:
+def _parse_edge_line(no: int, line: str, tag: str, n: int) -> Graph:
     toks = line.split()
-    if not toks or toks[0] != tag:
-        raise ValueError(f"line {line_no}: expected it to start with {tag!r}")
+    if toks[0] != tag:
+        raise ValueError(f"line {no}: expected it to start with {tag!r}")
     edges = []
     for tok in toks[1:]:
-        parts = tok.split("-")
         try:
-            if len(parts) != 2:
-                raise ValueError
-            i, j = int(parts[0]), int(parts[1])
+            i, j = map(int, tok.split("-"))
             if i == j or not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError
         except ValueError:
-            raise ValueError(
-                f"line {line_no}: malformed edge token {tok!r}"
-            ) from None
+            raise ValueError(f"line {no}: malformed edge token {tok!r}") from None
         edges.append((i, j))
     return Graph.from_edges(n, edges)
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotPositiveDefinite
-from .graphs import Graph, _check_vertex_count
+from .graphs import Graph, _check_vertex_count, _numbered_lines
 from . import ci
 
 DEFAULT_TOL = 1e-8
@@ -52,7 +52,7 @@ def as_sym(a, name: str = "matrix") -> np.ndarray:
         asym = np.abs(a - a.T).max()
         if asym > 0:
             # canonicalize away rounding-level asymmetry, reject real asymmetry
-            if asym > 1e-12 * max(1.0, np.abs(a).max()):
+            if asym > 1e-12 * np.abs(a).max():
                 raise ValueError(f"{name} must be symmetric")
             a = (a + a.T) / 2
     return a
@@ -60,15 +60,20 @@ def as_sym(a, name: str = "matrix") -> np.ndarray:
 
 def rational_matrix(rows) -> np.ndarray:
     """Object array of Fractions from nested ints/Fractions/strings like '3/7'."""
-    data = [[Fraction(x) for x in row] for row in rows]
+    data = [[_exact_entry(x) for x in row] for row in rows]
     n = len(data)
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        if len(data[i]) != n:
-            raise ValueError("matrix rows have unequal lengths")
-        for j in range(n):
-            out[i, j] = data[i][j]
-    return as_sym(out)
+    if any(len(row) != n for row in data):
+        raise ValueError("matrix rows have unequal lengths")
+    return as_sym(np.array(data, dtype=object).reshape(n, n))
+
+
+def _exact_entry(x) -> Fraction:
+    """x as a Fraction, refusing a string whose decimal exponent exceeds MAX_EXPONENT."""
+    if isinstance(x, str):
+        exponent = x.lower().partition("e")[2].lstrip("+-").replace("_", "")
+        if exponent.isdecimal() and int(exponent) > MAX_EXPONENT:
+            raise ValueError(f"the exponent of {x[:24]!r} exceeds {MAX_EXPONENT}")
+    return Fraction(x)
 
 
 def _integer_form(a: np.ndarray) -> tuple[list[list[int]], int]:
@@ -199,15 +204,9 @@ def inverse(a) -> np.ndarray:
 def almost_principal_minor(a, i: int, j: int, K=()):
     """det of the (ij|K) minor: rows [i] + sorted K, columns [j] + sorted K."""
     a = as_sym(a)
-    n = a.shape[0]
-    s = ci.make_statement(i, j, K)
-    for v in (s.i, s.j, *s.K):
-        if not 1 <= v <= n:
-            raise ValueError(f"vertex {v} out of range 1..{n}")
-    ks = sorted(s.K)
-    rows = [i - 1] + [v - 1 for v in ks]
-    cols = [j - 1] + [v - 1 for v in ks]
-    return det(a[np.ix_(rows, cols)])
+    ks = sorted(K)
+    ci._vertex_mask(a.shape[0], i, j, ks)
+    return det(a[np.ix_(np.subtract([i, *ks], 1), np.subtract([j, *ks], 1))])
 
 
 def _minor_sweep(a: np.ndarray) -> np.ndarray:
@@ -384,37 +383,27 @@ def _check_tol(tol: float):
 
 def parse_matrix(text: str) -> np.ndarray:
     """Parse 'n' then n rows of n numbers; any 'p/q' token switches to exact mode."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = _numbered_lines(text)
     if not lines:
         raise ValueError("empty matrix file")
+    no, head = lines[0]
     try:
-        (n,) = map(int, lines[0].split())
+        (n,) = map(int, head.split())
     except ValueError:
-        raise ValueError(f"line 1: expected the matrix size, got {lines[0]!r}") from None
+        raise ValueError(f"line {no}: expected the matrix size, got {head!r}") from None
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
-    rows = [ln.split() for ln in lines[1:]]
-    for no, row in enumerate(rows, start=2):
+    entry = _exact_entry if "/" in text else float  # the size line, an int, has no '/'
+    vals = []
+    for no, line in lines[1:]:
+        row = line.split()
         if len(row) != n:
             raise ValueError(f"line {no}: expected {n} entries, found {len(row)}")
-    exact = any("/" in tok for row in rows for tok in row)
-    if exact:
         try:
-            return rational_matrix([[_exact_entry(tok) for tok in row] for row in rows])
-        except ZeroDivisionError as e:  # a 'p/0' entry
-            raise ValueError(f"bad matrix entry: {e}") from None
-    try:
-        vals = [[float(tok) for tok in row] for row in rows]
-    except ValueError as e:
-        raise ValueError(f"bad matrix entry: {e}") from None
-    return as_sym(np.array(vals))
-
-
-def _exact_entry(tok: str) -> Fraction:
-    exponent = tok.lower().partition("e")[2].lstrip("+-").replace("_", "")
-    if exponent.isdecimal() and int(exponent) > MAX_EXPONENT:
-        raise ValueError(f"bad matrix entry: the exponent of {tok[:24]!r} exceeds {MAX_EXPONENT}")
-    return Fraction(tok)
+            vals.append([entry(tok) for tok in row])
+        except (ValueError, ZeroDivisionError) as e:  # ZeroDivisionError: a 'p/0' entry
+            raise ValueError(f"line {no}: bad matrix entry: {e}") from None
+    return as_sym(np.array(vals))  # Fractions give dtype object
 
 
 def format_matrix(a) -> str:

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,12 +146,43 @@ def test_statement_index_refuses_statements_off_the_ground_set(i, j, K):
         statement_index(4, stmt)
     with pytest.raises(ValueError, match="does not fit"):
         Relation.from_statements(4, [stmt])
+    with pytest.raises(ValueError, match="does not fit"):
+        Relation.from_statements(4, [(i, j, K)])
+    with pytest.raises(ValueError, match="does not fit"):
+        full_relation(4).has(i, j, K)
+
+
+def test_a_repeated_conditioning_vertex_is_refused():
+    r = full_relation(4)
+    assert r.has(1, 2, [3]) and r.has(2, 1, (3,)) and (make_statement(1, 2, [3]) in r)
+    for check in (lambda: r.has(1, 2, [3, 3]),
+                  lambda: Relation.from_statements(4, [(1, 2, (3, 3))])):
+        with pytest.raises(ValueError, match=r"statement \(1 2 \| 3 3\) does not fit"):
+            check()
+    with pytest.raises(ValueError, match=r"statement \(1 2 \| 3 4 4\) does not fit"):
+        r.has(1, 2, iter([4, 3, 4]))  # a one-pass K is read once
 
 
 def test_full_relation_counts():
     assert len(full_relation(3)) == 6
     assert len(full_relation(4)) == 24
     assert full_relation(2).statements() == (make_statement(1, 2),)
+    assert repr(full_relation(2)) == "Relation(n=2, {(1 2 |)})"
+    assert repr(full_relation(4)) == (
+        "Relation(n=4, {(1 2 |), (1 2 | 3), (1 2 | 4), (1 2 | 3 4), (1 3 |), (1 3 | 2), "
+        "(1 3 | 4), (1 3 | 2 4), ... 24 total})")
+    with pytest.raises(ValueError, match="outside the statement range"):
+        Relation(3, 1 << 6)
+
+
+def test_relation_set_operations():
+    full, sep = full_relation(3), relation_of_graph(P3)
+    assert full & sep == sep and (full - sep) | sep == full
+    assert (full - sep).statements() == tuple(s for s in full.statements() if s not in sep)
+    assert sep - full == Relation(3, 0)
+    for op in (lambda a, b: a | b, lambda a, b: a & b, lambda a, b: a - b):
+        with pytest.raises(ValueError, match="different ground sets"):
+            op(full, full_relation(4))
 
 
 def test_relation_of_graph_examples():
@@ -302,6 +334,11 @@ def test_check_axioms_weak_transitivity_nonsmooth():
             and set(v.premises) == {make_statement(1, 2), make_statement(1, 2, {3})}
             and set(v.missing) == {make_statement(1, 3), make_statement(2, 3)}]
     assert hits
+    assert repr(hits[0]) == "[weak-transitivity] (1 2 |) & (1 2 | 3) without (1 3 |) | (2 3 |)"
+    a, b = make_statement(1, 2), make_statement(1, 3)
+    horn = ci.AxiomViolation("composition", (a, b), (make_statement(1, 2, [3]),
+                                                      make_statement(1, 3, [2])))
+    assert repr(horn) == "[composition] (1 2 |) & (1 3 |) without (1 2 | 3) & (1 3 | 2)"
 
 
 def test_check_axioms_full_relation_clean():
@@ -401,12 +438,12 @@ def test_is_gaussoid_agrees_with_check_axioms(relations_to_check):
 def test_check_axioms_order_on_star_path():
     """Rule order, then instance-table order: premise indices, then conclusion indices."""
     data = os.path.join(os.path.dirname(__file__), "data")
-    g, h = parse_pair_file(open(os.path.join(data, "star_path.pair")).read())
+    g, h = parse_pair_file(Path(data, "star_path.pair").read_text())
     violations = check_axioms(double_markov_relation(g, h))
     keys = [(RULE_ORDER.index(v.rule), [statement_index(4, st) for st in v.premises],
              [statement_index(4, st) for st in v.missing]) for v in violations]
     assert len(keys) > 1 and keys == sorted(keys) and len(set(map(repr, keys))) == len(keys)
-    golden = json.load(open(os.path.join(data, "star_path_report.json")))
+    golden = json.loads(Path(data, "star_path_report.json").read_text())
     assert [{"rule": v.rule, "premises": list(map(repr, v.premises)),
              "missing": list(map(repr, v.missing))}
             for v in violations] == golden["ci"]["violations"]
@@ -646,6 +683,8 @@ def test_repeated_rule_names_count_once():
 
 def test_closure_fixpoint_on_full():
     assert closure(full_relation(4), ci.HORN_RULES) == full_relation(4)
+    # below n = 3 no rule has an instance
+    assert closure(Relation(2, 0), ci.HORN_RULES) == Relation(2, 0)
 
 
 def test_recognize_markov():
@@ -836,6 +875,8 @@ def test_serialization_roundtrip():
         r = Relation(n, bits)
         assert parse_relation(relation_to_text(r, "hex")) == r
         assert parse_relation(relation_to_text(r, "list")) == r
+    with pytest.raises(ValueError, match="unknown serialization form 'csv'"):
+        relation_to_text(full_relation(3), "csv")
 
 
 def test_parse_relation_errors():
@@ -843,6 +884,23 @@ def test_parse_relation_errors():
         parse_relation("")
     with pytest.raises(ValueError, match="line 2"):
         parse_relation("n 4\n(1 1 |)\n")
+
+
+@pytest.mark.parametrize("text, msg", [
+    ("\n\nn x\n(1 2 |)\n", "line 3: vertex count 'x' is not an integer"),
+    ("n 4\n\n\n(1 2 | x)\n", "line 4: malformed statement '(1 2 | x)'"),
+    ("n 4\n(1 3 | 2)\n\n[1 2]\n", "line 4: expected '(i j | k ...)', got '[1 2]'"),
+    ("n 4\n(1 3 | 2)\n\n(1 2 | 9)\n", "line 4: statement (1 2 | 9) does not fit ground set 1..4"),
+    ("n 4\n \n(1 2 | 3 3)\n", "line 3: statement (1 2 | 3 3) does not fit ground set 1..4"),
+    ("n 4\n\n(2 2 |)\n", "line 3: statement (2 2 |) does not fit ground set 1..4"),
+    ("n 4\n\n\t\nhex ff\n", "line 4: 24 statements need 3 hex bytes, got 1"),
+    ("n 3\n\nhex fc 00\n", "line 3: expected 'hex <digits>', got 'hex fc 00'"),
+    ("n 3\nhex fc\n\n(1 2 |)\n", "line 4: unexpected text after the hex line: '(1 2 |)'"),
+])
+def test_parse_relation_refusals_name_the_line_in_the_file(text, msg):
+    with pytest.raises(ValueError) as exc:
+        parse_relation(text)
+    assert str(exc.value) == msg
 
 
 @pytest.mark.parametrize("text,msg", [

@@ -39,6 +39,8 @@ def test_single_edge_case():
     assert np.array_equal(a, np.eye(4))
     a = sample_from_family(desc, {"a": 0.6})
     assert a[0, 1] == 0.6 and residual_ok(a, STAR4, PATH4)
+    with pytest.raises(ValueError, match="need explicit params or an rng"):
+        sample_from_family(desc)
 
 
 def test_trivial_case():

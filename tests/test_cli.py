@@ -7,6 +7,7 @@ import os
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -51,7 +52,7 @@ def test_analyze_star_path(tmp_path, capsys):
     assert "blocks: {1 2} {3} {4}" in text
     assert "model <= 5, correlation <= 1" in text
     assert "s_13" in text and "s_34" in text
-    rep = json.loads(open(out).read())
+    rep = json.loads(Path(out).read_text())
     assert rep["dimension_bound"] == {"model": 5, "correlation": 1}
     assert rep["decomposition"]["blocks"] == [[1, 2], [3], [4]]
     assert rep["ideal"]["generators"] == ["s_13", "s_14", "s_23", "s_24", "s_34"]
@@ -60,9 +61,9 @@ def test_analyze_star_path(tmp_path, capsys):
 
 def test_analyze_golden_report():
     from doublemarkov import graphs
-    g, h = graphs.parse_pair_file(open(STAR_PATH).read())
+    g, h = graphs.parse_pair_file(Path(STAR_PATH).read_text())
     rep = cli.build_report(g, h)
-    golden = open(os.path.join(DATA, "star_path_report.json")).read()
+    golden = Path(DATA, "star_path_report.json").read_text()
     assert rep.to_json() == golden
 
 
@@ -109,7 +110,7 @@ def test_analyze_without_unique_paths_reports_no_ideal(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "  unique-path hypothesis fails; no monomial ideal reported\n" in text
     assert "connectedness certificate: Unknown\n" in text
-    assert json.loads(open(out).read())["ideal"] == {"unique_path": False}
+    assert json.loads(Path(out).read_text())["ideal"] == {"unique_path": False}
 
 
 def test_analyze_point_reproducible(tmp_path):
@@ -117,8 +118,8 @@ def test_analyze_point_reproducible(tmp_path):
     out2 = str(tmp_path / "b.json")
     assert main(["analyze", STAR_PATH, "--point", "--seed", "11", "--json", out1]) == 0
     assert main(["analyze", STAR_PATH, "--point", "--seed", "11", "--json", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
-    rep = json.loads(open(out1).read())
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
+    rep = json.loads(Path(out1).read_text())
     assert rep["model_point"]["converged"] is True
     assert rep["model_point"]["residual"] <= 1e-10
 
@@ -207,7 +208,7 @@ def test_enumerate_cli(tmp_path, capsys):
     out = str(tmp_path / "enum.csv")
     assert main(["enumerate", "3", "--connected", "--out", out]) == 0
     assert capsys.readouterr().out.strip() == "count=4"
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert lines[0] == "canonical_hex,n,rep_G_edges,rep_H_edges"
     assert len(lines) == 5
 
@@ -304,7 +305,7 @@ def test_verify_exact_entries_beyond_float_range(tmp_path, capsys, matrix, pair,
 @pytest.mark.parametrize("entry", [f"1e{matrices.MAX_EXPONENT}", f"1E-{matrices.MAX_EXPONENT}"])
 def test_verify_exponents_up_to_the_bound_are_exact(tmp_path, entry):
     mat = write(tmp_path, "e.mat", f"2\n{entry} 0\n0 1/1\n")
-    assert matrices.parse_matrix(open(mat).read())[0, 0] == Fraction(entry)
+    assert matrices.parse_matrix(Path(mat).read_text())[0, 0] == Fraction(entry)
     assert main(["verify", mat, write(tmp_path, "p.pair", "n 2\nG\nH\n")]) == 0
 
 
@@ -318,8 +319,8 @@ def test_verify_agrees_with_is_member(tmp_path, capsys, matrix, rc, verdict):
     mat, pair = write(tmp_path, "m.mat", matrix), write(tmp_path, "p.pair", "n 2\nG\nH 1-2\n")
     assert main(["verify", mat, pair]) == rc
     assert capsys.readouterr().out == f"max residual: 1.000000e-11\n{verdict}\n"
-    g, h = graphs.parse_pair_file(open(pair).read())
-    assert matrices.is_member(matrices.parse_matrix(open(mat).read()), g, h) == (rc == 0)
+    g, h = graphs.parse_pair_file(Path(pair).read_text())
+    assert matrices.is_member(matrices.parse_matrix(Path(mat).read_text()), g, h) == (rc == 0)
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
@@ -463,7 +464,39 @@ def test_zero_denominator_is_usage_error(tmp_path, capsys):
     mat = write(tmp_path, "zero.mat", "2\n1 1/0\n1/0 1\n")
     pair = write(tmp_path, "p.pair", "n 2\nG\nH\n")
     assert main(["verify", mat, pair]) == 2
-    assert "bad matrix entry" in capsys.readouterr().err
+    assert "line 2: bad matrix entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name, text, line", [
+    ("closure", "r.rel", "n 4\n(1 3 | 2)\n\n(1 2 | 3 3)\n",
+     "line 4: statement (1 2 | 3 3) does not fit ground set 1..4"),
+    ("closure", "r.rel", "\nn 4\n\n(1 2 | 9)\n", "line 4: statement (1 2 | 9) does not fit"),
+    ("closure", "r.rel", "n 4\n\n\nhex 00\n", "line 4: 24 statements need 3 hex bytes"),
+    ("analyze", "p.pair", "\n\nn 4\n\nG 1-2\nH 1-2 2-5\n", "line 6: malformed edge token '2-5'"),
+    ("verify", "m.mat", "2\n\n1 0\n\n0 one\n", "line 5: bad matrix entry"),
+])
+def test_refusals_name_the_line_in_the_file(tmp_path, capsys, command, name, text, line):
+    files = [write(tmp_path, name, text)]
+    if command == "verify":
+        files.append(write(tmp_path, "p.pair", "n 2\nG\nH\n"))
+    assert main([command, *files]) == 2
+    assert line in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1.0, 1e6])
+def test_verify_refuses_an_asymmetric_matrix_at_every_scale(tmp_path, capsys, scale):
+    a = scale * np.array([[1, .5, 0], [.5003, 1, .2], [0, .2, 1]])
+    mat = write(tmp_path, "a.mat", "3\n" + "\n".join(" ".join(map(repr, row)) for row in a.tolist()))
+    pair = write(tmp_path, "k3.pair", "n 3\nG 1-2 1-3 2-3\nH 1-2 1-3 2-3\n")
+    assert main(["verify", mat, pair]) == 2
+    assert "matrix must be symmetric" in capsys.readouterr().err
+
+
+def test_analyze_prints_why_a_pair_is_unclassified(tmp_path, capsys):
+    star = write(tmp_path, "star.pair", "n 4\nG 1-2 1-3 1-4\nH 1-2 1-3 1-4\n")
+    assert main(["analyze", star]) == 0
+    assert ("  classification: three shared edges form a star, which is outside the "
+            "classified cases\n") in capsys.readouterr().out
 
 
 def test_cli_import_does_not_load_scipy():

@@ -277,6 +277,7 @@ def test_pair_file_roundtrip():
     assert g == STAR4 and h == PATH4
     g2, h2 = parse_pair_file("n 3\nG\nH 1-2\n")
     assert g2.edges == () and h2.edges == ((1, 2),)
+    assert repr(STAR4) == "Graph(n=4, edges=[1-2 1-3 1-4])" and repr(g2) == "Graph(n=3, edges=[])"
 
 
 @pytest.mark.parametrize("bad,msg", [
@@ -290,3 +291,16 @@ def test_pair_file_roundtrip():
 def test_pair_file_errors(bad, msg):
     with pytest.raises(ValueError, match=msg.replace("(", "[(]")):
         parse_pair_file(bad)
+
+
+@pytest.mark.parametrize("text, msg", [
+    ("\n\nn x\nG\nH\n", "line 3: vertex count 'x' is not an integer"),
+    ("\n \nn 17\nG\nH\n", "line 3: vertex count must be in 1..16, got 17"),
+    ("\n\nn 4\n\nG 1-5\nH\n", "line 5: malformed edge token '1-5'"),
+    ("n 4\n\t\nH 1-2\n\nG\n", "line 3: expected it to start with 'G'"),
+    ("n 4\nG 1-2\n\n\n\nH 2-3 3-3\n", "line 6: malformed edge token '3-3'"),
+])
+def test_pair_file_refusals_name_the_line_in_the_file(text, msg):
+    with pytest.raises(ValueError) as exc:
+        parse_pair_file(text)
+    assert str(exc.value) == msg

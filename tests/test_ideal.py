@@ -50,6 +50,9 @@ def test_sparse_polynomial_arithmetic():
     assert (p - p).is_zero()
     assert p.evaluate({(1, 2): 0.5, (2, 3): 0.25}) == pytest.approx(0.1875)
     assert SparsePolynomial.constant(Fraction(1, 3)) * 3 == SparsePolynomial.constant(1)
+    assert repr(p) == "1*s12*s12 + -1*s23*s23" and repr(p - p) == "0"
+    assert repr(SparsePolynomial.constant(2) + x * y) == "2*1 + 1*s12*s23"
+    assert hash(p) == hash(x * x - y * y) and len({p, x * x - y * y, x}) == 2
 
 
 def test_unique_path_hypothesis():

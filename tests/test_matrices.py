@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from doublemarkov import Graph, complete_graph, empty_graph
-from doublemarkov.ci import Relation, all_statements, dual, full_relation, marginal
+from doublemarkov.ci import (Relation, all_statements, dual, full_relation, marginal,
+                             permute_relation)
 from doublemarkov.errors import NotPositiveDefinite
 from doublemarkov.matrices import (
     almost_principal_minor,
@@ -26,7 +27,7 @@ from doublemarkov.matrices import (
     to_correlation,
 )
 from doublemarkov.ci import check_axioms, direct_sum_relations, relation_of_graph
-from doublemarkov.graphs import graph_from_edge_mask
+from doublemarkov.graphs import connected_components, graph_from_edge_mask
 
 from conftest import graphical_pd, random_graph, random_pd
 
@@ -67,6 +68,10 @@ def test_apm_examples():
     for i, j in [(1, 2), (1, 4), (2, 3)]:
         assert almost_principal_minor(np.eye(4), i, j, {5 - i}
                                       if 5 - i not in (i, j) else set()) == 0
+    # the statement check of ci: distinct vertices in 1..n, a repeated one included
+    for i, j, K in [(1, 1, ()), (1, 2, [1]), (1, 2, [3, 3]), (1, 4, ()), (0, 2, ())]:
+        with pytest.raises(ValueError, match=r"does not fit ground set 1\.\.3"):
+            almost_principal_minor(s, i, j, K)
 
 
 def test_apm_exact_matches_float():
@@ -211,6 +216,8 @@ def test_to_correlation():
     assert np.allclose(r, [[1, 1 / 3], [1 / 3, 1]])
     with pytest.raises(NotPositiveDefinite):
         to_correlation(np.array([[0.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="needs float input"):
+        to_correlation(rational_matrix([[4, 2], [2, 9]]))
 
 
 def test_to_correlation_properties():
@@ -256,6 +263,9 @@ def test_hadamard_and_direct_sum():
     a = random_pd(3, rng)
     assert np.array_equal(hadamard(a, np.ones((3, 3))), a)
     assert np.array_equal(direct_sum_matrix(np.eye(2), np.eye(3)), np.eye(5))
+    exact = direct_sum_matrix(rational_matrix([[1]]), rational_matrix([["1", "1/2"], ["1/2", "1"]]))
+    assert exact.dtype == object and exact.tolist() == [
+        [1, 0, 0], [0, 1, Fraction(1, 2)], [0, Fraction(1, 2), 1]]
     with pytest.raises(ValueError):
         hadamard(a, np.eye(4))
     # Hadamard of PD and PSD with positive diagonal stays PD
@@ -343,6 +353,17 @@ def test_matrix_io_roundtrip():
 def test_as_sym_rejects_asymmetric():
     with pytest.raises(ValueError):
         as_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1.0, 1e6])
+def test_as_sym_judges_asymmetry_relative_to_the_entries(scale):
+    # a relative asymmetry of 3e-4 is real at every scale; rounding-level is averaged away
+    a = np.array([[1, .5, 0], [.5003, 1, .2], [0, .2, 1]])
+    with pytest.raises(ValueError, match="must be symmetric"):
+        as_sym(scale * a)
+    a[1, 0] = .5 * (1 + 1e-15)
+    b = as_sym(scale * a)
+    assert np.array_equal(b, b.T) and np.allclose(b, scale * a, rtol=1e-14, atol=0)
 
 
 # -- oracles for the Schur-complement sweep and the single-factor checks -------
@@ -560,3 +581,72 @@ def test_bad_tolerances_are_refused(tol):
 def test_parse_matrix_size_line_is_one_integer(head):
     with pytest.raises(ValueError, match="line 1: expected the matrix size"):
         parse_matrix(head + "\n1 0 0\n0 1 0\n0 0 1\n")
+
+
+@pytest.mark.parametrize("text, msg", [
+    ("\n\n2 x\n1 0\n0 1\n", "line 3: expected the matrix size, got '2 x'"),
+    ("2\n\n1 0\n\n\n0 1 0\n", "line 6: expected 2 entries, found 3"),
+    ("2\n1 0\n \n0 x\n", "line 4: bad matrix entry: could not convert string to float: 'x'"),
+    ("2\n\n1 1/0\n1/0 1\n", "line 3: bad matrix entry: Fraction(1, 0)"),
+    ("2\n1 0\n\n\n0 1e5000/1\n", "line 5: bad matrix entry: Invalid literal for Fraction: "
+                                   "'1e5000/1'"),
+    ("2\n\t\n1 0\n0 1\n1 1\n", "expected 2 matrix rows, found 3"),
+    ("2\n\n1/1 0\n\n0 1e5000\n", "line 5: bad matrix entry: the exponent of '1e5000' exceeds 4300"),
+])
+def test_parse_matrix_refusals_name_the_line_in_the_file(text, msg):
+    with pytest.raises(ValueError) as exc:
+        parse_matrix(text)
+    assert str(exc.value) == msg
+
+
+def test_rational_matrix_takes_one_conversion_per_entry():
+    with pytest.raises(ValueError, match="exponent of '1e5000' exceeds 4300"):
+        rational_matrix([["1e5000"]])  # unguarded, Fraction builds a 5001-digit integer
+    m = rational_matrix([[1, "1/2"], [Fraction(1, 2), "1e2"]])
+    assert m.dtype == object and m.tolist() == [[1, Fraction(1, 2)], [Fraction(1, 2), 100]]
+    assert all(type(x) is Fraction for x in m.flat)
+    with pytest.raises(ValueError, match="unequal lengths"):
+        rational_matrix([[1, 0], [0]])
+    assert rational_matrix([]).shape == (0, 0)
+
+
+def _relabel_matrix(a, perm):
+    """b with b[perm[v] - 1, perm[w] - 1] = a[v - 1, w - 1]."""
+    p = np.subtract(perm, 1)
+    b = np.empty_like(a)
+    b[np.ix_(p, p)] = a
+    return b
+
+
+def _relabel_graph(g, perm):
+    return Graph.from_edges(g.n, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_matrix_verdicts_do_not_depend_on_the_labels_or_the_scale(exact):
+    """relation_of_matrix, is_pd and is_member of a relabelled D a D are those of a, relabelled."""
+    rng = np.random.default_rng(63)
+    for n in (3, 4, 5) if exact else (3, 4, 5, 6, 7):
+        for _ in range(3):
+            g = random_graph(n, rng)
+            a = _graph_pattern_rational(g, rng) if exact else graphical_pd(g, rng)
+            # a is in the model of (g, h) and, for any edge e of g, not in that of (g - e, h)
+            h = Graph.from_edges(n, [p for block in connected_components(g)
+                                     for p in itertools.combinations(block, 2)])
+            pairs = [(g, h, True)] + [(Graph.from_edges(n, set(g.edges) - {e}), h, False)
+                                      for e in g.edges[:1]]
+            perm = tuple(int(v) + 1 for v in rng.permutation(n))
+            d = ([Fraction(int(x), 7) for x in rng.integers(1, 50, size=n)] if exact
+                 else 10.0 ** rng.uniform(-3, 3, size=n))
+            moved = _relabel_matrix(np.outer(d, d) * a, perm)
+            assert moved.dtype == a.dtype
+            assert relation_of_matrix(moved) == permute_relation(relation_of_matrix(a), perm)
+            not_pd = a.copy()
+            not_pd[0, 1] = not_pd[1, 0] = a[0, 0] + a[1, 1]
+            for b, pd in ((a, True), (not_pd, False)):
+                assert is_pd(b) == pd
+                assert is_pd(_relabel_matrix(np.outer(d, d) * b, perm)) == pd
+            for gg, hh, member in pairs:
+                assert is_member(a, gg, hh) == member
+                assert is_member(moved, _relabel_graph(gg, perm), _relabel_graph(hh, perm)) \
+                    == member
