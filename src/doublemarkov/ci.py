@@ -34,8 +34,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graphs import (Graph, _bits, _check_vertex, _check_vertex_count, _numbered_lines,
-                     _parse_n_line, _same_ground_set, pairs_lex)
+from .graphs import (MAX_VERTICES, Graph, _bits, _check_vertex, _check_vertex_count,
+                     _numbered_lines, _parse_n_line, _same_ground_set, pairs_lex)
 
 HORN_RULES = ("semigraphoid", "intersection", "composition", "rule17")
 
@@ -57,14 +57,10 @@ class Statement:
 
 
 def make_statement(i: int, j: int, K=()) -> Statement:
-    if i == j:
-        raise ValueError("statement needs two distinct vertices")
-    if i > j:
-        i, j = j, i
-    K = frozenset(K)
-    if i in K or j in K:
-        raise ValueError(f"conditioning set {sorted(K)} overlaps {{{i}, {j}}}")
-    return Statement(i, j, K)
+    """(ij|K), i and j in either order; i, j and K as written must be distinct in 1..16."""
+    K = tuple(K)
+    _vertex_mask(MAX_VERTICES, i, j, K)
+    return Statement(min(i, j), max(i, j), frozenset(K))
 
 
 def num_statements(n: int) -> int:
@@ -323,14 +319,19 @@ class AxiomViolation:
     missing: tuple[Statement, ...]
 
     def __repr__(self):
-        prem = " & ".join(map(repr, self.premises))
-        glue = " | " if self.rule == "weak-transitivity" else " & "
-        return f"[{self.rule}] {prem} without {glue.join(map(repr, self.missing))}"
+        texts = map(repr, self.premises), map(repr, self.missing)
+        return f"[{self.rule}] {_violation_text(self.rule, *texts)}"
+
+
+def _violation_text(rule: str, premises, missing) -> str:
+    """'<premises> without <missing>', weak transitivity's disjuncts joined by ' | '."""
+    glue = " | " if rule == "weak-transitivity" else " & "
+    return f"{' & '.join(premises)} without {glue.join(missing)}"
 
 
 def _instance_table(prem: np.ndarray, concl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (premises, conclusions), unique and in lexicographic order; halves contiguous."""
-    rows = np.column_stack([prem, concl])
+    """One row per instance, its two halves sorted; rows lexicographic; halves contiguous."""
+    rows = np.column_stack([np.sort(prem, axis=1), np.sort(concl, axis=1)])
     rows = rows[np.lexsort(rows.T[::-1])]  # np.unique would import numpy.ma: 1.2 MB of RSS
     rows = rows[np.diff(rows, axis=0, prepend=-1).any(axis=1)]
     return _read_only(*map(np.ascontiguousarray, np.hsplit(rows, [prem.shape[1]])))
@@ -353,8 +354,8 @@ def _axiom_instances(n: int):
         composition        (ij|K) & (ik|K)   =>  (ij|kK) & (ik|jK)
         weak-transitivity  (ij|K) & (ij|kK)  =>  (ik|K) or (jk|K)
 
-    Rows are sorted and unique; their order is the instance order of
-    check_axioms and of the closure.
+    Intersection and composition are symmetric in j, k and weak transitivity in i, j; each
+    table has one row per instance, in the instance order of check_axioms and the closure.
     """
     i, j, k = (col[:, None] for col in _ordered_tuples(n, 3))
     K = np.arange(1 << n)[None, :]
@@ -379,20 +380,19 @@ def _rule17_instances(n: int):
 
     The conditioning sets are exactly the printed patterns on the quadruple;
     vertices outside {a, b, c, d} never enter a context (literal embedding).
-    Each row's four premises are sorted.
     """
     a, b, c, d = _ordered_tuples(n, 4)
     bit = [1 << v for v in (a, b, c, d)]
     prem = np.column_stack([_index_of(n, a, b, 0), _index_of(n, c, d, 0),
                             _index_of(n, a, c, bit[1] | bit[3]),
                             _index_of(n, b, d, bit[0] | bit[2])])
-    return _instance_table(np.sort(prem, axis=1), _index_of(n, a, c, 0)[:, None])
+    return _instance_table(prem, _index_of(n, a, c, 0)[:, None])
 
 
 def _violation_masks(r: Relation):
     """Per gaussoid rule, lazily: its instance table, which conclusions r holds, violated rows."""
     held = _to_bool_array(r)
-    for rule, (prem, concl) in (_axiom_instances(r.n).items() if r.n >= 3 else ()):
+    for rule, (prem, concl) in _axiom_instances(r.n).items():
         p, c = held[prem], held[concl]
         done = c[:, 0] | c[:, 1] if rule == "weak-transitivity" else c[:, 0] & c[:, 1]
         yield rule, prem, concl, c, p[:, 0] & p[:, 1] & ~done
@@ -401,7 +401,7 @@ def _violation_masks(r: Relation):
 def _violation_rows(r: Relation):
     """Per rule, lazily: the rule, the premise and the missing conclusion indices of each
     violated instance.  The order of check_axioms and of the report: rule order, then
-    instance-table row order, with ``missing`` in conclusion order."""
+    instance-table row order; within a row the indices ascend."""
     for rule, prem, concl, held, bad in _violation_masks(r):
         # held conclusions become -1; a violated weak transitivity holds neither disjunct
         missing = np.where(held[bad], -1, concl[bad]).tolist()
@@ -409,11 +409,11 @@ def _violation_rows(r: Relation):
 
 
 def check_axioms(r: Relation) -> list[AxiomViolation]:
-    """Violated instances of the four gaussoid axioms; empty iff r is a gaussoid.
+    """Violated instances of the four gaussoid axioms, each once; empty iff r is a gaussoid.
 
     Rule order (semigraphoid, intersection, composition, weak-transitivity), then
     instance-table row order (by premise, then conclusion indices) as in _violation_rows.
-    ``missing`` keeps conclusion order; weak transitivity misses both disjuncts.
+    Both tuples ascend by statement index; weak transitivity misses both disjuncts.
     """
     at = all_statements(r.n).__getitem__
     return [AxiomViolation(rule, tuple(map(at, ps)), tuple(map(at, ms)))
@@ -427,13 +427,11 @@ def is_gaussoid(r: Relation) -> bool:
 def _horn_tables(n: int, rules: tuple[str, ...]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """The instance table (premises, conclusions) of each distinct rule in ``rules``, by name.
 
-    Unknown rule names raise ValueError; below n = 3 no rule has an instance.
+    Unknown rule names raise ValueError; below n = 3 every table is empty.
     """
     for rule in rules:
         if rule not in HORN_RULES:
             raise ValueError(f"unknown Horn rule {rule!r}; valid: {HORN_RULES}")
-    if n < 3:
-        return {}
     return {rule: _rule17_instances(n) if rule == "rule17" else _axiom_instances(n)[rule]
             for rule in rules}
 

@@ -91,11 +91,11 @@ def _edge_list(g: graphs.Graph) -> list[list[int]]:
 
 
 # analyze and closure build rule tables that more than double with every
-# vertex.  The star/path report takes 0.6 s and 128 MB at n = 11, 1.8 s and
-# 255 MB at n = 12 and 6.1 s and 605 MB at n = 13; closure of one statement
-# under semigraphoid, intersection and composition takes 0.7 s and 110 MB at
-# n = 11 and 1.7 s and 243 MB at n = 12 (one process each, 2-vCPU host).  At
-# n = 16 either needs several GB.
+# vertex.  The star/path report takes 0.5 s and 121 MB at n = 11, 1.5 s and
+# 253 MB at n = 12 and 5.3 s and 597 MB at n = 13; closure of one statement
+# under semigraphoid, intersection and composition takes 0.6 s and 109 MB at
+# n = 11 and 1.2 s and 238 MB at n = 12 (fastest of three processes, one at
+# n = 13; 2-vCPU host).  At n = 16 either needs several GB.
 MAX_TABLE_N = 12
 
 
@@ -179,9 +179,11 @@ def _print_report(rep: ModelReport):
     p(f"  connectedness certificate: {cert['kind']}{witness}\n")
     p(f"  CI relation: {rep.ci['relation_size']} statements, "
       f"gaussoid: {rep.ci['gaussoid']}\n")
-    for v in rep.ci["violations"][:10]:
-        p(f"    violated {v['rule']}: {' & '.join(v['premises'])} "
-          f"without {' , '.join(v['missing'])}\n")
+    violations = rep.ci["violations"]
+    for v in violations[:10]:
+        p(f"    violated {v['rule']}: {ci._violation_text(**v)}\n")
+    if len(violations) > 10:
+        p(f"    ... {len(violations) - 10} more\n")
     if rep.ideal.get("unique_path"):
         p("  ideal generators:\n")
         for s in rep.ideal["generators"]:

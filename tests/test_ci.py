@@ -163,6 +163,21 @@ def test_a_repeated_conditioning_vertex_is_refused():
         r.has(1, 2, iter([4, 3, 4]))  # a one-pass K is read once
 
 
+@pytest.mark.parametrize("i, j, K, text", [
+    (1, 2, [3, 3], r"\(1 2 \| 3 3\)"), (0, 1, (), r"\(0 1 \|\)"), (1, 20, (), r"\(1 20 \|\)")])
+def test_make_statement_refuses_what_the_relation_parser_refuses(i, j, K, text):
+    with pytest.raises(ValueError, match=rf"statement {text} does not fit ground set 1\.\.16"):
+        make_statement(i, j, K)
+    line = f"({i} {j} |{''.join(f' {k}' for k in K)})"
+    with pytest.raises(ValueError, match=rf"line 2: statement {text} does not fit"):
+        parse_relation(f"n 16\n{line}\n")
+
+
+def test_make_statement_reads_its_conditioning_set_once():
+    assert make_statement(2, 1, iter([4, 3])) == ci.Statement(1, 2, frozenset({3, 4}))
+    assert make_statement(16, 15, range(1, 14)).K == frozenset(range(1, 14))
+
+
 def test_full_relation_counts():
     assert len(full_relation(3)) == 6
     assert len(full_relation(4)) == 24
@@ -381,10 +396,11 @@ def _oracle_instances(n):
         composition        (ij|K) & (ik|K)   =>  (ij|kK) & (ik|jK)
         weak-transitivity  (ij|K) & (ij|kK)  =>  (ik|K) or (jk|K)
 
-    Returns the statements involved and the distinct rows (rule, premises,
-    conclusions, premise positions, conclusion positions) into that list.
+    Returns the statements involved and one row (rule, premises, conclusions,
+    premise positions, conclusion positions) into that list per instance, an
+    instance being a rule with its premise set and its conclusion set.
     """
-    rows = set()
+    rows = {}
     for i, j, k in itertools.permutations(range(1, n + 1), 3):
         rest = [v for v in range(1, n + 1) if v not in (i, j, k)]
         for size in range(len(rest) + 1):
@@ -392,14 +408,15 @@ def _oracle_instances(n):
                 s = make_statement
                 ij, ik, jk = s(i, j, K), s(i, k, K), s(j, k, K)
                 ij_k, ik_j = s(i, j, K | {k}), s(i, k, K | {j})
-                rows |= {("semigraphoid", (ij, ik_j), (ik, ij_k)),
-                         ("intersection", (ij_k, ik_j), (ij, ik)),
-                         ("composition", (ij, ik), (ij_k, ik_j)),
-                         ("weak-transitivity", (ij, ij_k), (ik, jk))}
-    stmts = list({st: None for _, prem, concl in rows for st in prem + concl})
+                for row in [("semigraphoid", (ij, ik_j), (ik, ij_k)),
+                            ("intersection", (ij_k, ik_j), (ij, ik)),
+                            ("composition", (ij, ik), (ij_k, ik_j)),
+                            ("weak-transitivity", (ij, ij_k), (ik, jk))]:
+                    rows.setdefault((row[0], frozenset(row[1]), frozenset(row[2])), row)
+    stmts = list({st: None for _, prem, concl in rows.values() for st in prem + concl})
     pos = {st: t for t, st in enumerate(stmts)}
     return stmts, [(rule, prem, concl, [pos[st] for st in prem], [pos[st] for st in concl])
-                   for rule, prem, concl in rows]
+                   for rule, prem, concl in rows.values()]
 
 
 def _oracle_violations(r, instances):
@@ -414,8 +431,10 @@ def _oracle_violations(r, instances):
 
 
 def _comparable(violations):
+    """Violations as a sorted list of (rule, premise set, missing set): an instance
+    listed twice, in any order of its statements, shows up twice."""
     def key(stmts):
-        return tuple((st.i, st.j, tuple(sorted(st.K))) for st in stmts)
+        return tuple(sorted((st.i, st.j, tuple(sorted(st.K))) for st in stmts))
     return sorted((rule, key(prem), key(missing)) for rule, prem, missing in violations)
 
 
@@ -526,7 +545,8 @@ def _index(n, i, j, K=()):
 
 
 def _reference_axiom_instances(n):
-    """The instance rows built one statement at a time, as sorted tuples."""
+    """Per rule, the set of its instances built one statement at a time, each instance
+    a (premise index set, conclusion index set)."""
     rules = {"semigraphoid": set(), "intersection": set(), "composition": set(),
              "weak-transitivity": set()}
     verts = range(1, n + 1)
@@ -536,18 +556,18 @@ def _reference_axiom_instances(n):
             K = frozenset(rest[t] for t in range(len(rest)) if kb >> t & 1)
             jK, kK = K | {j}, K | {k}
             rules["semigraphoid"].add((
-                (_index(n, i, j, K), _index(n, i, k, jK)),
-                (_index(n, i, k, K), _index(n, i, j, kK))))
+                frozenset({_index(n, i, j, K), _index(n, i, k, jK)}),
+                frozenset({_index(n, i, k, K), _index(n, i, j, kK)})))
             rules["intersection"].add((
-                (_index(n, i, j, kK), _index(n, i, k, jK)),
-                (_index(n, i, j, K), _index(n, i, k, K))))
+                frozenset({_index(n, i, j, kK), _index(n, i, k, jK)}),
+                frozenset({_index(n, i, j, K), _index(n, i, k, K)})))
             rules["composition"].add((
-                (_index(n, i, j, K), _index(n, i, k, K)),
-                (_index(n, i, j, kK), _index(n, i, k, jK))))
+                frozenset({_index(n, i, j, K), _index(n, i, k, K)}),
+                frozenset({_index(n, i, j, kK), _index(n, i, k, jK)})))
             rules["weak-transitivity"].add((
-                (_index(n, i, j, K), _index(n, i, j, kK)),
-                (_index(n, i, k, K), _index(n, j, k, K))))
-    return {name: sorted(inst) for name, inst in rules.items()}
+                frozenset({_index(n, i, j, K), _index(n, i, j, kK)}),
+                frozenset({_index(n, i, k, K), _index(n, j, k, K)})))
+    return rules
 
 
 def _reference_rule17_instances(n):
@@ -555,8 +575,8 @@ def _reference_rule17_instances(n):
     for a, b, c, d in itertools.permutations(range(1, n + 1), 4):
         prem = (_index(n, a, b), _index(n, c, d),
                 _index(n, a, c, (b, d)), _index(n, b, d, (a, c)))
-        out.add((tuple(sorted(prem)), (_index(n, a, c),)))
-    return sorted(out)
+        out.add((frozenset(prem), frozenset({_index(n, a, c)})))
+    return out
 
 
 def _rows(table):
@@ -564,14 +584,39 @@ def _rows(table):
     return [(tuple(p), tuple(c)) for p, c in zip(prem.tolist(), concl.tolist())]
 
 
+def _check_one_row_per_instance(table, instances):
+    """The table rows, each sorted within its premises and its conclusions and the
+    rows in lexicographic order, are the instances, each once."""
+    rows = _rows(table)
+    assert rows == sorted(rows)
+    assert all(list(p) == sorted(p) and list(c) == sorted(c) for p, c in rows)
+    assert len(rows) == len(instances)
+    assert {(frozenset(p), frozenset(c)) for p, c in rows} == instances
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_instance_tables_match_per_statement_builders(n):
     tables = ci._axiom_instances(n)
     reference = _reference_axiom_instances(n)
     assert list(tables) == list(reference)
-    for rule, rows in reference.items():
-        assert _rows(tables[rule]) == rows
-    assert _rows(ci._rule17_instances(n)) == _reference_rule17_instances(n)
+    for rule, instances in reference.items():
+        _check_one_row_per_instance(tables[rule], instances)
+    _check_one_row_per_instance(ci._rule17_instances(n), _reference_rule17_instances(n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_instance_tables_have_one_row_per_instance(n):
+    """Semigraphoid has one instance per ordered triple and context; intersection and
+    composition are symmetric in j <-> k and weak transitivity in i <-> j, so each
+    has half as many.  Rule 17 has one per ordered quadruple and its swap (a b)(c d)."""
+    triples = n * (n - 1) * (n - 2) * (1 << (n - 3))
+    sizes = {rule: len(concl) for rule, (prem, concl) in ci._axiom_instances(n).items()}
+    assert sizes == {"semigraphoid": triples, "intersection": triples // 2,
+                     "composition": triples // 2, "weak-transitivity": triples // 2}
+    assert len(ci._rule17_instances(n)[1]) == n * (n - 1) * (n - 2) * (n - 3) // 2
+    for table in [*ci._axiom_instances(n).values(), ci._rule17_instances(n)]:
+        keys = {(frozenset(p), frozenset(c)) for p, c in _rows(table)}
+        assert len(keys) == len(table[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -586,12 +631,9 @@ def _reference_horn_tables(n):
 
 def _closure_by_full_passes(r, rules):
     """Closure by definition: full passes over every instance until nothing changes."""
-    if r.n < 3:
-        return r
-    tables = [ci._rule17_instances(r.n) if rule == "rule17" else ci._axiom_instances(r.n)[rule]
-              for rule in rules]
-    masks = [(sum(1 << p for p in p_row), sum(1 << c for c in c_row))
-             for prem, concl in tables for p_row, c_row in zip(prem.tolist(), concl.tolist())]
+    tables = _reference_horn_tables(r.n)
+    masks = [(sum(1 << p for p in prem), sum(1 << c for c in concl))
+             for rule in rules for prem, concl in tables.get(rule, ())]
     bits = r.bits
     changed = True
     while changed:
@@ -684,7 +726,9 @@ def test_repeated_rule_names_count_once():
 def test_closure_fixpoint_on_full():
     assert closure(full_relation(4), ci.HORN_RULES) == full_relation(4)
     # below n = 3 no rule has an instance
-    assert closure(Relation(2, 0), ci.HORN_RULES) == Relation(2, 0)
+    for r in (full_relation(1), full_relation(2), Relation(2, 0)):
+        assert closure(r, ci.HORN_RULES) == r and ci._rules_fired(r, r, ci.HORN_RULES) == []
+        assert check_axioms(r) == [] and ci.is_gaussoid(r)
 
 
 def test_recognize_markov():

@@ -113,6 +113,30 @@ def test_analyze_without_unique_paths_reports_no_ideal(tmp_path, capsys):
     assert json.loads(Path(out).read_text())["ideal"] == {"unique_path": False}
 
 
+def test_analyze_prints_each_violation_once_in_the_library_text(tmp_path, capsys):
+    text = "n 4\nG 1-3 2-3\nH 1-3 2-3\n"
+    assert main(["analyze", write(tmp_path, "ns.pair", text)]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if "violated" in line]
+    assert printed == [
+        "    violated weak-transitivity: (1 2 |) & (1 2 | 3) without (1 3 |) | (2 3 |)",
+        "    violated weak-transitivity: (1 2 | 4) & (1 2 | 3 4) without (1 3 | 4) | (2 3 | 4)"]
+    violations = ci.check_axioms(ci.double_markov_relation(*graphs.parse_pair_file(text)))
+    assert [f"[{line.split()[1][:-1]}] {line.split(': ', 1)[1]}" for line in printed] == [
+        repr(v) for v in violations]
+
+
+def test_analyze_says_how_many_violations_it_does_not_print(tmp_path, capsys):
+    for text, total in (("n 5\nG 1-2 1-3 1-4 1-5\nH 1-2 2-3 3-4 4-5\n", 35),
+                        ("n 5\nG 1-2 2-3\nH 1-3\n", 16), ("n 4\nG 1-2 2-3\nH 1-3\n", 8)):
+        out = str(tmp_path / "rep.json")
+        assert main(["analyze", write(tmp_path, "p.pair", text), "--json", out]) == 0
+        printed = capsys.readouterr().out
+        assert len(json.loads(Path(out).read_text())["ci"]["violations"]) == total
+        assert printed.count("    violated ") == min(total, 10)
+        assert printed.count(" more\n") == (total > 10)
+        assert (f"    ... {total - 10} more\n" in printed) == (total > 10)
+
+
 def test_analyze_point_reproducible(tmp_path):
     out1 = str(tmp_path / "a.json")
     out2 = str(tmp_path / "b.json")
