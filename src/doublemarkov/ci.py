@@ -34,8 +34,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graphs import (MAX_VERTICES, Graph, _bits, _check_vertex, _check_vertex_count,
-                     _numbered_lines, _parse_n_line, _same_ground_set, pairs_lex)
+from .graphs import (MAX_VERTICES, Graph, _bits, _check_vertex_count, _numbered_lines,
+                     _parse_n_line, _same_ground_set, _vertices, pairs_lex)
 
 HORN_RULES = ("semigraphoid", "intersection", "composition", "rule17")
 
@@ -58,8 +58,7 @@ class Statement:
 
 def make_statement(i: int, j: int, K=()) -> Statement:
     """(ij|K), i and j in either order; i, j and K as written must be distinct in 1..16."""
-    K = tuple(K)
-    _vertex_mask(MAX_VERTICES, i, j, K)
+    (i, j, *K), _ = _vertices(MAX_VERTICES, (i, j, *K), statement=True)
     return Statement(min(i, j), max(i, j), frozenset(K))
 
 
@@ -113,21 +112,10 @@ def _statement(kmask: int, i0: int, j0: int) -> Statement:
     return Statement(i0 + 1, j0 + 1, frozenset(v + 1 for v in _bits(kmask)))
 
 
-def _vertex_mask(n: int, i: int, j: int, K=()) -> int:
-    """Bitmask of i, j and K as written, refused unless they are distinct vertices in 1..n."""
-    vs = (i, j, *K)
-    mask = 0
-    for v in vs:
-        mask |= 1 << (v - 1) if 0 < v <= n else 0
-    # a repeated or out-of-range vertex leaves fewer bits than vertices
-    if mask.bit_count() != len(vs):
-        raise ValueError(f"statement {Statement(i, j, vs[2:])} does not fit ground set 1..{n}")
-    return mask
-
-
 def _checked_index(n: int, i: int, j: int, K=()) -> int:
     """Index of (ij|K) after the ground-set check; _index_of drops i and j from the mask."""
-    return int(_index_of(n, i - 1, j - 1, _vertex_mask(n, i, j, K)))
+    ints, mask = _vertices(n, (i, j, *K), statement=True)
+    return int(_index_of(n, ints[0] - 1, ints[1] - 1, mask))
 
 
 def statement_index(n: int, stmt: Statement) -> int:
@@ -263,7 +251,7 @@ def dual(r: Relation) -> Relation:
 def _minor(r: Relation, k: int, given: bool) -> Relation:
     """(ij|K) on 1..n-1 such that r holds it with labels from k up shifted
     back up by one, and with k added to K when ``given``."""
-    _check_vertex(r.n, k)
+    (k,), _ = _vertices(r.n, (k,))
     k0 = k - 1
     masks, i0, j0 = _statement_entries(r.n - 1)
     lifted = masks & ((1 << k0) - 1) | masks >> k0 << (k0 + 1) | given << k0
@@ -330,17 +318,15 @@ def _violation_text(rule: str, premises, missing) -> str:
 
 
 def _instance_table(prem: np.ndarray, concl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One row per instance, its two halves sorted; rows lexicographic; halves contiguous."""
+    """The rows with each half sorted, rows lexicographic; halves contiguous."""
     rows = np.column_stack([np.sort(prem, axis=1), np.sort(concl, axis=1)])
-    rows = rows[np.lexsort(rows.T[::-1])]  # np.unique would import numpy.ma: 1.2 MB of RSS
-    rows = rows[np.diff(rows, axis=0, prepend=-1).any(axis=1)]
+    rows = rows[np.lexsort(rows.T[::-1])]
     return _read_only(*map(np.ascontiguousarray, np.hsplit(rows, [prem.shape[1]])))
 
 
-def _ordered_tuples(n: int, k: int) -> tuple[np.ndarray, ...]:
-    """Columns of all ordered k-tuples of distinct 0-based vertices."""
-    return tuple(np.array(list(itertools.permutations(range(n), k)), dtype=np.intp)
-                 .reshape(-1, k).T)
+def _ordered_tuples(n: int, k: int) -> np.ndarray:
+    """All ordered k-tuples of distinct 0-based vertices, one per column."""
+    return np.array(list(itertools.permutations(range(n), k)), dtype=np.intp).reshape(-1, k).T
 
 
 @lru_cache(maxsize=8)
@@ -354,8 +340,9 @@ def _axiom_instances(n: int):
         composition        (ij|K) & (ik|K)   =>  (ij|kK) & (ik|jK)
         weak-transitivity  (ij|K) & (ij|kK)  =>  (ik|K) or (jk|K)
 
-    Intersection and composition are symmetric in j, k and weak transitivity in i, j; each
-    table has one row per instance, in the instance order of check_axioms and the closure.
+    Intersection and composition are symmetric in j, k and weak transitivity in i, j, so
+    their tables take only the triples with j < k, or i < j: each table has one row per
+    instance, in the instance order of check_axioms and the closure.
     """
     i, j, k = (col[:, None] for col in _ordered_tuples(n, 3))
     K = np.arange(1 << n)[None, :]
@@ -365,13 +352,14 @@ def _axiom_instances(n: int):
     ij, ik, jk = _index_of(n, i, j, K), _index_of(n, i, k, K), _index_of(n, j, k, K)
     ij_k, ik_j = _index_of(n, i, j, kK), _index_of(n, i, k, jK)
     pairs = {
-        "semigraphoid": ((ij, ik_j), (ik, ij_k)),
-        "intersection": ((ij_k, ik_j), (ij, ik)),
-        "composition": ((ij, ik), (ij_k, ik_j)),
-        "weak-transitivity": ((ij, ij_k), (ik, jk)),
+        "semigraphoid": (slice(None), (ij, ik_j), (ik, ij_k)),
+        "intersection": (j < k, (ij_k, ik_j), (ij, ik)),
+        "composition": (j < k, (ij, ik), (ij_k, ik_j)),
+        "weak-transitivity": (i < j, (ij, ij_k), (ik, jk)),
     }
-    return {rule: _instance_table(np.column_stack(prem), np.column_stack(concl))
-            for rule, (prem, concl) in pairs.items()}
+    return {rule: _instance_table(*(np.column_stack([x[rows] for x in half])
+                                    for half in (prem, concl)))
+            for rule, (rows, prem, concl) in pairs.items()}
 
 
 @lru_cache(maxsize=8)
@@ -380,8 +368,10 @@ def _rule17_instances(n: int):
 
     The conditioning sets are exactly the printed patterns on the quadruple;
     vertices outside {a, b, c, d} never enter a context (literal embedding).
+    Swapping a with c and b with d gives the same instance, so a < c.
     """
-    a, b, c, d = _ordered_tuples(n, 4)
+    quads = _ordered_tuples(n, 4)
+    a, b, c, d = quads[:, quads[0] < quads[2]]
     bit = [1 << v for v in (a, b, c, d)]
     prem = np.column_stack([_index_of(n, a, b, 0), _index_of(n, c, d, 0),
                             _index_of(n, a, c, bit[1] | bit[3]),
@@ -526,8 +516,12 @@ def _perm_index_maps(n: int) -> np.ndarray:
 
 def permute_relation(r: Relation, perm) -> Relation:
     """Relabel vertices: v -> perm[v-1] (1-based image tuple)."""
-    if sorted(perm) != list(range(1, r.n + 1)):
-        raise ValueError(f"{tuple(perm)} is not a permutation of 1..{r.n}")
+    try:
+        perm, _ = _vertices(r.n, perm)
+        if len(perm) != r.n:  # n distinct vertices of 1..n are all of them
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{tuple(perm)} is not a permutation of 1..{r.n}") from None
     hits = np.zeros(num_statements(r.n), dtype=bool)
     hits[_permuted_indices(r.n, np.subtract(perm, 1))[0]] = _to_bool_array(r)
     return _from_bool_array(r.n, hits)

@@ -91,10 +91,10 @@ def _edge_list(g: graphs.Graph) -> list[list[int]]:
 
 
 # analyze and closure build rule tables that more than double with every
-# vertex.  The star/path report takes 0.5 s and 121 MB at n = 11, 1.5 s and
-# 253 MB at n = 12 and 5.3 s and 597 MB at n = 13; closure of one statement
-# under semigraphoid, intersection and composition takes 0.6 s and 109 MB at
-# n = 11 and 1.2 s and 238 MB at n = 12 (fastest of three processes, one at
+# vertex.  The star/path report takes 0.35 s and 99 MB at n = 11, 0.9 s and
+# 191 MB at n = 12 and 2.7 s and 443 MB at n = 13; closure of one statement
+# under semigraphoid, intersection and composition takes 0.23 s and 89 MB at
+# n = 11 and 0.6 s and 180 MB at n = 12 (fastest of three processes, one at
 # n = 13; 2-vCPU host).  At n = 16 either needs several GB.
 MAX_TABLE_N = 12
 
@@ -232,8 +232,7 @@ def cmd_verify(args) -> int:
         a = matrices.parse_matrix(fh.read())
     with open(args.pair_file) as fh:
         g, h = graphs.parse_pair_file(fh.read())
-    if a.shape[0] != g.n:
-        raise ValueError(f"matrix size {a.shape[0]} does not match n={g.n}")
+    matrices._check_size(a, g, h)  # before the definiteness test, so a mismatch exits 2
     try:
         res, member = matrices._membership(a, g, h, args.tol)
     except NotPositiveDefinite:

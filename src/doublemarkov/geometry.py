@@ -50,8 +50,7 @@ def tangent_basis_concentration(p, g: Graph) -> TangentBasis:
     p = matrices.as_sym(p)
     if not matrices.is_pd(p):
         raise NotPositiveDefinite("tangent basis needs a positive definite point")
-    if p.shape[0] != g.n:
-        raise ValueError("matrix size does not match the graph")
+    matrices._check_size(p, g)
     tags = [("diag", i) for i in range(1, g.n + 1)] + [("edge", e) for e in g.edges]
     ii, jj = _index_pairs([(i, i) for i in range(1, g.n + 1)] + list(g.edges))
     outer = p.T[ii, :, None] * p.T[jj, None, :]
@@ -120,9 +119,8 @@ def stacked_jacobian(a, g: Graph, h: Graph) -> PseudoJacobian:
     call, so they work at singular points too.
     """
     a = matrices.as_sym(a).astype(float)
+    matrices._check_size(a, g, h)
     n = g.n
-    if n != h.n or n != a.shape[0]:
-        raise ValueError("matrix and graphs must share the ground set")
     positions = graphs.pairs_lex(n)
     s, t = _index_pairs(positions)
     column = np.full((n, n), -1)
@@ -267,7 +265,7 @@ def hadamard_shrink(a, i: int, eps: float) -> np.ndarray:
     if not 0 <= eps <= 1:
         raise ValueError("eps must lie in [0, 1]")
     n = a.shape[0]
-    graphs._check_vertex(n, i)
+    (i,), _ = graphs._vertices(n, (i,))
     w = np.ones((n, n))
     w[i - 1, :] = eps
     w[:, i - 1] = eps

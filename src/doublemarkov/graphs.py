@@ -52,10 +52,7 @@ class Graph:
         _check_vertex_count(n)  # before [0] * n allocates
         adj = [0] * n
         for e in edges:
-            i, j = e
-            i, j = _check_vertex(n, i), _check_vertex(n, j)
-            if i == j:
-                raise ValueError(f"self-loop {i}-{j} is not allowed")
+            (i, j), _ = _vertices(n, e)  # a self-loop repeats its vertex
             adj[i - 1] |= 1 << (j - 1)
             adj[j - 1] |= 1 << (i - 1)
         return Graph(n, tuple(adj))
@@ -66,11 +63,13 @@ class Graph:
         return tuple(p for p in pairs_lex(self.n) if self.adj[p[0] - 1] >> (p[1] - 1) & 1)
 
     def has_edge(self, i: int, j: int) -> bool:
-        i, j = _check_vertex(self.n, i), _check_vertex(self.n, j)
+        """Whether ij is an edge; False for i == j, as a simple graph has no loops."""
+        (i,), _ = _vertices(self.n, (i,))
+        (j,), _ = _vertices(self.n, (j,))
         return i != j and bool(self.adj[i - 1] >> (j - 1) & 1)
 
     def neighbors(self, i: int) -> frozenset[int]:
-        _check_vertex(self.n, i)
+        (i,), _ = _vertices(self.n, (i,))
         return frozenset(v + 1 for v in _bits(self.adj[i - 1]))
 
     @property
@@ -103,15 +102,30 @@ def _check_vertex_count(n: int):
         raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
 
 
-def _check_vertex(n: int, i) -> int:
-    """Vertex i as a Python int; ValueError unless it is an integer in 1..n."""
-    try:
-        v = operator.index(i)
-    except TypeError:
-        raise ValueError(f"vertex {i!r} is not an integer") from None
-    if not 1 <= v <= n:
-        raise ValueError(f"vertex {v} out of range 1..{n}")
-    return v
+def _vertices(n: int, values, statement: bool = False) -> tuple[list[int], int]:
+    """The values as Python ints and their bitmask over 0-based vertices: the one vertex check.
+
+    Every value goes through operator.index, so a numpy integer or a bool is the int it
+    equals; ValueError refuses a non-integer, a value outside 1..n and a repeated vertex.
+    With ``statement`` the values are (i, j, *K), and a vertex outside 1..n or a repeated
+    one is refused as ``statement (i j | K) does not fit ground set 1..n``."""
+    ints, mask = [], 0
+    for v in values:
+        try:
+            v = operator.index(v)
+        except TypeError:
+            raise ValueError(f"vertex {v!r} is not an integer") from None
+        ints.append(v)
+        mask |= 1 << (v - 1) if 1 <= v <= n else 0
+    if mask.bit_count() != len(ints):  # a vertex outside 1..n or a repeat sets no new bit
+        if statement:
+            i, j, *K = ints
+            raise ValueError(f"statement ({i} {j} |{''.join(f' {k}' for k in sorted(K))})"
+                             f" does not fit ground set 1..{n}")
+        outside = [v for v in ints if not 1 <= v <= n]
+        raise ValueError(f"vertex {outside[0]} out of range 1..{n}" if outside
+                         else f"vertices {tuple(ints)} are not distinct")
+    return ints, mask
 
 
 def _bits(mask: int):
@@ -137,21 +151,14 @@ def _reachable(g: Graph, start0: int, blocked_mask: int) -> int:
 
 def separates(g: Graph, i: int, j: int, K) -> bool:
     """True iff every path from i to j in g meets the vertex set K."""
-    i, j = _check_vertex(g.n, i), _check_vertex(g.n, j)
-    if i == j:
-        raise ValueError("separation needs two distinct vertices")
-    K = frozenset(K)
-    if i in K or j in K:
-        raise ValueError(f"separator {sorted(K)} overlaps endpoints {{{i}, {j}}}")
-    blocked = 0
-    for k in K:
-        blocked |= 1 << (_check_vertex(g.n, k) - 1)
+    (i, j, *_), mask = _vertices(g.n, (i, j, *K))
+    blocked = mask ^ (1 << (i - 1)) ^ (1 << (j - 1))  # the bits of K
     return not _reachable(g, i - 1, blocked) >> (j - 1) & 1
 
 
 def marginal_minor(g: Graph, k: int) -> Graph:
     """Delete vertex k and all incident edges; labels above k decrement."""
-    _check_vertex(g.n, k)
+    (k,), _ = _vertices(g.n, (k,))
     if g.n == 1:
         raise ValueError("cannot delete the last vertex")
     return induced_subgraph(g, [v for v in range(1, g.n + 1) if v != k])
@@ -159,7 +166,7 @@ def marginal_minor(g: Graph, k: int) -> Graph:
 
 def conditional_minor(g: Graph, k: int) -> Graph:
     """Delete vertex k after joining its neighbors into a clique."""
-    _check_vertex(g.n, k)
+    (k,), _ = _vertices(g.n, (k,))
     nbrs = g.adj[k - 1]
     joined = tuple(m | nbrs & ~(1 << v) if nbrs >> v & 1 else m for v, m in enumerate(g.adj))
     return marginal_minor(Graph(g.n, joined), k)
@@ -171,10 +178,9 @@ def direct_sum(g: Graph, g2: Graph) -> Graph:
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
-    """Induced subgraph on the given 1-based vertices, relabelled 1..|V| by rank."""
-    vs = sorted(set(vertices))
-    for v in vs:
-        _check_vertex(g.n, v)
+    """Induced subgraph on the given distinct 1-based vertices, relabelled 1..|V| by rank."""
+    _, mask = _vertices(g.n, vertices)
+    vs = [v + 1 for v in _bits(mask)]
     return Graph.from_edges(len(vs), [(i, j) for i, j in pairs_lex(len(vs))
                                       if g.adj[vs[i - 1] - 1] >> (vs[j - 1] - 1) & 1])
 
@@ -201,9 +207,7 @@ def all_paths(g: Graph, k: int, l: int, cap: int = DEFAULT_PATH_CAP):
     Raises PathCapExceeded once more than ``cap`` paths are found, which is
     distinguishable from the empty result for disconnected endpoints.
     """
-    k, l = _check_vertex(g.n, k), _check_vertex(g.n, l)
-    if k == l:
-        raise ValueError("path endpoints must be distinct")
+    (k, l), _ = _vertices(g.n, (k, l))
     paths = []
     target = l - 1
     stack = [k - 1]
@@ -256,11 +260,8 @@ def pairs_lex(n: int) -> tuple[tuple[int, int], ...]:
 
 def pair_rank(n: int, i: int, j: int) -> int:
     """Rank of the unordered pair {i, j} in the lexicographic pair order."""
-    if i > j:
-        i, j = j, i
-    if i == j:
-        raise ValueError("pair needs distinct vertices")
-    i, j = _check_vertex(n, i), _check_vertex(n, j)
+    (i, j), _ = _vertices(n, (i, j))
+    i, j = min(i, j), max(i, j)
     return (2 * n - i) * (i - 1) // 2 + (j - i - 1)
 
 
@@ -313,16 +314,17 @@ def _parse_edge_line(no: int, line: str, tag: str, n: int) -> Graph:
     toks = line.split()
     if toks[0] != tag:
         raise ValueError(f"line {no}: expected it to start with {tag!r}")
-    edges = []
-    for tok in toks[1:]:
-        try:
-            i, j = map(int, tok.split("-"))
-            if i == j or not (1 <= i <= n and 1 <= j <= n):
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"line {no}: malformed edge token {tok!r}") from None
-        edges.append((i, j))
-    return Graph.from_edges(n, edges)
+    tok = None
+
+    def edges():  # read one token at a time, so tok is the one from_edges refuses
+        nonlocal tok
+        for tok in toks[1:]:
+            yield map(int, tok.split("-"))
+
+    try:
+        return Graph.from_edges(n, edges())
+    except ValueError:  # from int, from the vertex check, or a token without two ends
+        raise ValueError(f"line {no}: malformed edge token {tok!r}") from None
 
 
 def format_pair_file(g: Graph, h: Graph) -> str:

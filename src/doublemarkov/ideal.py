@@ -113,10 +113,10 @@ class SparsePolynomial:
 
 
 def _check_symbolic(h: Graph, vertices) -> list[int]:
-    """The vertices as ints, after refusing h past 7 vertices or a vertex outside h."""
+    """The distinct vertices as ints, after refusing h past 7 vertices or a vertex outside h."""
     if h.n > 7:
         raise ValueError("symbolic expansion supported for n <= 7")
-    return [graphs._check_vertex(h.n, v) for v in vertices]
+    return graphs._vertices(h.n, vertices)[0]
 
 
 def _patterned_det(h: Graph, rows: list[int], cols: list[int]) -> SparsePolynomial:
@@ -149,8 +149,6 @@ def symbolic_apm(h: Graph, k: int, l: int) -> SparsePolynomial:
     Unit diagonal, zero entries off the edges of h, variable s_ij on edges.
     """
     k, l = _check_symbolic(h, (k, l))
-    if k == l:
-        raise ValueError("needs two distinct vertices")
     verts = range(1, h.n + 1)
     return _patterned_det(h, [v for v in verts if v != k], [v for v in verts if v != l])
 

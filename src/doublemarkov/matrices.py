@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotPositiveDefinite
-from .graphs import Graph, _check_vertex_count, _numbered_lines
+from .graphs import Graph, _check_vertex_count, _numbered_lines, _vertices
 from . import ci
 
 DEFAULT_TOL = 1e-8
@@ -204,8 +204,8 @@ def inverse(a) -> np.ndarray:
 def almost_principal_minor(a, i: int, j: int, K=()):
     """det of the (ij|K) minor: rows [i] + sorted K, columns [j] + sorted K."""
     a = as_sym(a)
+    (i, j, *K), _ = _vertices(a.shape[0], (i, j, *K), statement=True)
     ks = sorted(K)
-    ci._vertex_mask(a.shape[0], i, j, ks)
     return det(a[np.ix_(np.subtract([i, *ks], 1), np.subtract([j, *ks], 1))])
 
 
@@ -299,6 +299,7 @@ def to_correlation(a) -> tuple[np.ndarray, np.ndarray]:
 def marginal_matrix(a, k: int) -> np.ndarray:
     """Principal submatrix dropping row and column k."""
     a = as_sym(a)
+    (k,), _ = _vertices(a.shape[0], (k,))
     _require_pd(a)
     keep = [v for v in range(a.shape[0]) if v != k - 1]
     return a[np.ix_(keep, keep)]
@@ -307,6 +308,7 @@ def marginal_matrix(a, k: int) -> np.ndarray:
 def conditional_matrix(a, k: int) -> np.ndarray:
     """Schur complement of the k-th diagonal entry."""
     a = as_sym(a)
+    (k,), _ = _vertices(a.shape[0], (k,))
     _require_pd(a)
     k0 = k - 1
     keep = [v for v in range(a.shape[0]) if v != k0]
@@ -350,13 +352,20 @@ def membership_residual(a, g: Graph, h: Graph) -> np.ndarray:
     numerically iff the max-norm of this vector is below tolerance.
     """
     a = as_sym(a)
-    if g.n != h.n or g.n != a.shape[0]:
-        raise ValueError("matrix and graphs must share the ground set")
+    _check_size(a, g, h)
     inv = inverse(a)
     out = [inv[i - 1, j - 1] for i, j in g.non_edges()]
     out += [a[k - 1, l - 1] for k, l in h.non_edges()]
     dtype = object if is_exact(a) else float
     return np.array(out, dtype=dtype)
+
+
+def _check_size(a: np.ndarray, *gs: Graph):
+    """Refuse a square matrix a unless every graph in gs has a vertex per row of a."""
+    if any(g.n != len(a) for g in gs):
+        sizes = " and ".join(str(g.n) for g in gs)
+        raise ValueError(f"matrix and graphs must share the ground set (a {len(a)} x {len(a)} "
+                         f"matrix, graphs on {sizes} vertices)")
 
 
 def is_member(a, g: Graph, h: Graph, tol: float = DEFAULT_TOL) -> bool:

@@ -507,6 +507,15 @@ def test_refusals_name_the_line_in_the_file(tmp_path, capsys, command, name, tex
     assert line in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("matrix", ["2\n1 0\n0 1\n", "2\n1 2\n2 1\n", "2\n-1 0\n0 1\n"])
+def test_verify_refuses_a_size_mismatch_before_definiteness(tmp_path, capsys, matrix):
+    mat = write(tmp_path, "a.mat", matrix)
+    pair = write(tmp_path, "k3.pair", "n 3\nG 1-2\nH 2-3\n")
+    assert main(["verify", mat, pair]) == 2
+    assert capsys.readouterr().err == ("error: matrix and graphs must share the ground set "
+                                       "(a 2 x 2 matrix, graphs on 3 and 3 vertices)\n")
+
+
 @pytest.mark.parametrize("scale", [1e-14, 1.0, 1e6])
 def test_verify_refuses_an_asymmetric_matrix_at_every_scale(tmp_path, capsys, scale):
     a = scale * np.array([[1, .5, 0], [.5003, 1, .2], [0, .2, 1]])

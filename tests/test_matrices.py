@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from doublemarkov import Graph, complete_graph, empty_graph
-from doublemarkov.ci import (Relation, all_statements, dual, full_relation, marginal,
-                             permute_relation)
+from doublemarkov import Graph, complete_graph, empty_graph, geometry
+from doublemarkov.ci import (Relation, all_statements, conditional, dual, full_relation,
+                             marginal, permute_relation)
 from doublemarkov.errors import NotPositiveDefinite
 from doublemarkov.matrices import (
     almost_principal_minor,
@@ -245,17 +245,35 @@ def test_schur_complements():
 
 
 def test_marginal_conditional_relation_lemma():
+    """The relation of a marginal or conditional matrix minor is that minor of the relation.
+
+    Float matrices count where their relations are stable under the tolerance; exact ones,
+    a graph-patterned concentration inverse and its inverse, count for every k."""
     rng = np.random.default_rng(25)
+    cases = []
     for n in (3, 4):
-        for _ in range(10):
-            a = graphical_pd(random_graph(n, rng), rng)
-            if not _stable(a):
-                continue
-            r = relation_of_matrix(a)
+        cases += [graphical_pd(random_graph(n, rng), rng) for _ in range(10)]
+        for _ in range(4):
+            a = _graph_pattern_rational(random_graph(n, rng), rng)
+            cases += [a, inverse(a)]
+    exact_checks = 0
+    for a in cases:
+        exact, n = a.dtype == object, a.shape[0]
+        if not (exact or _stable(a)):
+            continue
+        r = relation_of_matrix(a)
+        for matrix_minor, relation_minor in [(marginal_matrix, marginal),
+                                             (conditional_matrix, conditional)]:
             for k in range(1, n + 1):
-                ma = marginal_matrix(a, k)
-                if _stable(ma):
-                    assert relation_of_matrix(ma) == marginal(r, k)
+                m = matrix_minor(a, k)
+                assert (m.dtype == object) == exact
+                if exact or _stable(m):
+                    assert relation_of_matrix(m) == relation_minor(r, k)
+                    exact_checks += exact
+            for k in (0, n + 1):
+                with pytest.raises(ValueError, match=rf"^vertex {k} out of range 1\.\.{n}$"):
+                    matrix_minor(a, k)
+    assert exact_checks == 2 * 2 * 4 * (3 + 4)
 
 
 def test_hadamard_and_direct_sum():
@@ -311,6 +329,18 @@ def test_membership_verdict_does_not_depend_on_the_scale():
         d = np.diag([1e3, 1.0, 1e-3])
         scaled = [s * a for s in (1e-3, 1.0, 1e3)] + [d @ a @ d]
         assert [is_member(b, g, h) for b in scaled] == [member] * 4
+
+
+def test_one_size_check_for_a_matrix_and_its_graphs():
+    a, k3, k4 = np.eye(3), complete_graph(3), complete_graph(4)
+    text = r"^matrix and graphs must share the ground set \(a 3 x 3 matrix, graphs on "
+    for check, sizes in [(lambda: membership_residual(a, k4, k4), "4 and 4"),
+                         (lambda: membership_residual(a, k3, k4), "3 and 4"),
+                         (lambda: is_member(a, k3, k4), "3 and 4"),
+                         (lambda: geometry.stacked_jacobian(a, k4, k3), "4 and 3"),
+                         (lambda: geometry.tangent_basis_concentration(a, k4), "4")]:
+        with pytest.raises(ValueError, match=rf"{text}{sizes} vertices\)$"):
+            check()
 
 
 def test_membership_exact():
