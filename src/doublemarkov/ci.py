@@ -217,25 +217,31 @@ def _from_bool_array(n: int, hits: np.ndarray) -> Relation:
     return Relation(n, int.from_bytes(packed, "little"))
 
 
-def _reachability(g: Graph) -> np.ndarray:
-    """reach[K, u, v]: u and v are joined in g minus the vertices of bitmask K.
+def relation_of_graph(g: Graph) -> Relation:
+    """Separation relation <G>: all (ij|K) with K separating i and j in g.
 
-    Each squaring of (adjacency + identity) doubles the path length covered,
-    so ceil(log2(n - 1)) squarings reach every path.
+    conn[u][v] is a 2^n-bit int whose bit K says that u and v are joined in g
+    minus the vertices of bitmask K.  An edge uv starts as the K that avoid u
+    and v; one Floyd-Warshall pass then lets each vertex w join u to v for
+    the K that join u to w and w to v, which avoid w.  conn stays symmetric.
     """
     n = g.n
-    free = (np.arange(1 << n)[:, None] >> np.arange(n) & 1) == 0
-    adj = np.array([[m >> v & 1 for v in range(n)] for m in g.adj], dtype=bool)
-    reach = ((adj | np.eye(n, dtype=bool)) & free[:, :, None] & free[:, None, :]).view(np.uint8)
-    for _ in range(max(n - 2, 0).bit_length()):
-        reach = (reach @ reach != 0).view(np.uint8)
-    return reach.view(bool)
-
-
-def relation_of_graph(g: Graph) -> Relation:
-    """Separation relation <G>: all (ij|K) with K separating i and j in g."""
-    masks, i0, j0 = _statement_entries(g.n)
-    return _from_bool_array(g.n, ~_reachability(g)[masks, i0, j0])
+    full = (1 << (1 << n)) - 1
+    avoid = [full // ((1 << (1 << v)) + 1) for v in range(n)]  # bit K set when v is not in K
+    conn = [[avoid[u] & avoid[v] if m >> v & 1 else 0 for v in range(n)]
+            for u, m in enumerate(g.adj)]
+    for w, cw in enumerate(conn):
+        via = [(v, c) for v, c in enumerate(cw) if c and v != w]
+        for a, (u, cuw) in enumerate(via):
+            cu = conn[u]
+            for v, cwv in via[a + 1:]:
+                cu[v] = conn[v][u] = cu[v] | cuw & cwv
+    nbytes = -(-(1 << n) // 8)
+    raw = b"".join(conn[i - 1][j - 1].to_bytes(nbytes, "little") for i, j in pairs_lex(n))
+    joined = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    masks = _statement_entries(n)[0].reshape(-1, 1 << max(n - 2, 0))
+    return _from_bool_array(n, ~np.take_along_axis(joined.reshape(-1, 8 * nbytes).view(bool),
+                                                   masks, 1).ravel())
 
 
 def _pair_rows(r: Relation) -> np.ndarray:

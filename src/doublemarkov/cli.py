@@ -91,11 +91,11 @@ def _edge_list(g: graphs.Graph) -> list[list[int]]:
 
 
 # analyze and closure build rule tables that more than double with every
-# vertex.  The star/path report takes 0.35 s and 99 MB at n = 11, 0.9 s and
-# 191 MB at n = 12 and 2.7 s and 443 MB at n = 13; closure of one statement
-# under semigraphoid, intersection and composition takes 0.23 s and 89 MB at
-# n = 11 and 0.6 s and 180 MB at n = 12 (fastest of three processes, one at
-# n = 13; 2-vCPU host).  At n = 16 either needs several GB.
+# vertex.  The star/path report takes 0.46 s and 101 MB at n = 11, 1.1 s and
+# 191 MB at n = 12 and 2.8 s and 442 MB at n = 13; closure of one statement
+# under semigraphoid, intersection and composition takes 0.27 s and 89 MB at
+# n = 11 and 0.74 s and 180 MB at n = 12 (fastest of three processes, after
+# import; 2-vCPU host).  At n = 16 either needs several GB.
 MAX_TABLE_N = 12
 
 

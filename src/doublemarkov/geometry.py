@@ -90,7 +90,7 @@ def is_transverse_at(p, g: Graph, h: Graph, rank_tol: float = RANK_TOL) -> bool:
     local_tangent_dimension, it accepts p exactly when matrices.is_member does
     at DEFAULT_TOL (1e-8), and raises ValueError otherwise.
     """
-    jac = stacked_jacobian(_model_correlation(p, g, h), g, h)
+    jac = _tangent_jacobian(p, g, h)
     return jac.rank(rank_tol) == len(jac.rows)
 
 
@@ -120,6 +120,23 @@ def stacked_jacobian(a, g: Graph, h: Graph) -> PseudoJacobian:
     """
     a = matrices.as_sym(a).astype(float)
     matrices._check_size(a, g, h)
+    return _stack(g, h, lambda k, l, s, t: _minor_gradients(a, k, l, s, t))
+
+
+def _tangent_jacobian(a, g: Graph, h: Graph) -> PseudoJacobian:
+    """stacked_jacobian at the correlation matrix R of the model point a, read off P = R^-1.
+
+    The minor without row k and column l is (-1)^(k+l) det R P_lk, so its gradient at (s, t)
+    is (-1)^(k+l) det R (2 P_lk P_st - P_ls P_tk - P_lt P_sk): at nonsingular R, the
+    cofactor rows at the same scale."""
+    r = _model_correlation(a, g, h)
+    p, scale = matrices.inverse(r), matrices.det(r)
+    return _stack(g, h, lambda k, l, s, t: np.where((k + l) % 2, -scale, scale) * (
+        2 * p[l, k] * p[s, t] - p[l, s] * p[t, k] - p[l, t] * p[s, k]))
+
+
+def _stack(g: Graph, h: Graph, minor_rows) -> PseudoJacobian:
+    """The pseudo-Jacobian whose minor rows are minor_rows(k, l, s, t), as in _minor_gradients."""
     n = g.n
     positions = graphs.pairs_lex(n)
     s, t = _index_pairs(positions)
@@ -129,7 +146,7 @@ def stacked_jacobian(a, g: Graph, h: Graph) -> PseudoJacobian:
     rows = np.zeros((len(minor_pairs) + len(entry_pairs), len(s)))
     if minor_pairs:
         k, l = _index_pairs(minor_pairs)[:, :, None]
-        rows[:len(k)] = _minor_gradients(a, k, l, s, t)
+        rows[:len(k)] = minor_rows(k, l, s, t)
     i, j = _index_pairs(entry_pairs)
     rows[len(minor_pairs) + np.arange(len(i)), column[i, j]] = 1.0
     labels = [("minor", e) for e in minor_pairs] + [("entry", e) for e in entry_pairs]
@@ -171,7 +188,7 @@ def local_tangent_dimension(a, g: Graph, h: Graph, rank_tol: float = RANK_TOL) -
     it accepts a exactly when matrices.is_member does at DEFAULT_TOL (1e-8),
     and raises ValueError otherwise.
     """
-    jac = stacked_jacobian(_model_correlation(a, g, h), g, h)
+    jac = _tangent_jacobian(a, g, h)
     return len(jac.col_positions) - jac.rank(rank_tol)
 
 

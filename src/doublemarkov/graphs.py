@@ -180,9 +180,9 @@ def direct_sum(g: Graph, g2: Graph) -> Graph:
 def induced_subgraph(g: Graph, vertices) -> Graph:
     """Induced subgraph on the given distinct 1-based vertices, relabelled 1..|V| by rank."""
     _, mask = _vertices(g.n, vertices)
-    vs = [v + 1 for v in _bits(mask)]
-    return Graph.from_edges(len(vs), [(i, j) for i, j in pairs_lex(len(vs))
-                                      if g.adj[vs[i - 1] - 1] >> (vs[j - 1] - 1) & 1])
+    vs = list(_bits(mask))
+    return Graph(len(vs), tuple(sum(1 << b for b, w in enumerate(vs) if g.adj[v] >> w & 1)
+                                for v in vs))
 
 
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -276,8 +276,12 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
     if not (1 <= n <= MAX_VERTICES and 0 <= mask < 1 << npairs):
         raise ValueError(f"need n in 1..{MAX_VERTICES} and mask in 0..2^{npairs} - 1, "
                          f"got n = {n}, mask = {mask}")
-    ps = pairs_lex(n)
-    return Graph.from_edges(n, [ps[r] for r in _bits(mask)])
+    ps, adj = pairs_lex(n), [0] * n
+    for r in _bits(mask):
+        i, j = ps[r]
+        adj[i - 1] |= 1 << (j - 1)
+        adj[j - 1] |= 1 << (i - 1)
+    return Graph(n, tuple(adj))
 
 
 # -- graph pair text format ---------------------------------------------------
@@ -305,8 +309,10 @@ def _parse_n_line(no: int, line: str) -> int:
         n = int(toks[1])
     except ValueError:
         raise ValueError(f"line {no}: vertex count {toks[1]!r} is not an integer") from None
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"line {no}: vertex count must be in 1..{MAX_VERTICES}, got {n}")
+    try:
+        _check_vertex_count(n)
+    except ValueError as err:
+        raise ValueError(f"line {no}: {err}") from None
     return n
 
 

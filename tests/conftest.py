@@ -1,7 +1,12 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from doublemarkov import Graph, geometry, graphs
+
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
 
 
 @pytest.fixture
@@ -69,3 +74,14 @@ def unrestricted_point(g, h, seed):
     oracle for the decomposition claim.
     """
     return geometry._search_point(g, h, seed)
+
+
+def corpus_pairs(seed, count):
+    """(G, H, seed) of the first count pairs of the benchmark's analyze corpus for seed.
+
+    The generator uses only the standard library, so it is loaded from its file.
+    """
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [(*graphs.parse_pair_file(text), k) for text, k in inputs.analyze_corpus(seed)[:count]]

@@ -41,6 +41,7 @@ from doublemarkov.graphs import (
     marginal_minor,
     pairs_lex,
     parse_pair_file,
+    separates,
 )
 
 from conftest import oracle_all_paths, oracle_separates, random_graph
@@ -208,20 +209,21 @@ def test_relation_of_graph_examples():
 
 
 def test_relation_of_graph_against_separation_oracle():
-    rng = np.random.default_rng(17)
-    for n in (3, 4):
+    for n in range(1, 6):  # every graph, the one- and two-vertex ones included
+        statements = [statement_at(n, idx) for idx in range(num_statements(n))]
         for mask in range(1 << len(pairs_lex(n))):
             g = graph_from_edge_mask(n, mask)
-            r = relation_of_graph(g)
-            for idx in range(num_statements(n)):
-                s = statement_at(n, idx)
-                assert (s in r) == oracle_separates(g.edges, s.i, s.j, s.K)
-    for _ in range(10):
-        g = random_graph(5, rng)
-        r = relation_of_graph(g)
-        for idx in range(num_statements(5)):
-            s = statement_at(5, idx)
-            assert (s in r) == oracle_separates(g.edges, s.i, s.j, s.K)
+            held = ci._to_bool_array(relation_of_graph(g)).tolist()
+            assert held == [oracle_separates(g.edges, s.i, s.j, s.K) for s in statements]
+
+
+def test_relation_of_graph_against_separates_up_to_n12():
+    rng = np.random.default_rng(59)
+    for n in range(6, 13):
+        path_graph = Graph.from_edges(n, [(v, v + 1) for v in range(1, n)])
+        for g in (path_graph, random_graph(n, rng, 0.2), random_graph(n, rng, 0.4)):
+            held = ci._to_bool_array(relation_of_graph(g)).tolist()
+            assert held == [separates(g, s.i, s.j, s.K) for s in ci.all_statements(n)]
 
 
 def test_relation_of_graph_against_separation_oracle_large():

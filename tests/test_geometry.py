@@ -24,7 +24,7 @@ from doublemarkov.graphs import all_graphs, edge_intersection, edge_union
 from doublemarkov.ideal import unique_path_hypothesis
 from doublemarkov.matrices import inverse, is_pd, membership_residual
 
-from conftest import oracle_all_paths, random_graph, random_pd, unrestricted_point
+from conftest import corpus_pairs, oracle_all_paths, random_graph, random_pd, unrestricted_point
 
 STAR4 = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
 PATH4 = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
@@ -433,13 +433,12 @@ def _relabel(g, perm):
     return Graph.from_edges(g.n, [(perm[i - 1] + 1, perm[j - 1] + 1) for i, j in g.edges])
 
 
-def test_tangent_verdicts_invariant_under_rescaling_and_relabelling(found_points):
-    rng = np.random.default_rng(33)
-    assert len(found_points) >= 90
-    for g, h, a in found_points:
+def _assert_rank_cut_invariant(points, rng):
+    """Both tangent verdicts keep their answer under a -> D a D and under a relabelling."""
+    for g, h, a in points:
         want = local_tangent_dimension(a, g, h), is_transverse_at(a, g, h)
         for _ in range(3):
-            d = np.exp(rng.uniform(-2, 2, size=g.n))
+            d = 10.0 ** rng.uniform(-3, 3, size=g.n)  # diagonal entries in 1e-3..1e3
             scaled = a * np.outer(d, d)
             assert (local_tangent_dimension(scaled, g, h), is_transverse_at(scaled, g, h)) == want
         perm = rng.permutation(g.n)
@@ -447,6 +446,34 @@ def test_tangent_verdicts_invariant_under_rescaling_and_relabelling(found_points
         moved[np.ix_(perm, perm)] = a
         pg, ph = _relabel(g, perm), _relabel(h, perm)
         assert (local_tangent_dimension(moved, pg, ph), is_transverse_at(moved, pg, ph)) == want
+
+
+def test_tangent_verdicts_invariant_under_rescaling_and_relabelling(found_points):
+    assert len(found_points) >= 90
+    _assert_rank_cut_invariant(found_points, np.random.default_rng(33))
+
+
+@pytest.fixture(scope="module")
+def corpus_points():
+    """Converged model points of the first 150 analyze corpus pairs of seeds 1 and 3, n = 4..7."""
+    found = [(g, h, find_model_point(g, h, seed=k))
+             for seed in (1, 3) for g, h, k in corpus_pairs(seed, 150)]
+    return [(g, h, res.matrix) for g, h, res in found if res.converged]
+
+
+def test_tangent_rows_read_off_the_inverse_are_the_cofactor_rows(corpus_points):
+    assert len(corpus_points) >= 290
+    for g, h, a in corpus_points:
+        jac = geometry._tangent_jacobian(a, g, h)
+        want = stacked_jacobian(geometry._model_correlation(a, g, h), g, h)
+        assert (jac.row_labels, jac.col_positions) == (want.row_labels, want.col_positions)
+        scale = np.abs(want.rows).max(initial=1.0)
+        assert np.abs(jac.rows - want.rows).max(initial=0.0) <= 1e-12 * scale
+        assert jac.rank() == want.rank()
+
+
+def test_rank_cut_invariant_under_rescaling_and_relabelling_on_corpus_points(corpus_points):
+    _assert_rank_cut_invariant(corpus_points, np.random.default_rng(37))
 
 
 def test_transverse_iff_tangent_dimension_is_the_edge_excess(found_points):

@@ -233,6 +233,28 @@ def test_induced_subgraph():
     assert induced_subgraph(g, [2, 4, 5]).edges == ((1, 2), (2, 3))
 
 
+def _edge_list_induced_subgraph(g, vertices):
+    """The induced subgraph built edge by edge through Graph.from_edges, the oracle."""
+    vs = sorted(vertices)
+    return Graph.from_edges(len(vs), [(a + 1, b + 1)
+                                      for a, b in itertools.combinations(range(len(vs)), 2)
+                                      if g.has_edge(vs[a], vs[b])])
+
+
+def test_mask_builders_match_the_edge_list_construction():
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            g = graph_from_edge_mask(n, mask)
+            assert g == Graph.from_edges(n, [p for r, p in enumerate(pairs) if mask >> r & 1])
+            for size in range(1, n + 1):
+                for vertices in itertools.combinations(range(1, n + 1), size):
+                    assert induced_subgraph(g, vertices) == _edge_list_induced_subgraph(g, vertices)
+                    assert induced_subgraph(g, vertices[::-1]) == induced_subgraph(g, vertices)
+            with pytest.raises(ValueError, match=r"vertex count must be in 1\.\.16, got 0"):
+                induced_subgraph(g, [])
+
+
 def test_pair_rank_roundtrip():
     for n in (2, 4, 7):
         for r, (i, j) in enumerate(pairs_lex(n)):
@@ -296,6 +318,8 @@ def test_pair_file_errors(bad, msg):
 @pytest.mark.parametrize("text, msg", [
     ("\n\nn x\nG\nH\n", "line 3: vertex count 'x' is not an integer"),
     ("\n \nn 17\nG\nH\n", "line 3: vertex count must be in 1..16, got 17"),
+    ("n 30\nG\nH\n", "line 1: vertex count must be in 1..16, got 30"),
+    ("n 0\nG\nH\n", "line 1: vertex count must be in 1..16, got 0"),
     ("\n\nn 4\n\nG 1-5\nH\n", "line 5: malformed edge token '1-5'"),
     ("n 4\n\t\nH 1-2\n\nG\n", "line 3: expected it to start with 'G'"),
     ("n 4\nG 1-2\n\n\n\nH 2-3 3-3\n", "line 6: malformed edge token '3-3'"),
