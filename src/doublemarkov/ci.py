@@ -34,8 +34,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graphs import (MAX_VERTICES, Graph, _bits, _check_vertex_count, _numbered_lines,
-                     _parse_n_line, _same_ground_set, _vertices, pairs_lex)
+from .graphs import (MAX_VERTICES, Graph, _bits, _check_vertex_count, _deleted_vertex,
+                     _numbered_lines, _parse_n_line, _same_ground_set, _vertices, pairs_lex)
 
 HORN_RULES = ("semigraphoid", "intersection", "composition", "rule17")
 
@@ -257,8 +257,7 @@ def dual(r: Relation) -> Relation:
 def _minor(r: Relation, k: int, given: bool) -> Relation:
     """(ij|K) on 1..n-1 such that r holds it with labels from k up shifted
     back up by one, and with k added to K when ``given``."""
-    (k,), _ = _vertices(r.n, (k,))
-    k0 = k - 1
+    k0 = _deleted_vertex(r.n, k) - 1
     masks, i0, j0 = _statement_entries(r.n - 1)
     lifted = masks & ((1 << k0) - 1) | masks >> k0 << (k0 + 1) | given << k0
     up = [v + (v >= k0) for v in (i0, j0)]

@@ -232,9 +232,8 @@ def cmd_verify(args) -> int:
         a = matrices.parse_matrix(fh.read())
     with open(args.pair_file) as fh:
         g, h = graphs.parse_pair_file(fh.read())
-    matrices._check_size(a, g, h)  # before the definiteness test, so a mismatch exits 2
     try:
-        res, member = matrices._membership(a, g, h, args.tol)
+        res, member, *_ = matrices._membership(a, g, h, args.tol)
     except NotPositiveDefinite:
         _non_pd_diagnostics(a)
         return 1

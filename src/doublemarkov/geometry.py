@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -44,17 +45,22 @@ def tangent_basis_concentration(p, g: Graph) -> TangentBasis:
 
     These span the tangent space of the concentration-constrained model at
     the positive definite point p (image of the coordinate directions under
-    the differential of matrix inversion).  A diagonal generator 2 P^i P_i
-    is the same sum with j = i.
+    the differential of matrix inversion, _inversion_differential).  A
+    diagonal generator 2 P^i P_i is the same sum with j = i.
     """
     p = matrices.as_sym(p)
+    matrices._check_size(p, g)
     if not matrices.is_pd(p):
         raise NotPositiveDefinite("tangent basis needs a positive definite point")
-    matrices._check_size(p, g)
     tags = [("diag", i) for i in range(1, g.n + 1)] + [("edge", e) for e in g.edges]
-    ii, jj = _index_pairs([(i, i) for i in range(1, g.n + 1)] + list(g.edges))
-    outer = p.T[ii, :, None] * p.T[jj, None, :]
-    return TangentBasis(p, tuple(tags), tuple(outer + outer.transpose(0, 2, 1)))
+    ii, jj = _index_pairs([(i, i) for i in range(1, g.n + 1)] + list(g.edges))[:, :, None, None]
+    k, l = np.ogrid[:g.n, :g.n]
+    return TangentBasis(p, tuple(tags), tuple(_inversion_differential(p, k, l, ii, jj)))
+
+
+def _inversion_differential(p, k, l, s, t):
+    """(P E^st P)_kl = -d(X^-1)_kl / d x_st at X^-1 = P, E^st = E_st + E_ts; indices broadcast."""
+    return p[k, s] * p[t, l] + p[k, t] * p[s, l]
 
 
 def _index_pairs(pairs) -> np.ndarray:
@@ -70,14 +76,6 @@ def _basis_matrix(mats, n: int) -> np.ndarray:
 
 def span_dimension(basis: TangentBasis, rank_tol: float = RANK_TOL) -> int:
     return numerical_rank(_basis_matrix(basis.generators, basis.point.shape[0]), rank_tol)
-
-
-def _model_correlation(a, g: Graph, h: Graph) -> np.ndarray:
-    """Correlation matrix R of a = D R D; ValueError unless matrices.is_member accepts R."""
-    r = matrices.to_correlation(matrices.as_sym(a).astype(float))[1]
-    if not matrices.is_member(r, g, h):
-        raise ValueError("point is not on the model; residual too large")
-    return r
 
 
 def is_transverse_at(p, g: Graph, h: Graph, rank_tol: float = RANK_TOL) -> bool:
@@ -127,12 +125,15 @@ def _tangent_jacobian(a, g: Graph, h: Graph) -> PseudoJacobian:
     """stacked_jacobian at the correlation matrix R of the model point a, read off P = R^-1.
 
     The minor without row k and column l is (-1)^(k+l) det R P_lk, so its gradient at (s, t)
-    is (-1)^(k+l) det R (2 P_lk P_st - P_ls P_tk - P_lt P_sk): at nonsingular R, the
-    cofactor rows at the same scale."""
-    r = _model_correlation(a, g, h)
-    p, scale = matrices.inverse(r), matrices.det(r)
+    is (-1)^(k+l) det R (2 P_lk P_st - P_ks P_tl - P_kt P_sl): at nonsingular R, the
+    cofactor rows at the same scale.  R and P come from matrices._membership at DEFAULT_TOL."""
+    _, member, r, p = matrices._membership(matrices.as_sym(a).astype(float), g, h,
+                                           matrices.DEFAULT_TOL)
+    if not member:
+        raise ValueError("point is not on the model; residual too large")
+    scale = matrices.det(r)
     return _stack(g, h, lambda k, l, s, t: np.where((k + l) % 2, -scale, scale) * (
-        2 * p[l, k] * p[s, t] - p[l, s] * p[t, k] - p[l, t] * p[s, k]))
+        2 * p[l, k] * p[s, t] - _inversion_differential(p, k, l, s, t)))
 
 
 def _stack(g: Graph, h: Graph, minor_rows) -> PseudoJacobian:
@@ -274,7 +275,8 @@ def hadamard_shrink(a, i: int, eps: float) -> np.ndarray:
     """Scale row and column i off-diagonally by eps; eps=1 is the identity map.
 
     Stays positive definite for eps in [0, 1] (Hadamard product with a
-    positive semi-definite all-ones-plus-rank-one pattern).
+    positive semi-definite all-ones-plus-rank-one pattern).  An exact a
+    gets exact weights, Fraction(eps), so the result stays exact.
     """
     a = matrices.as_sym(a)
     if not matrices.is_pd(a):
@@ -283,10 +285,11 @@ def hadamard_shrink(a, i: int, eps: float) -> np.ndarray:
         raise ValueError("eps must lie in [0, 1]")
     n = a.shape[0]
     (i,), _ = graphs._vertices(n, (i,))
-    w = np.ones((n, n))
+    one, eps = (Fraction(1), Fraction(eps)) if matrices.is_exact(a) else (1.0, eps)
+    w = np.full((n, n), one, dtype=a.dtype)
     w[i - 1, :] = eps
     w[:, i - 1] = eps
-    w[i - 1, i - 1] = 1.0
+    w[i - 1, i - 1] = one
     return a * w
 
 
@@ -389,7 +392,7 @@ def _search_point(g: Graph, h: Graph, seed: int) -> FindPointResult:
                 stall += 1
                 if stall >= 30:  # crawling along the feasible-box boundary
                     break
-            jac = _point_jacobian(inv, fi, fj, tk, tl)
+            jac = -_inversion_differential(inv, tk[:, None], tl[:, None], fi, fj)
             # rcond cut kills near-null step components that would otherwise
             # drift the iterate toward the cone boundary
             d, *_ = np.linalg.lstsq(jac, -r, rcond=1e-8)
@@ -418,13 +421,3 @@ def _search_point(g: Graph, h: Graph, seed: int) -> FindPointResult:
         if result.converged:
             break
     return best
-
-
-def _point_jacobian(inv, fi, fj, tk, tl):
-    """d(inv)_kl / d sigma_st = -(inv E^st inv)_kl.
-
-    Rows run over the 0-based targets (tk, tl), columns over the free
-    positions (fi, fj).
-    """
-    k, l = tk[:, None], tl[:, None]
-    return -(inv[k, fi] * inv[fj, l] + inv[k, fj] * inv[fi, l])

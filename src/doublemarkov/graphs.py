@@ -128,6 +128,14 @@ def _vertices(n: int, values, statement: bool = False) -> tuple[list[int], int]:
     return ints, mask
 
 
+def _deleted_vertex(n: int, k) -> int:
+    """Vertex k of 1..n as an int, for a minor that deletes it: refused where n is 1."""
+    (k,), _ = _vertices(n, (k,))
+    if n == 1:
+        raise ValueError("cannot delete the last vertex")
+    return k
+
+
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -158,15 +166,13 @@ def separates(g: Graph, i: int, j: int, K) -> bool:
 
 def marginal_minor(g: Graph, k: int) -> Graph:
     """Delete vertex k and all incident edges; labels above k decrement."""
-    (k,), _ = _vertices(g.n, (k,))
-    if g.n == 1:
-        raise ValueError("cannot delete the last vertex")
+    k = _deleted_vertex(g.n, k)
     return induced_subgraph(g, [v for v in range(1, g.n + 1) if v != k])
 
 
 def conditional_minor(g: Graph, k: int) -> Graph:
     """Delete vertex k after joining its neighbors into a clique."""
-    (k,), _ = _vertices(g.n, (k,))
+    k = _deleted_vertex(g.n, k)
     nbrs = g.adj[k - 1]
     joined = tuple(m | nbrs & ~(1 << v) if nbrs >> v & 1 else m for v, m in enumerate(g.adj))
     return marginal_minor(Graph(g.n, joined), k)

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotPositiveDefinite
-from .graphs import Graph, _check_vertex_count, _numbered_lines, _vertices
+from .graphs import Graph, _check_vertex_count, _deleted_vertex, _numbered_lines, _vertices
 from . import ci
 
 DEFAULT_TOL = 1e-8
@@ -40,6 +40,8 @@ def as_sym(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if not len(a):
+        raise ValueError(f"{name} has no rows")
     if is_exact(a):
         if not all(a[i, j] == a[j, i] for i in range(a.shape[0]) for j in range(i)):
             raise ValueError(f"{name} must be symmetric")
@@ -299,7 +301,7 @@ def to_correlation(a) -> tuple[np.ndarray, np.ndarray]:
 def marginal_matrix(a, k: int) -> np.ndarray:
     """Principal submatrix dropping row and column k."""
     a = as_sym(a)
-    (k,), _ = _vertices(a.shape[0], (k,))
+    k = _deleted_vertex(a.shape[0], k)
     _require_pd(a)
     keep = [v for v in range(a.shape[0]) if v != k - 1]
     return a[np.ix_(keep, keep)]
@@ -308,7 +310,7 @@ def marginal_matrix(a, k: int) -> np.ndarray:
 def conditional_matrix(a, k: int) -> np.ndarray:
     """Schur complement of the k-th diagonal entry."""
     a = as_sym(a)
-    (k,), _ = _vertices(a.shape[0], (k,))
+    k = _deleted_vertex(a.shape[0], k)
     _require_pd(a)
     k0 = k - 1
     keep = [v for v in range(a.shape[0]) if v != k0]
@@ -325,16 +327,21 @@ def conditional_matrix(a, k: int) -> np.ndarray:
 def hadamard(a, w) -> np.ndarray:
     a = as_sym(a)
     w = as_sym(w, "weight matrix")
+    _check_same_arithmetic(a, w)
     if a.shape != w.shape:
         raise ValueError("size mismatch in Hadamard product")
     return a * w
 
 
+def _check_same_arithmetic(a: np.ndarray, b: np.ndarray):
+    if is_exact(a) != is_exact(b):
+        raise ValueError("cannot mix exact and float blocks")
+
+
 def direct_sum_matrix(a, b) -> np.ndarray:
     a = as_sym(a)
     b = as_sym(b, "second matrix")
-    if is_exact(a) != is_exact(b):
-        raise ValueError("cannot mix exact and float blocks")
+    _check_same_arithmetic(a, b)
     n, m = a.shape[0], b.shape[0]
     if is_exact(a):
         out = np.full((n + m, n + m), Fraction(0), dtype=object)
@@ -353,11 +360,13 @@ def membership_residual(a, g: Graph, h: Graph) -> np.ndarray:
     """
     a = as_sym(a)
     _check_size(a, g, h)
-    inv = inverse(a)
+    return _residual(a, inverse(a), g, h)
+
+
+def _residual(a: np.ndarray, inv: np.ndarray, g: Graph, h: Graph) -> np.ndarray:
     out = [inv[i - 1, j - 1] for i, j in g.non_edges()]
     out += [a[k - 1, l - 1] for k, l in h.non_edges()]
-    dtype = object if is_exact(a) else float
-    return np.array(out, dtype=dtype)
+    return np.array(out, dtype=object if is_exact(a) else float)
 
 
 def _check_size(a: np.ndarray, *gs: Graph):
@@ -372,15 +381,18 @@ def is_member(a, g: Graph, h: Graph, tol: float = DEFAULT_TOL) -> bool:
     return _membership(a, g, h, tol)[1]
 
 
-def _membership(a, g: Graph, h: Graph, tol: float) -> tuple[np.ndarray, bool]:
-    """The residual the verdict judges, and the verdict: exact a as it is, every residual 0;
-    float a at its correlation matrix, every residual <= tol, so a -> D a D keeps the verdict."""
+def _membership(a, g: Graph, h: Graph, tol: float):
+    """(residual, verdict, judged matrix m, m^-1): exact a is m, every residual 0; float a
+    is judged at its correlation matrix m, every residual <= tol, so a -> D a D keeps the
+    verdict.  The sizes are checked before the definiteness of a is."""
     _check_tol(tol)  # before any residual, so a bad tol is refused whatever a is
     a = as_sym(a)
-    res = membership_residual(a if is_exact(a) else to_correlation(a)[1], g, h)
-    if res.dtype == object:
-        return res, not any(res)
-    return res, bool(np.abs(res).max(initial=0.0) <= tol)
+    _check_size(a, g, h)
+    m = a if is_exact(a) else to_correlation(a)[1]
+    inv = inverse(m)
+    res = _residual(m, inv, g, h)
+    member = not any(res) if is_exact(m) else bool(np.abs(res).max(initial=0.0) <= tol)
+    return res, member, m, inv
 
 
 def _check_tol(tol: float):
@@ -400,6 +412,10 @@ def parse_matrix(text: str) -> np.ndarray:
         (n,) = map(int, head.split())
     except ValueError:
         raise ValueError(f"line {no}: expected the matrix size, got {head!r}") from None
+    try:
+        _check_vertex_count(n)
+    except ValueError as err:
+        raise ValueError(f"line {no}: {err}") from None
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
     entry = _exact_entry if "/" in text else float  # the size line, an int, has no '/'

@@ -498,6 +498,8 @@ def test_zero_denominator_is_usage_error(tmp_path, capsys):
     ("closure", "r.rel", "n 4\n\n\nhex 00\n", "line 4: 24 statements need 3 hex bytes"),
     ("analyze", "p.pair", "\n\nn 4\n\nG 1-2\nH 1-2 2-5\n", "line 6: malformed edge token '2-5'"),
     ("verify", "m.mat", "2\n\n1 0\n\n0 one\n", "line 5: bad matrix entry"),
+    ("verify", "m.mat", "\n0\n", "line 2: vertex count must be in 1..16, got 0"),
+    ("verify", "m.mat", "-1\n", "line 1: vertex count must be in 1..16, got -1"),
 ])
 def test_refusals_name_the_line_in_the_file(tmp_path, capsys, command, name, text, line):
     files = [write(tmp_path, name, text)]

@@ -1,3 +1,7 @@
+import contextlib
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -268,6 +272,16 @@ def test_hadamard_shrink():
         assert is_pd(hadamard_shrink(p, i, eps))
 
 
+@pytest.mark.parametrize("eps", [0, 0.5, 0.1, Fraction(1, 3), 1])
+def test_hadamard_shrink_keeps_an_exact_matrix_exact(eps):
+    a = matrices.rational_matrix([[2, "1/2", 1], ["1/2", 3, "1/3"], [1, "1/3", 4]])
+    z = hadamard_shrink(a, 2, eps)
+    assert z.dtype == object and all(type(x) is Fraction for x in z.flat)
+    e = Fraction(eps)
+    assert z.tolist() == [[2, e / 2, 1], [e / 2, 3, e / 3], [1, e / 3, 4]]
+    assert is_pd(z) and matrices.det(z) > 0
+
+
 def test_hadamard_shrink_stays_in_model_for_hub():
     # hub pair from above: shrinking the hub keeps residuals tiny
     h = Graph.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3)])
@@ -465,7 +479,7 @@ def test_tangent_rows_read_off_the_inverse_are_the_cofactor_rows(corpus_points):
     assert len(corpus_points) >= 290
     for g, h, a in corpus_points:
         jac = geometry._tangent_jacobian(a, g, h)
-        want = stacked_jacobian(geometry._model_correlation(a, g, h), g, h)
+        want = stacked_jacobian(matrices.to_correlation(a)[1], g, h)
         assert (jac.row_labels, jac.col_positions) == (want.row_labels, want.col_positions)
         scale = np.abs(want.rows).max(initial=1.0)
         assert np.abs(jac.rows - want.rows).max(initial=0.0) <= 1e-12 * scale
@@ -474,6 +488,20 @@ def test_tangent_rows_read_off_the_inverse_are_the_cofactor_rows(corpus_points):
 
 def test_rank_cut_invariant_under_rescaling_and_relabelling_on_corpus_points(corpus_points):
     _assert_rank_cut_invariant(corpus_points, np.random.default_rng(37))
+
+
+@pytest.mark.parametrize("verdict", [local_tangent_dimension, is_transverse_at])
+def test_a_tangent_verdict_scales_and_inverts_its_point_once(verdict):
+    """The rows are read off the R and R^-1 that accepted the point, not a second copy."""
+    g, h = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)]), complete_graph(4)
+    a = np.diag([4.0, 1.0, 9.0, 0.25]) @ inverse(
+        np.array([[2.0, 0.5, 0, 0], [0.5, 2, 0.5, 0], [0, 0.5, 2, 0.5], [0, 0, 0.5, 2]])
+    ) @ np.diag([4.0, 1.0, 9.0, 0.25])
+    with contextlib.ExitStack() as stack:
+        calls = [stack.enter_context(mock.patch.object(matrices, f, wraps=getattr(matrices, f)))
+                 for f in ("to_correlation", "inverse", "det")]
+        verdict(a, g, h)
+    assert [c.call_count for c in calls] == [1, 1, 1]
 
 
 def test_transverse_iff_tangent_dimension_is_the_edge_excess(found_points):
@@ -590,7 +618,7 @@ def test_point_kernels_match_loop_forms(n):
         assert np.array_equal(a, _loop_build_corr(n, free, x))
         inv = matrices.chol_inverse(matrices.cholesky_or_none(a))
         assert np.array_equal(inv[tk, tl], np.array([inv[k, l] for k, l in targets]))
-        jac = geometry._point_jacobian(inv, fi, fj, tk, tl)
+        jac = -geometry._inversion_differential(inv, tk[:, None], tl[:, None], fi, fj)
         assert jac.shape == (len(targets), len(free))
         assert np.array_equal(jac, _loop_point_jacobian(inv, free, targets))
 

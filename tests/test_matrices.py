@@ -294,6 +294,16 @@ def test_hadamard_and_direct_sum():
         assert is_pd(hadamard(p, psd))
 
 
+def test_hadamard_keeps_exact_matrices_exact_and_refuses_a_mixed_pair():
+    half = rational_matrix([["1", "1/2", "1/2"], ["1/2", "1", "1/2"], ["1/2", "1/2", "1"]])
+    q = Fraction(1, 4)
+    assert hadamard(half, half).tolist() == [[1, q, q], [q, 1, q], [q, q, 1]]
+    for mixed in [(half, np.eye(3)), (np.eye(3), half)]:
+        for product in (hadamard, direct_sum_matrix):
+            with pytest.raises(ValueError, match="^cannot mix exact and float blocks$"):
+                product(*mixed)
+
+
 def test_direct_sum_relation_lemma():
     rng = np.random.default_rng(29)
     for _ in range(10):
@@ -341,6 +351,19 @@ def test_one_size_check_for_a_matrix_and_its_graphs():
                          (lambda: geometry.tangent_basis_concentration(a, k4), "4")]:
         with pytest.raises(ValueError, match=rf"{text}{sizes} vertices\)$"):
             check()
+
+
+@pytest.mark.parametrize("call", [
+    membership_residual, is_member, geometry.local_tangent_dimension, geometry.is_transverse_at,
+    lambda a, g, h: geometry.tangent_basis_concentration(a, g)])
+@pytest.mark.parametrize("a", [np.diag([-1.0, 1, 1]),
+                               np.array([[1.0, 2, 0], [2, 1, 0], [0, 0, 1]]),
+                               rational_matrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])])
+def test_every_layer_checks_the_size_before_definiteness(call, a):
+    k2 = complete_graph(2)
+    with pytest.raises(ValueError, match=r"^matrix and graphs must share the ground set \(a 3 x 3 "
+                                         r"matrix, graphs on 2 (and 2 )?vertices\)$"):
+        call(a, k2, k2)
 
 
 def test_membership_exact():
@@ -622,6 +645,9 @@ def test_parse_matrix_size_line_is_one_integer(head):
                                    "'1e5000/1'"),
     ("2\n\t\n1 0\n0 1\n1 1\n", "expected 2 matrix rows, found 3"),
     ("2\n\n1/1 0\n\n0 1e5000\n", "line 5: bad matrix entry: the exponent of '1e5000' exceeds 4300"),
+    ("0\n", "line 1: vertex count must be in 1..16, got 0"),
+    ("\n-1\n", "line 2: vertex count must be in 1..16, got -1"),
+    ("17\n" + "1 " * 17 + "\n", "line 1: vertex count must be in 1..16, got 17"),
 ])
 def test_parse_matrix_refusals_name_the_line_in_the_file(text, msg):
     with pytest.raises(ValueError) as exc:
@@ -637,7 +663,17 @@ def test_rational_matrix_takes_one_conversion_per_entry():
     assert all(type(x) is Fraction for x in m.flat)
     with pytest.raises(ValueError, match="unequal lengths"):
         rational_matrix([[1, 0], [0]])
-    assert rational_matrix([]).shape == (0, 0)
+    with pytest.raises(ValueError, match="^matrix has no rows$"):
+        rational_matrix([])
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("call", [as_sym, is_pd, inverse, to_correlation, relation_of_matrix,
+                                  format_matrix, lambda a: is_member(a, empty_graph(1),
+                                                                     empty_graph(1))])
+def test_every_matrix_function_refuses_a_matrix_without_rows(call, exact):
+    with pytest.raises(ValueError, match="^matrix has no rows$"):
+        call(np.empty((0, 0), dtype=object if exact else float))
 
 
 def _relabel_matrix(a, perm):

@@ -112,3 +112,25 @@ def test_the_pair_parser_refuses_the_same_non_vertices(token):
 def test_has_edge_answers_false_for_a_vertex_and_itself():
     assert not any(H.has_edge(v, v) for v in range(1, N + 1))
     assert not H.has_edge(np.int64(1), True)
+
+
+# name: (minor, the same one-vertex object in its layer)
+LAST_VERTEX = {
+    "marginal_minor": (graphs.marginal_minor, graphs.empty_graph(1)),
+    "conditional_minor": (graphs.conditional_minor, graphs.empty_graph(1)),
+    "marginal": (ci.marginal, ci.full_relation(1)),
+    "conditional": (ci.conditional, ci.full_relation(1)),
+    "marginal_matrix": (matrices.marginal_matrix, np.eye(1)),
+    "conditional_matrix": (matrices.conditional_matrix, np.eye(1)),
+    "marginal_matrix exact": (matrices.marginal_matrix, matrices.rational_matrix([[2]])),
+    "conditional_matrix exact": (matrices.conditional_matrix, matrices.rational_matrix([[2]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAST_VERTEX))
+def test_every_layer_refuses_to_delete_the_last_vertex(name):
+    minor, one = LAST_VERTEX[name]
+    with pytest.raises(ValueError, match="^cannot delete the last vertex$"):
+        minor(one, 1)
+    with pytest.raises(ValueError, match=r"^vertex 2 out of range 1\.\.1$"):
+        minor(one, 2)
