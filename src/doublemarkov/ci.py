@@ -532,11 +532,10 @@ def permute_relation(r: Relation, perm) -> Relation:
     return _from_bool_array(r.n, hits)
 
 
-def canonical_form(r: Relation, modulo_duality: bool = True) -> bytes:
-    """Lexicographically least packed bitset over all vertex permutations.
+def canonical_form(r: Relation) -> bytes:
+    """Lexicographically least packed bitset over all vertex permutations of r and its dual.
 
-    With modulo_duality the dual relation's permutations compete as well, so
-    equal byte strings mean equivalence modulo isomorphy and duality.
+    Equal byte strings mean equivalence modulo isomorphy and duality.
     Supported for n <= 7 (factorial scan).  Row p of the gather is the
     relation relabelled by the inverse of permutation p; the permutations are
     closed under inversion, so the rows are all relabellings.
@@ -545,7 +544,7 @@ def canonical_form(r: Relation, modulo_duality: bool = True) -> bytes:
         raise ValueError("canonical forms use a factorial scan; n <= 7 only")
     if r.n < 2:
         return b""  # no statements, and the byte rows below would be empty
-    arrs = np.stack([_to_bool_array(x) for x in ([r, dual(r)] if modulo_duality else [r])])
+    arrs = np.stack([_to_bool_array(r), _to_bool_array(dual(r))])
     packed = np.packbits(arrs[:, _perm_index_maps(r.n)].reshape(-1, arrs.shape[1]), axis=1)
     w, raw = packed.shape[1], packed.tobytes()
     return min(raw[i:i + w] for i in range(0, len(raw), w))

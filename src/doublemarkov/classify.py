@@ -304,7 +304,7 @@ def enumerate_inequivalent(n: int, connected_only: bool = True) -> EnumerationRe
     for code in sorted(set(best.tolist())):
         g = graphs.graph_from_edge_mask(n, code >> npairs)
         h = graphs.graph_from_edge_mask(n, code & mask_of)
-        key = ci.canonical_form(ci.double_markov_relation(g, h), modulo_duality=True)
+        key = ci.canonical_form(ci.double_markov_relation(g, h))
         if key not in by_relation:
             by_relation[key] = (key, g, h)
     reps = tuple(sorted(by_relation.values(), key=lambda t: (t[0], t[1].edges, t[2].edges)))

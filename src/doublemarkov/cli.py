@@ -232,6 +232,7 @@ def cmd_verify(args) -> int:
         a = matrices.parse_matrix(fh.read())
     with open(args.pair_file) as fh:
         g, h = graphs.parse_pair_file(fh.read())
+    matrices._check_tol(args.tol)
     try:
         res, member, *_ = matrices._membership(a, g, h, args.tol)
     except NotPositiveDefinite:
@@ -250,7 +251,7 @@ def _non_pd_diagnostics(a):
     print("not positive definite")
     n = a.shape[0]
     # the test that refused a, on a as parsed, so exact stays exact
-    order = next((k for k in range(1, n) if not matrices.is_pd(a[:k, :k])), n)
+    order = next((k for k in range(1, n) if not matrices._is_pd(a[:k, :k])), n)
     print(f"first failing leading principal minor: order {order}")
     try:
         af = a.astype(float)

@@ -20,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import graphs, ideal, matrices
-from .errors import NotPositiveDefinite
 from .graphs import Graph
 
 RANK_TOL = 1e-8
@@ -50,8 +49,7 @@ def tangent_basis_concentration(p, g: Graph) -> TangentBasis:
     """
     p = matrices.as_sym(p)
     matrices._check_size(p, g)
-    if not matrices.is_pd(p):
-        raise NotPositiveDefinite("tangent basis needs a positive definite point")
+    matrices._require_pd(p)
     tags = [("diag", i) for i in range(1, g.n + 1)] + [("edge", e) for e in g.edges]
     ii, jj = _index_pairs([(i, i) for i in range(1, g.n + 1)] + list(g.edges))[:, :, None, None]
     k, l = np.ogrid[:g.n, :g.n]
@@ -279,8 +277,7 @@ def hadamard_shrink(a, i: int, eps: float) -> np.ndarray:
     gets exact weights, Fraction(eps), so the result stays exact.
     """
     a = matrices.as_sym(a)
-    if not matrices.is_pd(a):
-        raise NotPositiveDefinite("hadamard_shrink needs a positive definite input")
+    matrices._require_pd(a)
     if not 0 <= eps <= 1:
         raise ValueError("eps must lie in [0, 1]")
     n = a.shape[0]
@@ -352,7 +349,7 @@ def _search_point(g: Graph, h: Graph, seed: int) -> FindPointResult:
     of h are pinned to zero), so the residuals are the inverse entries on
     non-edges of g.  Residual gradients use the inversion differential
     d(X^-1) = -X^-1 E X^-1; steps are backtracked and rejected whenever
-    Cholesky fails, which keeps all iterates positive definite.  Iterates
+    matrices._pd_factor refuses them, so every iterate passes is_pd.  Iterates
     are also confined to |entries| < ENTRY_CAP: the defining equations have
     spurious zeros on the elliptope boundary (the identity is always an
     interior member, so nothing is lost).  Restart r draws its start from
@@ -364,9 +361,9 @@ def _search_point(g: Graph, h: Graph, seed: int) -> FindPointResult:
     tk, tl = _index_pairs(g.non_edges())
 
     def evaluate(x):
-        """(matrix, inverse, residuals) at the free entries x, or None where Cholesky fails."""
+        """(matrix, inverse, residuals) at the free entries x, or None where is_pd refuses it."""
         a = _build_corr(n, fi, fj, x)
-        chol = matrices.cholesky_or_none(a)
+        chol = matrices._pd_factor(a)
         if chol is None:
             return None
         inv = matrices.chol_inverse(chol)

@@ -142,14 +142,6 @@ def det(a: np.ndarray):
     return float(np.linalg.det(a))
 
 
-def cholesky_or_none(a: np.ndarray):
-    """Lower Cholesky factor of a float matrix, None where LAPACK refuses it."""
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def chol_inverse(L: np.ndarray) -> np.ndarray:
     """Inverse of L L^T through the inverse of its lower triangular factor L."""
     inv_l = np.linalg.inv(L)
@@ -157,27 +149,31 @@ def chol_inverse(L: np.ndarray) -> np.ndarray:
 
 
 def _pd_factor(a: np.ndarray):
-    """Cholesky factor of float a if every pivot clears the is_pd threshold, else None."""
-    L = cholesky_or_none(a)
-    return L if L is not None and (np.diag(L) ** 2 > PIVOT_TOL * np.diag(a)).all() else None
+    """Cholesky factor L of float a if every L_ii^2 exceeds PIVOT_TOL * a_ii, else None.
+
+    The one float definiteness rule, behind is_pd, inverse and the model-point search; both
+    sides scale alike under a -> D a D, so the verdict does not depend on the scale."""
+    try:
+        L = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    return L if (L.diagonal() ** 2 > PIVOT_TOL * a.diagonal()).all() else None
 
 
 def is_pd(a) -> bool:
-    """Positive definiteness; Cholesky pivots (exact: Sylvester's criterion).
+    """Positive definiteness; Cholesky pivots by _pd_factor (exact: Sylvester's criterion)."""
+    return _is_pd(as_sym(a))
 
-    Float mode requires every squared Cholesky pivot L_ii^2 to exceed
-    PIVOT_TOL * a_ii, so barely singular matrices are rejected; both sides
-    scale alike under a -> D a D, so the verdict does not depend on the scale.
-    """
-    a = as_sym(a)
+
+def _is_pd(a: np.ndarray) -> bool:
     if is_exact(a):
         pivots, swaps, _ = _eliminate(_integer_form(a)[0], augment=False)
         return swaps == 0 and min(pivots) > 0
     return _pd_factor(a) is not None
 
 
-def _require_pd(a):
-    if not is_pd(a):
+def _require_pd(a: np.ndarray):
+    if not _is_pd(a):
         raise NotPositiveDefinite("matrix is not positive definite")
 
 
@@ -187,20 +183,21 @@ def inverse(a) -> np.ndarray:
     Exact mode reads the definiteness verdict and the entries off one
     augmented elimination of the integer form.
     """
-    a = as_sym(a)
+    return _inverse(as_sym(a))
+
+
+def _inverse(a: np.ndarray) -> np.ndarray:
     if is_exact(a):
         rows, lcd = _integer_form(a)
         pivots, swaps, m = _eliminate(rows, augment=True)
-        if swaps or min(pivots) <= 0:
-            raise NotPositiveDefinite("matrix is not positive definite")
-        n, d = len(rows), pivots[-1]
-        return np.array([Fraction(x * lcd, d) for row in m for x in row[n:]],
-                        dtype=object).reshape(n, n)
-    L = _pd_factor(a)
-    if L is None:
-        raise NotPositiveDefinite("matrix is not positive definite")
-    inv = chol_inverse(L)
-    return (inv + inv.T) / 2
+        if not swaps and min(pivots) > 0:
+            n, d = len(rows), pivots[-1]
+            return np.array([Fraction(x * lcd, d) for row in m for x in row[n:]],
+                            dtype=object).reshape(n, n)
+    elif (L := _pd_factor(a)) is not None:
+        inv = chol_inverse(L)
+        return (inv + inv.T) / 2
+    raise NotPositiveDefinite("matrix is not positive definite")
 
 
 def almost_principal_minor(a, i: int, j: int, K=()):
@@ -279,14 +276,17 @@ def relation_of_matrix(a, tol: float = DEFAULT_TOL) -> ci.Relation:
         hits = _minor_sweep(ints)[masks, rows, cols] == 0
     else:
         _require_pd(a)
-        minors = _minor_sweep(to_correlation(a)[1])[masks, rows, cols]
+        minors = _minor_sweep(_correlation(a)[1])[masks, rows, cols]
         hits = np.abs(minors) <= tol
     return ci._from_bool_array(n, hits)
 
 
 def to_correlation(a) -> tuple[np.ndarray, np.ndarray]:
     """Split a = D R D with D = diag(sqrt of a's diagonal) and unit-diagonal R."""
-    a = as_sym(a)
+    return _correlation(as_sym(a))
+
+
+def _correlation(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if is_exact(a):
         raise ValueError("to_correlation needs float input; square roots are irrational")
     dvec = np.diag(a)
@@ -360,7 +360,7 @@ def membership_residual(a, g: Graph, h: Graph) -> np.ndarray:
     """
     a = as_sym(a)
     _check_size(a, g, h)
-    return _residual(a, inverse(a), g, h)
+    return _residual(a, _inverse(a), g, h)
 
 
 def _residual(a: np.ndarray, inv: np.ndarray, g: Graph, h: Graph) -> np.ndarray:
@@ -378,18 +378,17 @@ def _check_size(a: np.ndarray, *gs: Graph):
 
 
 def is_member(a, g: Graph, h: Graph, tol: float = DEFAULT_TOL) -> bool:
-    return _membership(a, g, h, tol)[1]
+    _check_tol(tol)  # before the matrix, so a bad tol is refused whatever a is
+    return _membership(as_sym(a), g, h, tol)[1]
 
 
-def _membership(a, g: Graph, h: Graph, tol: float):
-    """(residual, verdict, judged matrix m, m^-1): exact a is m, every residual 0; float a
-    is judged at its correlation matrix m, every residual <= tol, so a -> D a D keeps the
-    verdict.  The sizes are checked before the definiteness of a is."""
-    _check_tol(tol)  # before any residual, so a bad tol is refused whatever a is
-    a = as_sym(a)
+def _membership(a: np.ndarray, g: Graph, h: Graph, tol: float):
+    """(residual, verdict, judged matrix m, m^-1) of a checked a and tol: exact a is m, every
+    residual 0; float a is judged at its correlation matrix m, every residual <= tol, so
+    a -> D a D keeps the verdict.  The sizes are checked before the definiteness of a is."""
     _check_size(a, g, h)
-    m = a if is_exact(a) else to_correlation(a)[1]
-    inv = inverse(m)
+    m = a if is_exact(a) else _correlation(a)[1]
+    inv = _inverse(m)
     res = _residual(m, inv, g, h)
     member = not any(res) if is_exact(m) else bool(np.abs(res).max(initial=0.0) <= tol)
     return res, member, m, inv
@@ -416,8 +415,9 @@ def parse_matrix(text: str) -> np.ndarray:
         _check_vertex_count(n)
     except ValueError as err:
         raise ValueError(f"line {no}: {err}") from None
-    if len(lines) != n + 1:
-        raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
+    if len(lines) != n + 1:  # name the first row too many, or else the file's last line
+        no = lines[n + 1][0] if len(lines) > n + 1 else len(text.splitlines())
+        raise ValueError(f"line {no}: expected {n} matrix rows, found {len(lines) - 1}")
     entry = _exact_entry if "/" in text else float  # the size line, an int, has no '/'
     vals = []
     for no, line in lines[1:]:

@@ -416,6 +416,23 @@ def test_converged_points_are_accepted_by_every_model_check():
         is_transverse_at(a, g, h)
 
 
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("n", range(4, 8))
+def test_search_points_pass_the_definiteness_rule_of_every_verdict(n, seed):
+    """The search judges its candidates by is_pd's rule, so no verdict refuses its point."""
+    rng = np.random.default_rng(10 * n + seed)
+    pairs = [(random_graph(n, rng), random_graph(n, rng)) for _ in range(12)]
+    with mock.patch.object(matrices, "_pd_factor", wraps=matrices._pd_factor) as rule:
+        found = [(g, h, find_model_point(g, h, seed=seed)) for g, h in pairs]
+    assert rule.called
+    points = [(g, h, res.matrix) for g, h, res in found if res.converged]
+    assert len(points) >= 10
+    for g, h, a in points:
+        assert is_pd(a)
+        local_tangent_dimension(a, g, h)
+        is_transverse_at(a, g, h)
+
+
 def test_both_tangent_verdicts_refuse_a_point_off_the_model_by_the_membership_rule():
     g = Graph.from_edges(3, [(1, 2), (2, 3)])
     k3 = complete_graph(3)
@@ -492,14 +509,17 @@ def test_rank_cut_invariant_under_rescaling_and_relabelling_on_corpus_points(cor
 
 @pytest.mark.parametrize("verdict", [local_tangent_dimension, is_transverse_at])
 def test_a_tangent_verdict_scales_and_inverts_its_point_once(verdict):
-    """The rows are read off the R and R^-1 that accepted the point, not a second copy."""
+    """The rows are read off the R and R^-1 that accepted the point, not a second copy.
+
+    The kernels behind to_correlation and inverse are counted: the verdict checks its
+    point once, so it calls no public matrix function on it after that."""
     g, h = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)]), complete_graph(4)
     a = np.diag([4.0, 1.0, 9.0, 0.25]) @ inverse(
         np.array([[2.0, 0.5, 0, 0], [0.5, 2, 0.5, 0], [0, 0.5, 2, 0.5], [0, 0, 0.5, 2]])
     ) @ np.diag([4.0, 1.0, 9.0, 0.25])
     with contextlib.ExitStack() as stack:
         calls = [stack.enter_context(mock.patch.object(matrices, f, wraps=getattr(matrices, f)))
-                 for f in ("to_correlation", "inverse", "det")]
+                 for f in ("_correlation", "_inverse", "det")]
         verdict(a, g, h)
     assert [c.call_count for c in calls] == [1, 1, 1]
 
@@ -616,7 +636,7 @@ def test_point_kernels_match_loop_forms(n):
         x = rng.uniform(-0.3 / n, 0.3 / n, size=len(free))
         a = geometry._build_corr(n, fi, fj, x)
         assert np.array_equal(a, _loop_build_corr(n, free, x))
-        inv = matrices.chol_inverse(matrices.cholesky_or_none(a))
+        inv = matrices.chol_inverse(matrices._pd_factor(a))
         assert np.array_equal(inv[tk, tl], np.array([inv[k, l] for k, l in targets]))
         jac = -geometry._inversion_differential(inv, tk[:, None], tl[:, None], fi, fj)
         assert jac.shape == (len(targets), len(free))

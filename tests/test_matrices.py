@@ -1,10 +1,13 @@
 import itertools
+import re
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from doublemarkov import Graph, complete_graph, empty_graph, geometry
+from doublemarkov import Graph, complete_graph, empty_graph, geometry, matrices
 from doublemarkov.ci import (Relation, all_statements, conditional, dual, full_relation,
                              marginal, permute_relation)
 from doublemarkov.errors import NotPositiveDefinite
@@ -366,6 +369,60 @@ def test_every_layer_checks_the_size_before_definiteness(call, a):
         call(a, k2, k2)
 
 
+_PATH4, _K4 = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)]), complete_graph(4)
+_POINT = np.linalg.inv(np.array([[2.0, 0.5, 0, 0], [0.5, 2, 0.5, 0],
+                                 [0, 0.5, 2, 0.5], [0, 0, 0.5, 2]]))  # on the model of (P4, K4)
+_EXACT = rational_matrix([[2, "1/2", 0], ["1/2", 2, "1/2"], [0, "1/2", 2]])
+
+
+# det takes non-symmetric minors and stacks of them, and chol_inverse a triangular
+# factor, so neither runs as_sym; every other function that takes a matrix does.
+@pytest.mark.parametrize("call, matrices_in", [
+    pytest.param(lambda: rational_matrix([[1, "1/2"], ["1/2", 1]]), 1, id="rational_matrix"),
+    pytest.param(lambda: parse_matrix("2\n1 0\n0 1/2\n"), 1, id="parse_matrix"),
+    pytest.param(lambda: format_matrix(_POINT), 1, id="format_matrix"),
+    pytest.param(lambda: is_pd(_POINT), 1, id="is_pd"),
+    pytest.param(lambda: is_pd(_EXACT), 1, id="is_pd_exact"),
+    pytest.param(lambda: inverse(_POINT), 1, id="inverse"),
+    pytest.param(lambda: inverse(_EXACT), 1, id="inverse_exact"),
+    pytest.param(lambda: to_correlation(_POINT), 1, id="to_correlation"),
+    pytest.param(lambda: almost_principal_minor(_POINT, 1, 2, [3]), 1, id="minor"),
+    pytest.param(lambda: relation_of_matrix(_POINT), 1, id="relation_of_matrix"),
+    pytest.param(lambda: relation_of_matrix(_EXACT), 1, id="relation_of_matrix_exact"),
+    pytest.param(lambda: marginal_matrix(_POINT, 2), 1, id="marginal_matrix"),
+    pytest.param(lambda: conditional_matrix(_POINT, 2), 1, id="conditional_matrix"),
+    pytest.param(lambda: conditional_matrix(_EXACT, 2), 1, id="conditional_matrix_exact"),
+    pytest.param(lambda: hadamard(_POINT, _POINT), 2, id="hadamard"),
+    pytest.param(lambda: direct_sum_matrix(_EXACT, _EXACT), 2, id="direct_sum_matrix"),
+    pytest.param(lambda: membership_residual(_POINT, _PATH4, _K4), 1, id="membership_residual"),
+    pytest.param(lambda: is_member(_POINT, _PATH4, _K4), 1, id="is_member"),
+    pytest.param(lambda: is_member(_EXACT, complete_graph(3), complete_graph(3)), 1,
+                 id="is_member_exact"),
+    pytest.param(lambda: geometry.local_tangent_dimension(_POINT, _PATH4, _K4), 1,
+                 id="local_tangent_dimension"),
+    pytest.param(lambda: geometry.is_transverse_at(_POINT, _PATH4, _K4), 1,
+                 id="is_transverse_at"),
+    pytest.param(lambda: geometry.stacked_jacobian(_POINT, _PATH4, _K4), 1,
+                 id="stacked_jacobian"),
+    pytest.param(lambda: geometry.tangent_basis_concentration(_POINT, _PATH4), 1,
+                 id="tangent_basis_concentration"),
+    pytest.param(lambda: geometry.hadamard_shrink(_POINT, 2, 0.5), 1, id="hadamard_shrink"),
+])
+def test_every_public_call_checks_each_matrix_once(call, matrices_in):
+    with mock.patch.object(matrices, "as_sym", wraps=matrices.as_sym) as spy:
+        call()
+    assert spy.call_count == matrices_in
+
+
+def test_one_cholesky_call_in_the_source_inside_pd_factor():
+    """One float definiteness rule: a second factorization would be a second rule."""
+    sources = sorted(Path(matrices.__file__).parent.glob("*.py"))
+    hits = [f.name for f in sources for _ in re.finditer(r"np\.linalg\.cholesky", f.read_text())]
+    assert hits == ["matrices.py"]
+    body = Path(matrices.__file__).read_text().split("\ndef _pd_factor(")[1].split("\ndef ")[0]
+    assert "np.linalg.cholesky" in body
+
+
 def test_membership_exact():
     g = Graph.from_edges(2, [(1, 2)])
     m = rational_matrix([["1", "1/2"], ["1/2", "1"]])
@@ -643,7 +700,8 @@ def test_parse_matrix_size_line_is_one_integer(head):
     ("2\n\n1 1/0\n1/0 1\n", "line 3: bad matrix entry: Fraction(1, 0)"),
     ("2\n1 0\n\n\n0 1e5000/1\n", "line 5: bad matrix entry: Invalid literal for Fraction: "
                                    "'1e5000/1'"),
-    ("2\n\t\n1 0\n0 1\n1 1\n", "expected 2 matrix rows, found 3"),
+    ("2\n\t\n1 0\n0 1\n1 1\n", "line 5: expected 2 matrix rows, found 3"),
+    ("2\n\n1 0\n\n", "line 4: expected 2 matrix rows, found 1"),
     ("2\n\n1/1 0\n\n0 1e5000\n", "line 5: bad matrix entry: the exponent of '1e5000' exceeds 4300"),
     ("0\n", "line 1: vertex count must be in 1..16, got 0"),
     ("\n-1\n", "line 2: vertex count must be in 1..16, got -1"),
