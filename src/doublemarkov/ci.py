@@ -569,19 +569,33 @@ def relation_to_text(r: Relation, form: str = "list") -> str:
 
 def parse_relation(text: str) -> Relation:
     """Parse either serialization form produced by relation_to_text."""
-    lines = _numbered_lines(text)
-    if not lines:
-        raise ValueError("empty relation file")
+    lines = _numbered_lines(text, "relation")
     n = _parse_n_line(*lines[0])
     if len(lines) > 1 and lines[1][1].startswith("hex"):
         return _parse_hex(n, lines[1:])
-    bits = 0
+    heads, vertex_bits = _statement_tokens(n)
+    bits, no_bit = 0, itertools.repeat(0)  # a part not in the tables adds no bit
     for no, line in lines[1:]:
-        try:
+        head, _, tail = line.partition("|")
+        i, j, mask = heads.get(head, (0, 0, 0))
+        mask += sum(map(vertex_bits.get, ks := tail[:-1].split(), no_bit))
+        if tail[-1:] == ")" and mask.bit_count() == len(ks) + 2:
+            bits |= 1 << _index_of(n, i, j, mask)
+            continue
+        try:  # any other spelling, and every refusal
             bits |= 1 << _checked_index(n, *_parse_statement(line))
         except ValueError as e:
             raise ValueError(f"line {no}: {e}") from None
     return Relation(n, bits)
+
+
+@lru_cache(maxsize=None)
+def _statement_tokens(n: int) -> tuple[dict[str, tuple[int, int, int]], dict[str, int]]:
+    """Each head '(i j ' (i != j) to i - 1, j - 1 and their mask, each vertex 'k' to its bit,
+    through the vertex check: a line's bits add up to one per vertex iff all hit and differ."""
+    pairs = [_vertices(n, p) for p in itertools.permutations(range(1, n + 1), 2)]
+    heads = {f"({i} {j} ": (i - 1, j - 1, mask) for (i, j), mask in pairs}
+    return heads, {str(k): mask for (k,), mask in (_vertices(n, (v,)) for v in range(1, n + 1))}
 
 
 def _parse_hex(n: int, lines: list[tuple[int, str]]) -> Relation:

@@ -294,17 +294,21 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
 
 def parse_pair_file(text: str) -> tuple[Graph, Graph]:
     """Parse the three-line pair format: ``n <count>``, ``G <i>-<j> ...``, ``H ...``."""
-    lines = _numbered_lines(text)
-    if len(lines) != 3:
-        raise ValueError(f"pair file needs exactly three non-blank lines (n, G, H), "
+    lines = _numbered_lines(text, "pair")
+    if len(lines) != 3:  # name the first line too many, or else the file's last line
+        no = lines[3][0] if len(lines) > 3 else len(text.splitlines())
+        raise ValueError(f"line {no}: pair file needs exactly three non-blank lines (n, G, H), "
                          f"found {len(lines)}")
     n = _parse_n_line(*lines[0])
     return tuple(_parse_edge_line(no, line, tag, n) for (no, line), tag in zip(lines[1:], "GH"))
 
 
-def _numbered_lines(text: str) -> list[tuple[int, str]]:
-    """(line number in the file, stripped text) per non-blank line, for all three formats."""
-    return [(no, s) for no, line in enumerate(text.splitlines(), start=1) if (s := line.strip())]
+def _numbered_lines(text: str, kind: str) -> list[tuple[int, str]]:
+    """(line number in the file, stripped text) per non-blank line of a ``kind`` file."""
+    lines = [(no, s) for no, line in enumerate(text.splitlines(), start=1) if (s := line.strip())]
+    if not lines:
+        raise ValueError(f"empty {kind} file")
+    return lines
 
 
 def _parse_n_line(no: int, line: str) -> int:
@@ -326,17 +330,28 @@ def _parse_edge_line(no: int, line: str, tag: str, n: int) -> Graph:
     toks = line.split()
     if toks[0] != tag:
         raise ValueError(f"line {no}: expected it to start with {tag!r}")
-    tok = None
+    ends, adj = _edge_tokens(n), [0] * n
+    for tok in toks[1:]:
+        i, j = ends.get(tok) or _edge_ends(n, tok, no)  # any other spelling, and every refusal
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return Graph(n, tuple(adj))
 
-    def edges():  # read one token at a time, so tok is the one from_edges refuses
-        nonlocal tok
-        for tok in toks[1:]:
-            yield map(int, tok.split("-"))
 
+def _edge_ends(n: int, tok: str, no: int) -> tuple[int, int]:
+    """The 0-based ends of the edge token 'i-j' on 1..n, or a refusal naming line no."""
     try:
-        return Graph.from_edges(n, edges())
+        (i, j), _ = _vertices(n, map(int, tok.split("-")))  # a self-loop repeats its vertex
     except ValueError:  # from int, from the vertex check, or a token without two ends
         raise ValueError(f"line {no}: malformed edge token {tok!r}") from None
+    return i - 1, j - 1
+
+
+@lru_cache(maxsize=None)
+def _edge_tokens(n: int) -> dict[str, tuple[int, int]]:
+    """_edge_ends of each canonical edge token 'i-j', i != j in 1..n."""
+    toks = (f"{i}-{j}" for i, j in itertools.permutations(range(1, n + 1), 2))
+    return {tok: _edge_ends(n, tok, 0) for tok in toks}
 
 
 def format_pair_file(g: Graph, h: Graph) -> str:

@@ -16,6 +16,7 @@ distinguished index first and K ascending after it.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ DEFAULT_TOL = 1e-8
 # Python's default limit on the digits of an int read from text, refuse it.
 MAX_EXPONENT = 4300
 PIVOT_TOL = 1e-12
+_RATIO = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?").fullmatch
 
 
 def is_exact(a: np.ndarray) -> bool:
@@ -403,9 +405,7 @@ def _check_tol(tol: float):
 
 def parse_matrix(text: str) -> np.ndarray:
     """Parse 'n' then n rows of n numbers; any 'p/q' token switches to exact mode."""
-    lines = _numbered_lines(text)
-    if not lines:
-        raise ValueError("empty matrix file")
+    lines = _numbered_lines(text, "matrix")
     no, head = lines[0]
     try:
         (n,) = map(int, head.split())
@@ -418,17 +418,28 @@ def parse_matrix(text: str) -> np.ndarray:
     if len(lines) != n + 1:  # name the first row too many, or else the file's last line
         no = lines[n + 1][0] if len(lines) > n + 1 else len(text.splitlines())
         raise ValueError(f"line {no}: expected {n} matrix rows, found {len(lines) - 1}")
-    entry = _exact_entry if "/" in text else float  # the size line, an int, has no '/'
-    vals = []
-    for no, line in lines[1:]:
-        row = line.split()
-        if len(row) != n:
-            raise ValueError(f"line {no}: expected {n} entries, found {len(row)}")
-        try:
-            vals.append([entry(tok) for tok in row])
-        except (ValueError, ZeroDivisionError) as e:  # ZeroDivisionError: a 'p/0' entry
-            raise ValueError(f"line {no}: bad matrix entry: {e}") from None
-    return as_sym(np.array(vals))  # Fractions give dtype object
+    entry = _exact_token if "/" in text else float  # the size line, an int, has no '/'
+    rows = [line.split() for _, line in lines[1:]]
+    try:  # all n^2 entries in one pass
+        if any(len(row) != n for row in rows):
+            raise ValueError  # the loop below names the row
+        vals = list(map(entry, [tok for row in rows for tok in row]))
+    except (ValueError, ZeroDivisionError):  # read line by line, to name the first bad line
+        vals = []
+        for (no, _), row in zip(lines[1:], rows):
+            if len(row) != n:
+                raise ValueError(f"line {no}: expected {n} entries, found {len(row)}") from None
+            try:
+                vals += map(entry, row)
+            except (ValueError, ZeroDivisionError) as e:  # ZeroDivisionError: a 'p/0' entry
+                raise ValueError(f"line {no}: bad matrix entry: {e}") from None
+    return as_sym(np.array(vals).reshape(n, n))  # Fractions give dtype object
+
+
+def _exact_token(tok: str) -> Fraction:
+    """An ASCII integer or 'p/q' token read by int; any other goes through _exact_entry."""
+    m = _RATIO(tok)
+    return Fraction(int(m[1]), int(m[2] or 1)) if m else _exact_entry(tok)
 
 
 def format_matrix(a) -> str:

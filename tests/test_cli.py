@@ -497,6 +497,8 @@ def test_zero_denominator_is_usage_error(tmp_path, capsys):
     ("closure", "r.rel", "\nn 4\n\n(1 2 | 9)\n", "line 4: statement (1 2 | 9) does not fit"),
     ("closure", "r.rel", "n 4\n\n\nhex 00\n", "line 4: 24 statements need 3 hex bytes"),
     ("analyze", "p.pair", "\n\nn 4\n\nG 1-2\nH 1-2 2-5\n", "line 6: malformed edge token '2-5'"),
+    ("analyze", "p.pair", "n 4\nG 1-2\nH\n\nG 2-3\n",
+     "line 5: pair file needs exactly three non-blank lines (n, G, H), found 4"),
     ("verify", "m.mat", "2\n\n1 0\n\n0 one\n", "line 5: bad matrix entry"),
     ("verify", "m.mat", "\n0\n", "line 2: vertex count must be in 1..16, got 0"),
     ("verify", "m.mat", "-1\n", "line 1: vertex count must be in 1..16, got -1"),

@@ -323,6 +323,14 @@ def test_pair_file_errors(bad, msg):
     ("\n\nn 4\n\nG 1-5\nH\n", "line 5: malformed edge token '1-5'"),
     ("n 4\n\t\nH 1-2\n\nG\n", "line 3: expected it to start with 'G'"),
     ("n 4\nG 1-2\n\n\n\nH 2-3 3-3\n", "line 6: malformed edge token '3-3'"),
+    ("n 2\nG 1-2\nH 1-2\nH\n",
+     "line 4: pair file needs exactly three non-blank lines (n, G, H), found 4"),
+    ("n 2\n\nG\n\nH\n\n\nG 1-2\nH\n",
+     "line 8: pair file needs exactly three non-blank lines (n, G, H), found 5"),
+    ("n 4\nG 1-2\n\n \n", "line 4: pair file needs exactly three non-blank lines (n, G, H), found 2"),
+    ("n 4", "line 1: pair file needs exactly three non-blank lines (n, G, H), found 1"),
+    ("", "empty pair file"),
+    ("\n \t\n", "empty pair file"),
 ])
 def test_pair_file_refusals_name_the_line_in_the_file(text, msg):
     with pytest.raises(ValueError) as exc:
