@@ -295,10 +295,9 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
 def parse_pair_file(text: str) -> tuple[Graph, Graph]:
     """Parse the three-line pair format: ``n <count>``, ``G <i>-<j> ...``, ``H ...``."""
     lines = _numbered_lines(text, "pair")
-    if len(lines) != 3:  # name the first line too many, or else the file's last line
-        no = lines[3][0] if len(lines) > 3 else len(text.splitlines())
-        raise ValueError(f"line {no}: pair file needs exactly three non-blank lines (n, G, H), "
-                         f"found {len(lines)}")
+    if len(lines) != 3:
+        raise ValueError(f"line {_line_past(lines, 3, text)}: pair file needs exactly three "
+                         f"non-blank lines (n, G, H), found {len(lines)}")
     n = _parse_n_line(*lines[0])
     return tuple(_parse_edge_line(no, line, tag, n) for (no, line), tag in zip(lines[1:], "GH"))
 
@@ -309,6 +308,12 @@ def _numbered_lines(text: str, kind: str) -> list[tuple[int, str]]:
     if not lines:
         raise ValueError(f"empty {kind} file")
     return lines
+
+
+def _line_past(lines: list[tuple[int, str]], count: int, text: str) -> int:
+    """The line a file of ``count`` non-blank lines is refused at: the first non-blank line
+    past them, or else, when too few, the file's last line."""
+    return lines[count][0] if len(lines) > count else len(text.splitlines())
 
 
 def _parse_n_line(no: int, line: str) -> int:

@@ -22,7 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotPositiveDefinite
-from .graphs import Graph, _check_vertex_count, _deleted_vertex, _numbered_lines, _vertices
+from .graphs import (Graph, _check_vertex_count, _deleted_vertex, _line_past, _numbered_lines,
+                     _vertices)
 from . import ci
 
 DEFAULT_TOL = 1e-8
@@ -415,24 +416,18 @@ def parse_matrix(text: str) -> np.ndarray:
         _check_vertex_count(n)
     except ValueError as err:
         raise ValueError(f"line {no}: {err}") from None
-    if len(lines) != n + 1:  # name the first row too many, or else the file's last line
-        no = lines[n + 1][0] if len(lines) > n + 1 else len(text.splitlines())
-        raise ValueError(f"line {no}: expected {n} matrix rows, found {len(lines) - 1}")
-    entry = _exact_token if "/" in text else float  # the size line, an int, has no '/'
-    rows = [line.split() for _, line in lines[1:]]
-    try:  # all n^2 entries in one pass
-        if any(len(row) != n for row in rows):
-            raise ValueError  # the loop below names the row
-        vals = list(map(entry, [tok for row in rows for tok in row]))
-    except (ValueError, ZeroDivisionError):  # read line by line, to name the first bad line
-        vals = []
-        for (no, _), row in zip(lines[1:], rows):
-            if len(row) != n:
-                raise ValueError(f"line {no}: expected {n} entries, found {len(row)}") from None
-            try:
-                vals += map(entry, row)
-            except (ValueError, ZeroDivisionError) as e:  # ZeroDivisionError: a 'p/0' entry
-                raise ValueError(f"line {no}: bad matrix entry: {e}") from None
+    if len(lines) != n + 1:
+        raise ValueError(f"line {_line_past(lines, n + 1, text)}: expected {n} matrix rows, "
+                         f"found {len(lines) - 1}")
+    entry, vals = _exact_token if "/" in text else float, []  # the size line has no '/'
+    for no, line in lines[1:]:
+        row = line.split()
+        if len(row) != n:
+            raise ValueError(f"line {no}: expected {n} entries, found {len(row)}")
+        try:
+            vals += map(entry, row)
+        except (ValueError, ZeroDivisionError) as e:  # ZeroDivisionError: a 'p/0' entry
+            raise ValueError(f"line {no}: bad matrix entry: {e}") from None
     return as_sym(np.array(vals).reshape(n, n))  # Fractions give dtype object
 
 
