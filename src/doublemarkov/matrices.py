@@ -5,7 +5,9 @@ dtype object holding ``fractions.Fraction`` or int entries are exact: they
 are scaled by the least common denominator of their entries to Python ints
 (_integer_form), and det, is_pd and inverse all read their answers off one
 fraction-free integer elimination (_eliminate), while relation_of_matrix
-sweeps the same integer form, so paper examples are checked without
+reads every statement's minor off one Schur-complement sweep of the same
+integer form (_minor_sweep), which computes only the minors that the
+statements and the sweep itself read, so paper examples are checked without
 rounding.
 
 Frozen minor convention: the almost-principal minor for (ij|K) is the
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +34,9 @@ DEFAULT_TOL = 1e-8
 # Python's default limit on the digits of an int read from text, refuse it.
 MAX_EXPONENT = 4300
 PIVOT_TOL = 1e-12
+# The most entries one step of _minor_sweep updates: its gathers and temporaries then stay in
+# cache, which at n = 16 halves the time of a sweep.
+_STEP_ENTRIES = 1 << 15
 _RATIO = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?").fullmatch
 
 
@@ -82,8 +88,12 @@ def _exact_entry(x) -> Fraction:
 
 
 def _integer_form(a: np.ndarray) -> tuple[list[list[int]], int]:
-    """Rows of a times the least common denominator of its entries, as ints, and that LCD."""
-    entries = [Fraction(x) for x in a.flat]
+    """Rows of a times the least common denominator of its entries, as ints, and that LCD.
+
+    int and Fraction entries, all that as_sym lets through, are read as they
+    are; any other entry goes through Fraction.
+    """
+    entries = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in a.flat]
     lcd = math.lcm(*(x.denominator for x in entries))
     ints = [x.numerator * (lcd // x.denominator) for x in entries]
     n = a.shape[0]
@@ -212,45 +222,106 @@ def almost_principal_minor(a, i: int, j: int, K=()):
 
 
 def _minor_sweep(a: np.ndarray) -> np.ndarray:
-    """Every almost-principal minor M_K[i, j] = det(a[iK, jK]), one array per set K.
+    """The almost-principal minors M_K[i, j] = det(a[iK, jK]) for i <= j outside K, packed.
 
-    Entry m of the result belongs to the set K whose bitmask over 0-based
-    vertices is m; entries with i or j in K are zero.  With S_K the Schur
-    complement of a_KK, M_K = det(a_KK) S_K, so pivoting S on a vertex k
-    outside K (the rank-1 update S - S[:, k] S[k, :] / S[k, k]) reads, by
-    Sylvester's identity,
+    The sets K run in bitmask order over 0-based vertices, and the minors of
+    one set row by row; _sweep_plan(n) holds this layout, n(n + 3) 2^(n-3)
+    entries in all.  With S_K the Schur complement of a_KK, M_K = det(a_KK)
+    S_K, so pivoting S on a vertex k outside K (the rank-1 update
+    S - S[:, k] S[k, :] / S[k, k]) reads, by Sylvester's identity,
 
         M_{K+k} = (M_K[k, k] M_K - M_K[:, k] M_K[k, :]) / det(a_KK),
 
     with det(a_{K+k, K+k}) = M_K[k, k].  The sets with largest vertex k are
-    one batched update of the sets [0, 2^k) before them, for k = 0..n-1.
-    On a matrix of Python ints (dtype object) every division is exact and
-    done as floor division, so exact mode never leaves the integers.  Memory
-    is 2^n n^2 entries.
+    batched updates of the sets [0, 2^k) before them, for k = 0..n-1, each
+    reading only the entries (i, j), (i, k), (k, j) and (k, k) of a parent
+    (M_K is symmetric, so (i, k) is read as (k, i) where i > k).  On a matrix
+    of Python ints (dtype object) every division is exact and done as floor
+    division, so exact mode never leaves the integers.
 
-    Exact mode also checks Sylvester's criterion on the way: step k reads
-    the leading minor det(a[:k+1, :k+1]) as its last pivot and raises
-    NotPositiveDefinite unless it is > 0, so every later divisor, a
-    principal minor of a positive definite leading block, is nonzero.
+    Exact mode also checks Sylvester's criterion on the way: each step reads
+    the (k, k) entry of its last parent P, det(a_{P+k, P+k}), and raises
+    NotPositiveDefinite unless it is > 0.  For the last step of k that is the
+    leading minor det(a[:k+1, :k+1]), so every later divisor, a principal
+    minor of a positive definite leading block, is nonzero; a positive
+    definite matrix has no principal minor <= 0, so nothing more is refused.
     """
-    n = a.shape[0]
     exact = a.dtype == object
     divide = np.floor_divide if exact else np.true_divide
-    M = np.empty((1 << n, n, n), dtype=a.dtype)
-    dets = np.empty(1 << n, dtype=a.dtype)
-    M[0] = a
-    dets[0] = 1
-    for k in range(n):
-        half = 1 << k
-        par, out = M[:half], M[half:2 * half]
-        piv = par[:, k, k]
-        if exact and piv[-1] <= 0:
+    upper, steps, _ = _sweep_plan(a.shape[0])
+    M = np.empty(steps[-1][0].stop + 1, dtype=a.dtype)  # the last slot: det(a_KK) = 1, K empty
+    M[:len(upper[0])] = a[upper]
+    M[-1] = 1
+    for block, reads, pivots, counts in steps:
+        if exact and M[pivots[0, -1]] <= 0:
             raise NotPositiveDefinite("matrix is not positive definite")
-        np.multiply(par[:, :, k, None], par[:, None, k, :], out=out)
-        np.subtract(piv[:, None, None] * par, out, out=out)
-        divide(out, dets[:half, None, None], out=out)
-        dets[half:2 * half] = piv
-    return M
+        par, (piv, dets) = M[reads], M[pivots].repeat(counts, 1)
+        ij, ik = par[0], par[1]
+        ik *= par[2]  # in place: at n = 16 fresh temporaries cost more than the update
+        np.multiply(piv, ij, out=ij)
+        ij -= ik
+        divide(ij, dets, out=M[block])
+    return M[:-1]
+
+
+@lru_cache(maxsize=None)
+def _sweep_plan(n: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple, np.ndarray]:
+    """Where _minor_sweep on n vertices keeps and reads its minors: (upper, steps, statements).
+
+    upper indexes the matrix entries i <= j row by row, the block of K empty.
+    A step updates a run of consecutive parents P < 2^k of one vertex k, with
+    at most _STEP_ENTRIES entries, and the steps of k tile the block of the
+    sets [2^k, 2^(k+1)).  It is (block, reads, pivots, counts): the slice it
+    writes; per entry, the positions of (i, j), (i, k) and (k, j) in P; per
+    parent, the positions of its (k, k) entry and of det(a_PP) (the (k', k')
+    entry of P's own parent, k' the largest vertex of P, or for P empty the
+    slot past the last entry); and per new set, its entry count.  statements
+    holds the position of each statement's minor, in the order of
+    ci._statement_entries.
+    """
+    sets = np.arange(1 << n, dtype=np.intp)
+    size = np.bitwise_count(sets).astype(np.intp)
+    outside = n - size
+    start = np.zeros(len(sets) + 1, dtype=np.intp)  # start[K]: the position of K's block
+    np.cumsum(outside * (outside + 1) // 2, out=start[1:])
+
+    def offset(m, a, b):
+        """Offset of the entry at ranks a <= b in a block of m vertices outside K."""
+        return a * (2 * m - a - 1) // 2 + b
+
+    # A parent with m vertices outside it and k at rank c among them has a new set whose
+    # entries are its pairs of ranks without c.  Row (m, c) of table holds, in the new set's
+    # order, their offsets of (i, j), (i, k) and (k, j) in the parent.
+    a, b = np.triu_indices(n - 1)
+    width = len(a)  # the most entries a new set has
+    m, c = np.arange(n + 1)[:, None, None], np.arange(n)[:, None]
+    i, j = a + (a >= c), b + (b >= c)
+    every = np.stack([offset(m, i, j), offset(m, np.minimum(i, c), np.maximum(i, c)),
+                      offset(m, np.minimum(j, c), np.maximum(j, c))])
+    table = np.zeros_like(every)
+    for t in range(2, n + 1):  # for m = t the new set's pairs are those below t - 1
+        table[:, t, :, :t * (t - 1) // 2] = every[:, t][..., b < t - 1]
+    steps, divisors = [], [start[-1:]]
+    for k in range(n):
+        par = sets[:1 << k]
+        bounds = start[1 << k:(2 << k) + 1].tolist()  # the new sets' blocks, one after another
+        counts = np.diff(bounds)
+        r = k - size[par]  # the rank of k outside P
+        row = (outside[par] * n + r) * width  # P's row (m, c) of table
+        entry = np.arange(bounds[0], bounds[-1]) + np.repeat(row - bounds[:-1], counts)
+        reads = table.reshape(3, -1)[:, entry] + np.repeat(start[par], counts)
+        pivots = np.stack([start[par] + offset(outside[par], r, r), np.concatenate(divisors)])
+        divisors.append(pivots[0])
+        ci._read_only(reads, pivots, counts)
+        cuts = [*range(0, 1 << k, _STEP_ENTRIES // max(width, 1)), 1 << k]
+        for p, q in zip(cuts, cuts[1:]):
+            lo, hi = bounds[p], bounds[q]
+            steps.append((slice(lo, hi), reads[:, lo - bounds[0]:hi - bounds[0]], pivots[:, p:q],
+                          counts[p:q]))
+    K, i, j = ci._statement_entries(n)
+    a, b = (v - np.bitwise_count(K & ((1 << v) - 1)) for v in (i, j))  # ranks outside K
+    (statements,) = ci._read_only(start[K] + offset(outside[K], a, b))
+    return ci._read_only(*np.triu_indices(n)), tuple(steps), statements
 
 
 def relation_of_matrix(a, tol: float = DEFAULT_TOL) -> ci.Relation:
@@ -272,15 +343,14 @@ def relation_of_matrix(a, tol: float = DEFAULT_TOL) -> ci.Relation:
     _check_tol(tol)
     a = as_sym(a)
     n = a.shape[0]
-    _check_vertex_count(n)  # before the statement table and the 2^n n^2 sweep
-    masks, rows, cols = ci._statement_entries(n)
+    _check_vertex_count(n)  # before the sweep plan and the statement table it reads
+    statements = _sweep_plan(n)[2]
     if is_exact(a):
         ints = np.array(_integer_form(a)[0], dtype=object).reshape(n, n)
-        hits = _minor_sweep(ints)[masks, rows, cols] == 0
+        hits = _minor_sweep(ints)[statements] == 0
     else:
         _require_pd(a)
-        minors = _minor_sweep(_correlation(a)[1])[masks, rows, cols]
-        hits = np.abs(minors) <= tol
+        hits = np.abs(_minor_sweep(_correlation(a)[1])[statements]) <= tol
     return ci._from_bool_array(n, hits)
 
 

@@ -1,5 +1,7 @@
 import itertools
+import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -118,18 +120,22 @@ def test_relation_of_matrix_refuses_17_vertices_before_any_table(monkeypatch):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(ci, "_statement_entries", no_table)
+    monkeypatch.setattr(matrices, "_sweep_plan", no_table)
     monkeypatch.setattr(matrices, "_minor_sweep", no_table)
     for a in (np.eye(17), rational_matrix(np.eye(17, dtype=int).tolist())):
         with pytest.raises(ValueError, match=r"vertex count must be in 1\.\.16"):
             relation_of_matrix(a)
 
 
-@pytest.mark.parametrize("rows", [
+EXACT_NOT_PD = [
     [["0", "0"], ["0", "1"]],                                   # zero first leading minor
     [["2", "1", "1"], ["1", "2", "1"], ["1", "1", "-1"]],       # negative last leading minor
     [["1", "1", "0"], ["1", "1", "0"], ["0", "0", "1"]],        # singular PSD, minor 2 is 0
     [["1", "0", "1/2"], ["0", "1", "0"], ["1/2", "0", "1/4"]],  # singular PSD, det is 0
-])
+]
+
+
+@pytest.mark.parametrize("rows", EXACT_NOT_PD)
 def test_exact_relation_of_matrix_rejects_non_pd(rows):
     # the sweep reads Sylvester's criterion off its leading minors and must
     # refuse before it divides by a zero minor
@@ -563,6 +569,127 @@ def test_sweep_matches_minors_exact_up_to_5():
     # integer entries in an object array are exact too
     ints = np.array([[2, 1, 0], [1, 2, 0], [0, 0, 1]], dtype=object)
     assert relation_of_matrix(ints) == _relation_by_minors(ints)
+
+
+def _full_sweep(a):
+    """The unpacked sweep the packed one replaced: M[K][i, j] = det(a[iK, jK]) for every i, j."""
+    n = a.shape[0]
+    exact = a.dtype == object
+    divide = np.floor_divide if exact else np.true_divide
+    M = np.empty((1 << n, n, n), dtype=a.dtype)
+    dets = np.empty(1 << n, dtype=a.dtype)
+    M[0] = a
+    dets[0] = 1
+    for k in range(n):
+        half = 1 << k
+        par, out = M[:half], M[half:2 * half]
+        piv = par[:, k, k]
+        if exact and piv[-1] <= 0:
+            raise NotPositiveDefinite("matrix is not positive definite")
+        np.multiply(par[:, :, k, None], par[:, None, k, :], out=out)
+        np.subtract(piv[:, None, None] * par, out, out=out)
+        divide(out, dets[:half, None, None], out=out)
+        dets[half:2 * half] = piv
+    return M
+
+
+def _packed(full):
+    """The entries of a full sweep that the packed sweep keeps, in its order: the sets K in
+    bitmask order, then M_K[i, j] for i <= j outside K, row by row."""
+    n = full.shape[1]
+    return np.array([full[K, i, j] for K in range(1 << n) for i in range(n) for j in range(i, n)
+                     if not (K >> i | K >> j) & 1], dtype=full.dtype)
+
+
+def _float_sweep_cases(n, rng):
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    near_singular = q @ np.diag(np.r_[1e-9, rng.uniform(0.5, 2, size=n - 1)]) @ q.T
+    d = np.diag(10.0 ** rng.uniform(-3, 3, size=n))
+    a = graphical_pd(random_graph(n, rng), rng)
+    return [as_sym(x) for x in (random_pd(n, rng), a, d @ a @ d, near_singular)]
+
+
+def test_packed_float_sweep_is_bitwise_the_full_sweep():
+    rng = np.random.default_rng(71)
+    for n in [*range(1, 10), 11]:  # at 11 vertices the last vertex takes two steps
+        for a in _float_sweep_cases(n, rng):
+            for m in (a, to_correlation(a)[1]):
+                assert matrices._minor_sweep(m).tobytes() == _packed(_full_sweep(m)).tobytes()
+
+
+def test_packed_exact_sweep_is_the_full_sweep():
+    rng = np.random.default_rng(73)
+    cases = [np.array([[2, 1, 0], [1, 2, 0], [0, 0, 1]], dtype=object)]
+    for n in range(2, 7):
+        for _ in range(3):
+            a = _graph_pattern_rational(random_graph(n, rng), rng)
+            cases.append(np.array(matrices._integer_form(a)[0], dtype=object))
+    for ints in cases:
+        got = matrices._minor_sweep(ints).tolist()
+        assert all(type(x) is int for x in got)
+        assert got == _packed(_full_sweep(ints)).tolist()
+
+
+@pytest.mark.parametrize("rows", EXACT_NOT_PD)
+def test_packed_and_full_exact_sweeps_refuse_the_same_matrices(rows):
+    ints = np.array(matrices._integer_form(rational_matrix(rows))[0], dtype=object)
+    for sweep in (matrices._minor_sweep, _full_sweep):
+        with pytest.raises(NotPositiveDefinite, match="^matrix is not positive definite$"):
+            sweep(ints)
+
+
+@pytest.mark.parametrize("n", [*range(1, 11), 12])
+def test_sweep_plan_steps_write_their_block_and_read_only_before_it(n):
+    upper, steps, statements = matrices._sweep_plan(n)
+    sizes = [(n - K.bit_count()) * (n - K.bit_count() + 1) // 2 for K in range(1 << n)]
+    start = np.cumsum([0] + sizes)
+    total = sum(math.comb(n, j) * (n - j) * (n - j + 1) // 2 for j in range(n + 1))
+    assert start[-1] == total and (n != 8 or total == 2816)
+    assert len(upper[0]) == start[1] == n * (n + 1) // 2
+    # the steps of k, each a run of parents P < 2^k, tile the block of the sets [2^k, 2^(k+1))
+    K = 1  # the first set the next step writes
+    for block, reads, pivots, counts in steps:
+        k, sets = K.bit_length() - 1, len(counts)
+        assert sets and K + sets <= 2 << k
+        assert (block.start, block.stop) == (start[K], start[K + sets])
+        assert counts.tolist() == sizes[K:K + sets]
+        assert reads.shape == (3, block.stop - block.start) and pivots.shape == (2, sets)
+        assert reads.min(initial=0) >= 0 and reads.max(initial=-1) < start[1 << k]
+        assert pivots.min() >= 0 and pivots[0].max() < start[1 << k]
+        # det(a_PP) sits before the block, or in the slot past the last entry for P empty
+        empty = K == 1 << k
+        assert pivots[1, 0] == total if empty else pivots[1, 0] < start[1 << k]
+        assert pivots[1, 1:].max(initial=-1) < start[1 << k]
+        K += sets
+    assert K == 1 << n and len(steps) >= n
+    assert len(statements) == len(set(statements.tolist())) == len(all_statements(n))
+    assert statements.min(initial=0) >= 0 and statements.max(initial=-1) < total
+
+
+def test_sweep_plan_at_12_vertices_keeps_under_8_mb():
+    from doublemarkov import ci
+
+    ci._statement_entries(12)  # the statement table is ci's, kept whether or not a plan is
+    tracemalloc.start()
+    try:
+        plan = matrices._sweep_plan.__wrapped__(12)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert plan and kept < 8 * 2 ** 20
+
+
+def test_integer_form_reads_entries_as_fraction_does():
+    def by_fractions(a):
+        entries = [Fraction(x) for x in a.flat]
+        lcd = math.lcm(*(x.denominator for x in entries))
+        ints = [x.numerator * (lcd // x.denominator) for x in entries]
+        return [ints[i * len(a):(i + 1) * len(a)] for i in range(len(a))], lcd
+
+    for entries in ([3, True, Fraction(-5, 6), 0], [np.int64(3), "1/2", 1.5, Fraction(2, 9)]):
+        a = np.array(entries, dtype=object).reshape(2, 2)
+        assert repr(matrices._integer_form(a)) == repr(by_fractions(a))
+    assert det(np.array([["1/2", 1], [np.int64(1), 0.25]], dtype=object)) == Fraction(-7, 8)
 
 
 def _as_fraction(x) -> Fraction:
