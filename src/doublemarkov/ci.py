@@ -334,6 +334,18 @@ def _ordered_tuples(n: int, k: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n), k)), dtype=np.intp).reshape(-1, k).T
 
 
+def _triple_statements(n: int, triples: np.ndarray):
+    """One entry per triple (i, j, k) of ``triples`` (0-based, one per column) and context K
+    avoiding it: the columns i, j, k and K's mask, and the indices of (ij|K), (ik|jK), (ik|K)
+    and (ij|kK), the four statements of a triple that the Horn rules read."""
+    i, j, k = (col[:, None] for col in triples)
+    K = np.arange(1 << n)[None, :]
+    keep = K & (1 << i | 1 << j | 1 << k) == 0
+    i, j, k, K = (np.broadcast_to(x, keep.shape)[keep] for x in (i, j, k, K))
+    return (i, j, k, K), (_index_of(n, i, j, K), _index_of(n, i, k, K | 1 << j),
+                          _index_of(n, i, k, K), _index_of(n, i, j, K | 1 << k))
+
+
 @lru_cache(maxsize=8)
 def _axiom_instances(n: int):
     """Per rule: (premise indices, conclusion indices), two columns each, one row per instance.
@@ -347,15 +359,10 @@ def _axiom_instances(n: int):
 
     Intersection and composition are symmetric in j, k and weak transitivity in i, j, so
     their tables take only the triples with j < k, or i < j: each table has one row per
-    instance, in the instance order of check_axioms and the closure.
+    instance, in the instance order of check_axioms.
     """
-    i, j, k = (col[:, None] for col in _ordered_tuples(n, 3))
-    K = np.arange(1 << n)[None, :]
-    keep = (K >> i | K >> j | K >> k) & 1 == 0
-    i, j, k, K = (np.broadcast_to(x, keep.shape)[keep] for x in (i, j, k, K))
-    jK, kK = K | 1 << j, K | 1 << k
-    ij, ik, jk = _index_of(n, i, j, K), _index_of(n, i, k, K), _index_of(n, j, k, K)
-    ij_k, ik_j = _index_of(n, i, j, kK), _index_of(n, i, k, jK)
+    (i, j, k, K), (ij, ik_j, ik, ij_k) = _triple_statements(n, _ordered_tuples(n, 3))
+    jk = _index_of(n, j, k, K)
     pairs = {
         "semigraphoid": (slice(None), (ij, ik_j), (ik, ij_k)),
         "intersection": (j < k, (ij_k, ik_j), (ij, ik)),
@@ -419,25 +426,49 @@ def is_gaussoid(r: Relation) -> bool:
     return not any(bad.any() for *_, bad in _violation_masks(r))
 
 
-def _horn_tables(n: int, rules: tuple[str, ...]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """The instance table (premises, conclusions) of each distinct rule in ``rules``, by name.
+@lru_cache(maxsize=8)
+def _quadruple_table(n: int) -> np.ndarray:
+    """Per triple (i, j, k) with j < k and context K avoiding it, the statement indices of
+    its square [[A, B], [C, D]] = [[(ij|K), (ik|jK)], [(ik|K), (ij|kK)]], shape (2, 2, rows).
 
-    Unknown rule names raise ValueError; below n = 3 every table is empty.
+    The premises of every semigraphoid, intersection and composition instance on these four
+    statements are one line of the square and its conclusions the parallel line
+    (_SQUARE_LINES):
+
+        semigraphoid   A & B => C & D,  and C & D => A & B (the triple (i, k, j))
+        intersection   B & D => A & C
+        composition    A & C => B & D
+
+    so a quadruple and a line name exactly one instance of _axiom_instances.
     """
+    triples = _ordered_tuples(n, 3)
+    _, square = _triple_statements(n, triples[:, triples[1] < triples[2]])
+    return _read_only(np.stack(square).reshape(2, 2, -1))[0]
+
+
+# The premise lines of each rule on the square: (0, x) is its row x, (1, y) its column y.
+_SQUARE_LINES = {"semigraphoid": ((0, 0), (0, 1)), "intersection": ((1, 1),),
+                 "composition": ((1, 0),)}
+
+
+def _lines_held(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per square of ``h`` (the held flags of a quadruple table): whether both statements
+    of row x hold, at [0][x], and of column y, at [1][y]."""
+    return h[:, 0] & h[:, 1], h[0] & h[1]
+
+
+def _horn_rules(rules) -> tuple[str, ...]:
+    """The distinct rules of ``rules`` in HORN_RULES order; an unknown name raises ValueError."""
+    rules = tuple(rules)
     for rule in rules:
         if rule not in HORN_RULES:
             raise ValueError(f"unknown Horn rule {rule!r}; valid: {HORN_RULES}")
-    return {rule: _rule17_instances(n) if rule == "rule17" else _axiom_instances(n)[rule]
-            for rule in rules}
+    return tuple(rule for rule in HORN_RULES if rule in rules)
 
 
-def _all_held(held: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Per row of the index table ``cols``: whether ``held`` holds every statement of the row."""
-    p = held[cols]
-    out = p[:, 0]
-    for col in p.T[1:]:
-        out = out & col
-    return out
+def _rule17_table(n: int) -> np.ndarray:
+    """Rule 17's instances, one per column: the four premise rows, then the conclusion row."""
+    return np.hstack(_rule17_instances(n)).T
 
 
 def closure(r: Relation, rules=("semigraphoid",)) -> Relation:
@@ -447,21 +478,40 @@ def closure(r: Relation, rules=("semigraphoid",)) -> Relation:
     Weak transitivity has a disjunctive conclusion, so it is never part of
     the closure; it is only reported by check_axioms.
 
-    The fixpoint is taken by array passes: each pass gathers the premises of
-    every row of one rule's instance table, and the rows whose premises all
-    hold set their conclusions.  Passes repeat over the rules until the
-    number of held statements stops growing.  The least fixpoint does not
-    depend on the order of the passes; the tests check it against full
-    passes over every instance in turn (_closure_by_full_passes).
+    The first three rules read one quadruple table (_quadruple_table): one
+    square of statements (ij|K), (ik|jK), (ik|K), (ij|kK) per triple
+    (i, {j < k}) and context K, which carries every instance of the three
+    rules on them.  Each pass makes one gather of the four statements,
+    takes the firing mask of the selected rules by boolean algebra on the
+    lines of the squares, and sets only the concluded statements that are
+    not yet held; rule 17 runs on its own table in the same pass.  The
+    first pass that adds nothing ends the loop.  The least fixpoint does
+    not depend on the order of the instances; the tests check it against
+    full passes over every instance in turn (_closure_by_full_passes).
     """
-    tables = _horn_tables(r.n, tuple(rules)).values()
+    rules = _horn_rules(rules)
+    selected = {line for rule in rules for line in _SQUARE_LINES.get(rule, ())}
+    unselected = {(0, 0), (0, 1), (1, 0), (1, 1)} - selected
+    square = _quadruple_table(r.n) if selected else None
+    rule17 = _rule17_table(r.n) if "rule17" in rules else None
     held = _to_bool_array(r)
-    count = None
-    while count != np.count_nonzero(held):
-        count = np.count_nonzero(held)
-        for prem, concl in tables:
-            held[concl[_all_held(held, prem)]] = True
-    return _from_bool_array(r.n, held)
+    while True:
+        added = []
+        if square is not None:
+            h = held[square]
+            lines = _lines_held(h)
+            for axis, x in unselected:
+                lines[axis][x] = False
+            # a statement follows from the other row or the other column of its square
+            fire = (lines[0][::-1, None] | lines[1][None, ::-1]) > h
+            added.append(square.ravel()[fire.ravel()])  # a flat mask indexes faster
+        if rule17 is not None:
+            h = held[rule17]
+            added.append(rule17[4][np.logical_and.reduce(h[:4]) > h[4]])
+        if not any(map(len, added)):
+            return _from_bool_array(r.n, held)
+        for new in added:
+            held[new] = True
 
 
 def _rules_fired(r: Relation, closed: Relation, rules) -> list[str]:
@@ -470,10 +520,20 @@ def _rules_fired(r: Relation, closed: Relation, rules) -> list[str]:
 
     This depends on r, its closure and the set of rules only, not on their order.
     """
-    tables = _horn_tables(r.n, tuple(rules))
+    rules = _horn_rules(rules)
     given, held = _to_bool_array(r), _to_bool_array(closed)
-    return [rule for rule in HORN_RULES if rule in tables
-            and (_all_held(held, tables[rule][0]) & ~_all_held(given, tables[rule][1])).any()]
+    fired = set()
+    if set(rules) & _SQUARE_LINES.keys():
+        square = _quadruple_table(r.n)
+        # a premise line held in the closure whose parallel line is not all in r
+        fires = (np.array(_lines_held(held[square]))
+                 & ~np.array(_lines_held(given[square]))[:, ::-1]).any(axis=-1)
+        fired |= {rule for rule in rules if any(fires[x] for x in _SQUARE_LINES.get(rule, ()))}
+    if "rule17" in rules:
+        table = _rule17_table(r.n)
+        if (np.logical_and.reduce(held[table[:4]]) & ~given[table[4]]).any():
+            fired.add("rule17")
+    return [rule for rule in rules if rule in fired]
 
 
 def is_upward_stable(r: Relation) -> bool:
@@ -577,10 +637,10 @@ def parse_relation(text: str) -> Relation:
     bits, no_bit = 0, itertools.repeat(0)  # a part not in the tables adds no bit
     for no, line in lines[1:]:
         head, _, tail = line.partition("|")
-        i, j, mask = heads.get(head, (0, 0, 0))
+        mask, base, low, mid, high = heads.get(head, (0, 0, 0, 0, 0))
         mask += sum(map(vertex_bits.get, ks := tail[:-1].split(), no_bit))
         if tail[-1:] == ")" and mask.bit_count() == len(ks) + 2:
-            bits |= 1 << _index_of(n, i, j, mask)
+            bits |= 1 << (base | mask & low | (mask & mid) >> 1 | (mask & high) >> 2)
             continue
         try:  # any other spelling, and every refusal
             bits |= 1 << _checked_index(n, *_parse_statement(line))
@@ -590,11 +650,17 @@ def parse_relation(text: str) -> Relation:
 
 
 @lru_cache(maxsize=None)
-def _statement_tokens(n: int) -> tuple[dict[str, tuple[int, int, int]], dict[str, int]]:
-    """Each head '(i j ' (i != j) to i - 1, j - 1 and their mask, each vertex 'k' to its bit,
-    through the vertex check: a line's bits add up to one per vertex iff all hit and differ."""
-    pairs = [_vertices(n, p) for p in itertools.permutations(range(1, n + 1), 2)]
-    heads = {f"({i} {j} ": (i - 1, j - 1, mask) for (i, j), mask in pairs}
+def _statement_tokens(n: int) -> tuple[dict[str, tuple[int, ...]], dict[str, int]]:
+    """Each vertex 'k' to its bit, and each head '(i j ' (i != j) to the mask of i and j, the
+    index of (ij|) and the masks of the vertices below, between and above i and j, whose bits
+    move down by 0, 1 and 2 places in the subset rank of K (the scalar form of _index_of).
+    All through the vertex check: a line's bits add up to one per vertex iff all hit and differ."""
+    heads = {}
+    for pair in itertools.permutations(range(1, n + 1), 2):
+        (i, j), mask = _vertices(n, pair)
+        lo, hi = sorted((i - 1, j - 1))
+        heads[f"({i} {j} "] = (mask, _index_of(n, lo, hi, 0), (1 << lo) - 1,
+                               (1 << hi) - (2 << lo), (1 << n) - (2 << hi))
     return heads, {str(k): mask for (k,), mask in (_vertices(n, (v,)) for v in range(1, n + 1))}
 
 

@@ -719,10 +719,56 @@ def test_closure_matches_full_passes_on_subsets_of_separation_relations(n):
 def test_repeated_rule_names_count_once():
     r = double_markov_relation(INC_G, INC_H)
     twice = ("semigraphoid", "composition", "semigraphoid")
-    assert list(ci._horn_tables(4, twice)) == ["semigraphoid", "composition"]
     closed = closure(r, twice)
-    assert closed == closure(r, twice[:2])
-    assert ci._rules_fired(r, closed, twice) == ci._rules_fired(r, closed, twice[:2])
+    assert closed == closure(r, twice[:2]) == _closure_by_full_passes(r, twice[:2])
+    fired = ci._rules_fired(r, closed, twice)
+    assert fired == ci._rules_fired(r, closed, twice[:2])
+    assert fired == _rules_fired_by_instances(r, closed, twice[:2])
+
+
+def _clear_rule_tables():
+    for table in (ci._quadruple_table, ci._rule17_instances, ci._axiom_instances):
+        table.cache_clear()
+
+
+def test_unknown_rule_names_are_refused_before_any_table():
+    r = double_markov_relation(INC_G, INC_H)
+    _clear_rule_tables()
+    for rules in [("semigraphoid", "weak-transitivity"), ("rule17", "Composition"), "rule17"]:
+        with pytest.raises(ValueError, match="unknown Horn rule"):
+            closure(r, rules)
+        with pytest.raises(ValueError, match="unknown Horn rule"):
+            ci._rules_fired(r, r, rules)
+    for table in (ci._quadruple_table, ci._rule17_instances, ci._axiom_instances):
+        assert table.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_quadruple_squares_carry_each_horn_instance_once(n):
+    """A square's premise line and its parallel line, over all squares and the lines of
+    each rule, are that rule's instances, each once."""
+    square = ci._quadruple_table(n)
+    assert square.shape == (2, 2, n * (n - 1) * (n - 2) // 2 * (1 << (n - 3)))
+    reference = _reference_horn_tables(n)
+    for rule, lines in ci._SQUARE_LINES.items():
+        rows = [(tuple(sorted(p)), tuple(sorted(c)))
+                for axis, x in lines
+                for p, c in zip(np.take(square, x, axis).T.tolist(),
+                                np.take(square, 1 - x, axis).T.tolist())]
+        assert len(rows) == len(set(rows)) == len(reference[rule])
+        assert {(frozenset(p), frozenset(c)) for p, c in rows} == reference[rule]
+
+
+def test_closure_and_rules_fired_build_no_gaussoid_table():
+    relations = [double_markov_relation(g, h) for g, h in [(VNR_G, VNR_H), (INC_G, INC_H)]]
+    rng = np.random.default_rng(6)
+    held = ci._to_bool_array(relation_of_graph(random_graph(6, rng)))
+    relations.append(ci._from_bool_array(6, held & (rng.random(held.size) < 0.3)))
+    ci._axiom_instances.cache_clear()
+    for r in relations:
+        for rules in ALL_RULE_SETS:
+            ci._rules_fired(r, closure(r, rules), rules)
+    assert ci._axiom_instances.cache_info().currsize == 0
 
 
 def test_closure_fixpoint_on_full():

@@ -222,6 +222,20 @@ def test_canonical_text_never_reaches_the_per_item_path(n):
     assert got[2].dtype == object and got[2].tolist() == a.tolist()
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_scalar_index_of_a_statement_line_is_index_of(n):
+    """Every statement, its pair written either way round, reads as the index _index_of
+    gives, on the table path alone."""
+    masks, i0, j0 = (col.tolist() for col in ci._statement_entries(n))
+    with mock.patch.object(ci, "_checked_index", wraps=ci._checked_index) as index:
+        for mask, i, j in zip(masks, i0, j0):
+            ks = "".join(f" {v + 1}" for v in range(n) if mask >> v & 1)
+            for a, b in ((i, j), (j, i)):
+                got = ci.parse_relation(f"n {n}\n({a + 1} {b + 1} |{ks})\n")
+                assert got.bits == 1 << int(ci._index_of(n, a, b, mask))
+    assert index.call_count == 0
+
+
 def test_relation_tables_stay_quadratic_in_n():
     ci._statement_tokens.cache_clear()
     tracemalloc.start()
