@@ -18,7 +18,10 @@ reverses every row, and the last column holds the maximal statements.  The
 table _statement_entries (index -> K bitmask, i - 1, j - 1) and its
 vectorized inverse _index_of are the only other encoding of the index; the
 separation relations, minors, rule tables and permutation maps are gathers
-over them.
+over them, and _deposit alone turns a subset rank into a context.  The squares
+of _quadruple_table carry every semigraphoid, intersection and composition
+instance for the closure and the gaussoid check alike; weak transitivity and
+rule 17 have one table each.
 
 The hex serialization packs bit s of the relation into bit 7 - (s mod 8) of
 byte s // 8, so the hex digit stream reads left to right in statement
@@ -77,12 +80,17 @@ def _statement_entries(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     pairs = np.array(pairs_lex(n), dtype=np.intp).reshape(-1, 2) - 1
     i0, j0 = pairs[:, :1], pairs[:, 1:]
-    rank = np.arange(1 << max(n - 2, 0), dtype=np.intp)[None, :]
-    masks = (rank & ((1 << i0) - 1)
-             | (rank >> i0 & ((1 << (j0 - i0 - 1)) - 1)) << (i0 + 1)
-             | (rank >> (j0 - 1)) << (j0 + 1))
+    masks = _deposit(np.arange(1 << max(n - 2, 0), dtype=np.intp)[None, :], i0, j0)
     return _read_only(masks.ravel(), np.broadcast_to(i0, masks.shape).ravel(),
                       np.broadcast_to(j0, masks.shape).ravel())
+
+
+def _deposit(rank, *holes):
+    """rank with a zero bit inserted at each position of ``holes``, taken in ascending order,
+    so that the bits of rank fill the other positions in turn (ints or broadcasting arrays)."""
+    for hole in holes:
+        rank = rank & ((1 << hole) - 1) | rank >> hole << (hole + 1)
+    return rank
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -259,7 +267,7 @@ def _minor(r: Relation, k: int, given: bool) -> Relation:
     back up by one, and with k added to K when ``given``."""
     k0 = _deleted_vertex(r.n, k) - 1
     masks, i0, j0 = _statement_entries(r.n - 1)
-    lifted = masks & ((1 << k0) - 1) | masks >> k0 << (k0 + 1) | given << k0
+    lifted = _deposit(masks, k0) | given << k0
     up = [v + (v >= k0) for v in (i0, j0)]
     return _from_bool_array(r.n - 1, _to_bool_array(r)[_index_of(r.n, *up, lifted)])
 
@@ -322,13 +330,6 @@ def _violation_text(rule: str, premises, missing) -> str:
     return f"{' & '.join(premises)} without {glue.join(missing)}"
 
 
-def _instance_table(prem: np.ndarray, concl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows with each half sorted, rows lexicographic; halves contiguous."""
-    rows = np.column_stack([np.sort(prem, axis=1), np.sort(concl, axis=1)])
-    rows = rows[np.lexsort(rows.T[::-1])]
-    return _read_only(*map(np.ascontiguousarray, np.hsplit(rows, [prem.shape[1]])))
-
-
 def _ordered_tuples(n: int, k: int) -> np.ndarray:
     """All ordered k-tuples of distinct 0-based vertices, one per column."""
     return np.array(list(itertools.permutations(range(n), k)), dtype=np.intp).reshape(-1, k).T
@@ -336,94 +337,13 @@ def _ordered_tuples(n: int, k: int) -> np.ndarray:
 
 def _triple_statements(n: int, triples: np.ndarray):
     """One entry per triple (i, j, k) of ``triples`` (0-based, one per column) and context K
-    avoiding it: the columns i, j, k and K's mask, and the indices of (ij|K), (ik|jK), (ik|K)
-    and (ij|kK), the four statements of a triple that the Horn rules read."""
-    i, j, k = (col[:, None] for col in triples)
-    K = np.arange(1 << n)[None, :]
-    keep = K & (1 << i | 1 << j | 1 << k) == 0
-    i, j, k, K = (np.broadcast_to(x, keep.shape)[keep] for x in (i, j, k, K))
+    avoiding it, K ascending (a rank below 2^(n-3) with zero bits at i, j, k): i, j, k, K's mask
+    and the indices of (ij|K), (ik|jK), (ik|K), (ij|kK), the statements the Horn rules read."""
+    rank = np.arange(1 << max(n - 3, 0), dtype=np.intp)
+    K = _deposit(rank, *np.sort(triples, axis=0)[:, :, None]).ravel()
+    i, j, k = np.repeat(triples, len(rank), axis=1)
     return (i, j, k, K), (_index_of(n, i, j, K), _index_of(n, i, k, K | 1 << j),
                           _index_of(n, i, k, K), _index_of(n, i, j, K | 1 << k))
-
-
-@lru_cache(maxsize=8)
-def _axiom_instances(n: int):
-    """Per rule: (premise indices, conclusion indices), two columns each, one row per instance.
-
-    Instantiated over ordered triples (i, j, k) and contexts K avoiding them:
-
-        semigraphoid       (ij|K) & (ik|jK)  =>  (ik|K) & (ij|kK)
-        intersection       (ij|kK) & (ik|jK) =>  (ij|K) & (ik|K)
-        composition        (ij|K) & (ik|K)   =>  (ij|kK) & (ik|jK)
-        weak-transitivity  (ij|K) & (ij|kK)  =>  (ik|K) or (jk|K)
-
-    Intersection and composition are symmetric in j, k and weak transitivity in i, j, so
-    their tables take only the triples with j < k, or i < j: each table has one row per
-    instance, in the instance order of check_axioms.
-    """
-    (i, j, k, K), (ij, ik_j, ik, ij_k) = _triple_statements(n, _ordered_tuples(n, 3))
-    jk = _index_of(n, j, k, K)
-    pairs = {
-        "semigraphoid": (slice(None), (ij, ik_j), (ik, ij_k)),
-        "intersection": (j < k, (ij_k, ik_j), (ij, ik)),
-        "composition": (j < k, (ij, ik), (ij_k, ik_j)),
-        "weak-transitivity": (i < j, (ij, ij_k), (ik, jk)),
-    }
-    return {rule: _instance_table(*(np.column_stack([x[rows] for x in half])
-                                    for half in (prem, concl)))
-            for rule, (rows, prem, concl) in pairs.items()}
-
-
-@lru_cache(maxsize=8)
-def _rule17_instances(n: int):
-    """(ab|) & (cd|) & (ac|bd) & (bd|ac) => (ac|) over all vertex quadruples.
-
-    The conditioning sets are exactly the printed patterns on the quadruple;
-    vertices outside {a, b, c, d} never enter a context (literal embedding).
-    Swapping a with c and b with d gives the same instance, so a < c.
-    """
-    quads = _ordered_tuples(n, 4)
-    a, b, c, d = quads[:, quads[0] < quads[2]]
-    bit = [1 << v for v in (a, b, c, d)]
-    prem = np.column_stack([_index_of(n, a, b, 0), _index_of(n, c, d, 0),
-                            _index_of(n, a, c, bit[1] | bit[3]),
-                            _index_of(n, b, d, bit[0] | bit[2])])
-    return _instance_table(prem, _index_of(n, a, c, 0)[:, None])
-
-
-def _violation_masks(r: Relation):
-    """Per gaussoid rule, lazily: its instance table, which conclusions r holds, violated rows."""
-    held = _to_bool_array(r)
-    for rule, (prem, concl) in _axiom_instances(r.n).items():
-        p, c = held[prem], held[concl]
-        done = c[:, 0] | c[:, 1] if rule == "weak-transitivity" else c[:, 0] & c[:, 1]
-        yield rule, prem, concl, c, p[:, 0] & p[:, 1] & ~done
-
-
-def _violation_rows(r: Relation):
-    """Per rule, lazily: the rule, the premise and the missing conclusion indices of each
-    violated instance.  The order of check_axioms and of the report: rule order, then
-    instance-table row order; within a row the indices ascend."""
-    for rule, prem, concl, held, bad in _violation_masks(r):
-        # held conclusions become -1; a violated weak transitivity holds neither disjunct
-        missing = np.where(held[bad], -1, concl[bad]).tolist()
-        yield rule, prem[bad].tolist(), [[s for s in ms if s >= 0] for ms in missing]
-
-
-def check_axioms(r: Relation) -> list[AxiomViolation]:
-    """Violated instances of the four gaussoid axioms, each once; empty iff r is a gaussoid.
-
-    Rule order (semigraphoid, intersection, composition, weak-transitivity), then
-    instance-table row order (by premise, then conclusion indices) as in _violation_rows.
-    Both tuples ascend by statement index; weak transitivity misses both disjuncts.
-    """
-    at = all_statements(r.n).__getitem__
-    return [AxiomViolation(rule, tuple(map(at, ps)), tuple(map(at, ms)))
-            for rule, prems, missing in _violation_rows(r) for ps, ms in zip(prems, missing)]
-
-
-def is_gaussoid(r: Relation) -> bool:
-    return not any(bad.any() for *_, bad in _violation_masks(r))
 
 
 @lru_cache(maxsize=8)
@@ -439,7 +359,8 @@ def _quadruple_table(n: int) -> np.ndarray:
         intersection   B & D => A & C
         composition    A & C => B & D
 
-    so a quadruple and a line name exactly one instance of _axiom_instances.
+    so a square and a line name exactly one instance: the closure and the gaussoid check
+    (_violation_masks) read no other table of these three rules.
     """
     triples = _ordered_tuples(n, 3)
     _, square = _triple_statements(n, triples[:, triples[1] < triples[2]])
@@ -449,12 +370,94 @@ def _quadruple_table(n: int) -> np.ndarray:
 # The premise lines of each rule on the square: (0, x) is its row x, (1, y) its column y.
 _SQUARE_LINES = {"semigraphoid": ((0, 0), (0, 1)), "intersection": ((1, 1),),
                  "composition": ((1, 0),)}
+# Per line (axis, x), flat as 2 * axis + x: the number of the rule whose premises it holds,
+# and the corners of the flat square [A, B, C, D] on it and on its parallel line.
+_CORNERS = np.arange(4).reshape(2, 2)
+_LINE_RULES = np.array([no for line in np.ndindex(2, 2)
+                        for no, lines in enumerate(_SQUARE_LINES.values()) if line in lines])
+_LINE_CORNERS = np.array([(_CORNERS, _CORNERS.T)[a][[x, 1 - x]] for a, x in np.ndindex(2, 2)])
 
 
 def _lines_held(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per square of ``h`` (the held flags of a quadruple table): whether both statements
     of row x hold, at [0][x], and of column y, at [1][y]."""
     return h[:, 0] & h[:, 1], h[0] & h[1]
+
+
+@lru_cache(maxsize=8)
+def _weak_transitivity_table(n: int) -> np.ndarray:
+    """(ij|K) & (ij|kK) => (ik|K) or (jk|K) per triple with i < j (the rule is symmetric in i, j)
+    and context K, one instance per column: premises in rows 0, 1, disjuncts in rows 2, 3.
+    (jk|K) is on no square of _quadruple_table, so weak transitivity has a table of its own."""
+    triples = _ordered_tuples(n, 3)
+    (_, j, k, K), (ij, _, ik, ij_k) = _triple_statements(n, triples[:, triples[0] < triples[1]])
+    return _read_only(np.stack([ij, ij_k, ik, _index_of(n, j, k, K)]))[0]
+
+
+@lru_cache(maxsize=8)
+def _rule17_table(n: int) -> np.ndarray:
+    """(ab|) & (cd|) & (ac|bd) & (bd|ac) => (ac|) over all vertex quadruples, one instance per
+    column: the four premises in rows 0 to 3, the conclusion in row 4.  The contexts are exactly
+    the printed patterns on the quadruple; vertices outside {a, b, c, d} never enter a context
+    (literal embedding).  Swapping a with c and b with d gives the same instance, so a < c."""
+    quads = _ordered_tuples(n, 4)
+    a, b, c, d = quads[:, quads[0] < quads[2]]
+    bit = [1 << v for v in (a, b, c, d)]
+    return _read_only(np.stack([_index_of(n, a, b, 0), _index_of(n, c, d, 0),
+                                _index_of(n, a, c, bit[1] | bit[3]),
+                                _index_of(n, b, d, bit[0] | bit[2]), _index_of(n, a, c, 0)]))[0]
+
+
+def _violation_masks(r: Relation):
+    """The held flags of r; per line (axis, x) of each square, whether it holds and its parallel
+    line does not; per weak transitivity instance, whether its premises hold and no disjunct."""
+    held = _to_bool_array(r)
+    lines = np.array(_lines_held(held[_quadruple_table(r.n)]))
+    h = held[_weak_transitivity_table(r.n)]
+    return held, lines & ~lines[:, ::-1], h[0] & h[1] & ~(h[2] | h[3])
+
+
+def _violation_rows(r: Relation) -> list[tuple[str, list, list]]:
+    """Per gaussoid rule, in rule order: the rule, and the premise and missing conclusion indices
+    of each violated instance, ascending within each; the instances ascend by their premises,
+    which name an instance within one rule.  The order of check_axioms and of the report."""
+    held, broken, weak = _violation_masks(r)
+    line, s = np.nonzero(broken.reshape(4, -1))
+    rows = np.concatenate([
+        _quadruple_table(r.n).reshape(4, -1)[_LINE_CORNERS[line], s[:, None, None]],
+        _weak_transitivity_table(r.n)[:, weak].T.reshape(-1, 2, 2)])  # premises, conclusions
+    rows.sort(axis=2)
+    rule = np.concatenate([_LINE_RULES[line], np.full(len(rows) - len(line), len(_SQUARE_LINES))])
+    m = num_statements(r.n)
+    rows = rows[np.argsort((rule * m + rows[:, 0, 0]) * m + rows[:, 0, 1])]
+    ends = np.bincount(rule, minlength=4).cumsum().tolist()
+    # held conclusions become -1; a violated weak transitivity holds neither disjunct
+    prems, missing = rows[:, 0].tolist(), np.where(held[rows[:, 1]], -1, rows[:, 1]).tolist()
+    return [(name, prems[a:b], [[c for c in cs if c >= 0] for cs in missing[a:b]])
+            for name, a, b in zip((*_SQUARE_LINES, "weak-transitivity"), [0, *ends], ends)]
+
+
+def check_axioms(r: Relation) -> list[AxiomViolation]:
+    """Violated instances of the four gaussoid axioms, each once; empty iff r is a gaussoid.
+
+    The axioms, over triples (i, j, k) of distinct vertices and contexts K avoiding them:
+
+        semigraphoid       (ij|K) & (ik|jK)  =>  (ik|K) & (ij|kK)
+        intersection       (ij|kK) & (ik|jK) =>  (ij|K) & (ik|K)
+        composition        (ij|K) & (ik|K)   =>  (ij|kK) & (ik|jK)
+        weak-transitivity  (ij|K) & (ij|kK)  =>  (ik|K) or (jk|K)
+
+    Rule order (as listed), then ascending premise, then conclusion indices (_violation_rows).
+    Both tuples ascend by statement index; weak transitivity misses both disjuncts.
+    """
+    at = all_statements(r.n).__getitem__
+    return [AxiomViolation(rule, tuple(map(at, ps)), tuple(map(at, ms)))
+            for rule, prems, missing in _violation_rows(r) for ps, ms in zip(prems, missing)]
+
+
+def is_gaussoid(r: Relation) -> bool:
+    _, broken, weak = _violation_masks(r)
+    return not (broken.any() or weak.any())
 
 
 def _horn_rules(rules) -> tuple[str, ...]:
@@ -464,11 +467,6 @@ def _horn_rules(rules) -> tuple[str, ...]:
         if rule not in HORN_RULES:
             raise ValueError(f"unknown Horn rule {rule!r}; valid: {HORN_RULES}")
     return tuple(rule for rule in HORN_RULES if rule in rules)
-
-
-def _rule17_table(n: int) -> np.ndarray:
-    """Rule 17's instances, one per column: the four premise rows, then the conclusion row."""
-    return np.hstack(_rule17_instances(n)).T
 
 
 def closure(r: Relation, rules=("semigraphoid",)) -> Relation:

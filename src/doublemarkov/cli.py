@@ -91,10 +91,10 @@ def _edge_list(g: graphs.Graph) -> list[list[int]]:
 
 
 # analyze and closure build rule tables that more than double with every
-# vertex.  The star/path report takes 0.46 s and 101 MB at n = 11, 1.1 s and
-# 191 MB at n = 12 and 2.8 s and 442 MB at n = 13; closure of one statement
+# vertex.  The star/path report takes 0.10 s and 58 MB at n = 11, 0.27 s and
+# 101 MB at n = 12 and 0.64 s and 208 MB at n = 13; closure of one statement
 # under semigraphoid, intersection and composition, with its rules-fired
-# line, takes 0.03 s and 47 MB at n = 11 and 0.07 s and 74 MB at n = 12
+# line, takes 0.03 s and 47 MB at n = 11 and 0.08 s and 75 MB at n = 12
 # (fastest of three processes, after import; 2-vCPU host).  At n = 16 each
 # needs more than a gigabyte.
 MAX_TABLE_N = 12

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doublemarkov import Graph, complete_graph, empty_graph
-from doublemarkov import ci
+from doublemarkov import ci, cli
 from doublemarkov.ci import (
     Relation,
     canonical_form,
@@ -456,18 +456,32 @@ def test_is_gaussoid_agrees_with_check_axioms(relations_to_check):
         assert ci.is_gaussoid(r) == (check_axioms(r) == [])
 
 
+def _check_violation_order(r, violations):
+    """Rule order, then ascending premise indices, then conclusion indices, each tuple
+    ascending, and no instance twice: within one rule the premises name the instance."""
+    keys = [(RULE_ORDER.index(v.rule), [statement_index(r.n, st) for st in v.premises],
+             [statement_index(r.n, st) for st in v.missing]) for v in violations]
+    assert keys == sorted(keys)
+    assert all(p == sorted(p) and m == sorted(m) for _, p, m in keys)
+    assert len({(rule, tuple(p)) for rule, p, _ in keys}) == len(keys)
+
+
 def test_check_axioms_order_on_star_path():
-    """Rule order, then instance-table order: premise indices, then conclusion indices."""
     data = os.path.join(os.path.dirname(__file__), "data")
     g, h = parse_pair_file(Path(data, "star_path.pair").read_text())
-    violations = check_axioms(double_markov_relation(g, h))
-    keys = [(RULE_ORDER.index(v.rule), [statement_index(4, st) for st in v.premises],
-             [statement_index(4, st) for st in v.missing]) for v in violations]
-    assert len(keys) > 1 and keys == sorted(keys) and len(set(map(repr, keys))) == len(keys)
+    r = double_markov_relation(g, h)
+    violations = check_axioms(r)
+    assert len(violations) > 1
+    _check_violation_order(r, violations)
     golden = json.loads(Path(data, "star_path_report.json").read_text())
     assert [{"rule": v.rule, "premises": list(map(repr, v.premises)),
              "missing": list(map(repr, v.missing))}
             for v in violations] == golden["ci"]["violations"]
+
+
+def test_check_axioms_order_on_every_checked_relation(relations_to_check):
+    for r in relations_to_check:
+        _check_violation_order(r, check_axioms(r))
 
 
 def _statement_views(stmts):
@@ -581,44 +595,34 @@ def _reference_rule17_instances(n):
     return out
 
 
-def _rows(table):
-    prem, concl = table
-    return [(tuple(p), tuple(c)) for p, c in zip(prem.tolist(), concl.tolist())]
-
-
-def _check_one_row_per_instance(table, instances):
-    """The table rows, each sorted within its premises and its conclusions and the
-    rows in lexicographic order, are the instances, each once."""
-    rows = _rows(table)
-    assert rows == sorted(rows)
-    assert all(list(p) == sorted(p) and list(c) == sorted(c) for p, c in rows)
-    assert len(rows) == len(instances)
-    assert {(frozenset(p), frozenset(c)) for p, c in rows} == instances
+def _instances(table, premises):
+    """The columns of a table with one instance per column, the first ``premises`` rows
+    its premises and the rest its conclusions, as (premise set, conclusion set)."""
+    return [(frozenset(col[:premises]), frozenset(col[premises:])) for col in table.T.tolist()]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_instance_tables_match_per_statement_builders(n):
-    tables = ci._axiom_instances(n)
-    reference = _reference_axiom_instances(n)
-    assert list(tables) == list(reference)
-    for rule, instances in reference.items():
-        _check_one_row_per_instance(tables[rule], instances)
-    _check_one_row_per_instance(ci._rule17_instances(n), _reference_rule17_instances(n))
+    for table, premises, reference in [
+            (ci._weak_transitivity_table(n), 2, _reference_axiom_instances(n)["weak-transitivity"]),
+            (ci._rule17_table(n), 4, _reference_rule17_instances(n))]:
+        got = _instances(table, premises)
+        assert len(got) == len(reference) and set(got) == reference
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_instance_tables_have_one_row_per_instance(n):
-    """Semigraphoid has one instance per ordered triple and context; intersection and
-    composition are symmetric in j <-> k and weak transitivity in i <-> j, so each
-    has half as many.  Rule 17 has one per ordered quadruple and its swap (a b)(c d)."""
+    """Semigraphoid has one instance per ordered triple and context, two per square (its
+    rows); intersection, composition (one column of a square each) and weak transitivity
+    are symmetric in two vertices, so each has half as many.  Rule 17 has one instance per
+    ordered quadruple and its swap (a b)(c d)."""
     triples = n * (n - 1) * (n - 2) * (1 << (n - 3))
-    sizes = {rule: len(concl) for rule, (prem, concl) in ci._axiom_instances(n).items()}
-    assert sizes == {"semigraphoid": triples, "intersection": triples // 2,
-                     "composition": triples // 2, "weak-transitivity": triples // 2}
-    assert len(ci._rule17_instances(n)[1]) == n * (n - 1) * (n - 2) * (n - 3) // 2
-    for table in [*ci._axiom_instances(n).values(), ci._rule17_instances(n)]:
-        keys = {(frozenset(p), frozenset(c)) for p, c in _rows(table)}
-        assert len(keys) == len(table[0])
+    assert ci._quadruple_table(n).shape == (2, 2, triples // 2)
+    assert ci._weak_transitivity_table(n).shape == (4, triples // 2)
+    assert ci._rule17_table(n).shape == (5, n * (n - 1) * (n - 2) * (n - 3) // 2)
+    for table, premises in [(ci._weak_transitivity_table(n), 2), (ci._rule17_table(n), 4)]:
+        keys = _instances(table, premises)
+        assert len(set(keys)) == len(keys)
 
 
 @functools.lru_cache(maxsize=None)
@@ -726,8 +730,11 @@ def test_repeated_rule_names_count_once():
     assert fired == _rules_fired_by_instances(r, closed, twice[:2])
 
 
+RULE_TABLES = (ci._quadruple_table, ci._weak_transitivity_table, ci._rule17_table)
+
+
 def _clear_rule_tables():
-    for table in (ci._quadruple_table, ci._rule17_instances, ci._axiom_instances):
+    for table in RULE_TABLES:
         table.cache_clear()
 
 
@@ -739,7 +746,7 @@ def test_unknown_rule_names_are_refused_before_any_table():
             closure(r, rules)
         with pytest.raises(ValueError, match="unknown Horn rule"):
             ci._rules_fired(r, r, rules)
-    for table in (ci._quadruple_table, ci._rule17_instances, ci._axiom_instances):
+    for table in RULE_TABLES:
         assert table.cache_info().currsize == 0
 
 
@@ -759,16 +766,36 @@ def test_quadruple_squares_carry_each_horn_instance_once(n):
         assert {(frozenset(p), frozenset(c)) for p, c in rows} == reference[rule]
 
 
-def test_closure_and_rules_fired_build_no_gaussoid_table():
+def _table_owners_relations():
     relations = [double_markov_relation(g, h) for g, h in [(VNR_G, VNR_H), (INC_G, INC_H)]]
     rng = np.random.default_rng(6)
     held = ci._to_bool_array(relation_of_graph(random_graph(6, rng)))
-    relations.append(ci._from_bool_array(6, held & (rng.random(held.size) < 0.3)))
-    ci._axiom_instances.cache_clear()
+    return relations + [ci._from_bool_array(6, held & (rng.random(held.size) < 0.3))]
+
+
+def test_closure_and_rules_fired_build_no_gaussoid_table():
+    """closure and the rules-fired line read the quadruple and rule-17 tables only: they
+    build no weak-transitivity table."""
+    relations = _table_owners_relations()
+    _clear_rule_tables()
     for r in relations:
         for rules in ALL_RULE_SETS:
             ci._rules_fired(r, closure(r, rules), rules)
-    assert ci._axiom_instances.cache_info().currsize == 0
+    assert ci._weak_transitivity_table.cache_info().currsize == 0
+    assert ci._quadruple_table.cache_info().currsize == ci._rule17_table.cache_info().currsize == 2
+
+
+def test_gaussoid_check_and_report_build_no_rule17_table():
+    """check_axioms, is_gaussoid and the report read the quadruple and weak-transitivity
+    tables only: they build no rule-17 table."""
+    relations = _table_owners_relations()
+    _clear_rule_tables()
+    for r in relations:
+        assert ci.is_gaussoid(r) == (check_axioms(r) == [])
+    cli.build_report(VNR_G, VNR_H)
+    assert ci._rule17_table.cache_info().currsize == 0
+    assert (ci._quadruple_table.cache_info().currsize
+            == ci._weak_transitivity_table.cache_info().currsize == 2)
 
 
 def test_closure_fixpoint_on_full():
