@@ -2,8 +2,8 @@
 
 All three-edge-path configurations are dispatched to their case, a member
 of each family is sampled and verified, and the inequivalent CI structures
-of connected pairs are counted for n = 3 and 4 (n = 5 reproduces 2644 in a
-few seconds; uncomment to run it).
+of connected pairs are counted for n = 3, 4 and 5 (2644 at n = 5).  Each
+representative is keyed by its least pair code G << C(n,2) | H over the orbit.
 """
 
 import itertools
@@ -38,4 +38,4 @@ for n in (3, 4):
     if n == 3:
         for key, g, h in res.representatives:
             print(f"    {key.hex()}  G={g.edges}  H={h.edges}")
-# print("  n=5:", dm.enumerate_inequivalent(5, connected_only=True).count)
+print("  n=5:", dm.enumerate_inequivalent(5, connected_only=True).count)

@@ -335,15 +335,19 @@ def _ordered_tuples(n: int, k: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n), k)), dtype=np.intp).reshape(-1, k).T
 
 
-def _triple_statements(n: int, triples: np.ndarray):
-    """One entry per triple (i, j, k) of ``triples`` (0-based, one per column) and context K
-    avoiding it, K ascending (a rank below 2^(n-3) with zero bits at i, j, k): i, j, k, K's mask
-    and the indices of (ij|K), (ik|jK), (ik|K), (ij|kK), the statements the Horn rules read."""
+def _triple_statements(n: int, ordered, lines) -> np.ndarray:
+    """Per (a, b, held) of ``lines`` and per context K, ascending, of each triple t of distinct
+    0-based vertices with t[ordered[0]] < t[ordered[1]]: the index of (t_a t_b | K), with t_c
+    in K when ``held``.  Its subset rank is K's rank with held inserted at t_c's place."""
+    triples = _ordered_tuples(n, 3)
+    triples = triples[:, triples[ordered[0]] < triples[ordered[1]]]
     rank = np.arange(1 << max(n - 3, 0), dtype=np.intp)
-    K = _deposit(rank, *np.sort(triples, axis=0)[:, :, None]).ravel()
-    i, j, k = np.repeat(triples, len(rank), axis=1)
-    return (i, j, k, K), (_index_of(n, i, j, K), _index_of(n, i, k, K | 1 << j),
-                          _index_of(n, i, k, K), _index_of(n, i, j, K | 1 << k))
+    out = np.empty((len(lines), triples.shape[1], len(rank)), dtype=np.intp)
+    for row, (a, b, held) in zip(out, lines):
+        ta, tb, tc = triples[[a, b, 3 - a - b], :, None]
+        p = tc - (ta < tc) - (tb < tc)
+        row[:] = _index_of(n, ta, tb, 0) | _deposit(rank, p) | held << p
+    return _read_only(out.reshape(len(lines), -1))[0]
 
 
 @lru_cache(maxsize=8)
@@ -362,9 +366,8 @@ def _quadruple_table(n: int) -> np.ndarray:
     so a square and a line name exactly one instance: the closure and the gaussoid check
     (_violation_masks) read no other table of these three rules.
     """
-    triples = _ordered_tuples(n, 3)
-    _, square = _triple_statements(n, triples[:, triples[1] < triples[2]])
-    return _read_only(np.stack(square).reshape(2, 2, -1))[0]
+    corners = ((0, 1, 0), (0, 2, 1), (0, 2, 0), (0, 1, 1))  # A, B, C, D for the triple (i, j, k)
+    return _triple_statements(n, (1, 2), corners).reshape(2, 2, -1)
 
 
 # The premise lines of each rule on the square: (0, x) is its row x, (1, y) its column y.
@@ -389,9 +392,7 @@ def _weak_transitivity_table(n: int) -> np.ndarray:
     """(ij|K) & (ij|kK) => (ik|K) or (jk|K) per triple with i < j (the rule is symmetric in i, j)
     and context K, one instance per column: premises in rows 0, 1, disjuncts in rows 2, 3.
     (jk|K) is on no square of _quadruple_table, so weak transitivity has a table of its own."""
-    triples = _ordered_tuples(n, 3)
-    (_, j, k, K), (ij, _, ik, ij_k) = _triple_statements(n, triples[:, triples[0] < triples[1]])
-    return _read_only(np.stack([ij, ij_k, ik, _index_of(n, j, k, K)]))[0]
+    return _triple_statements(n, (0, 1), ((0, 1, 0), (0, 1, 1), (0, 2, 0), (1, 2, 0)))
 
 
 @lru_cache(maxsize=8)

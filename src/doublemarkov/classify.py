@@ -262,50 +262,54 @@ class EnumerationResult:
     n: int
     connected_only: bool
     count: int
-    representatives: tuple  # (canonical bytes, Graph, Graph), sorted by canon
+    representatives: tuple  # (pair code as big-endian bytes, Graph, Graph), sorted by code
+
+
+def _pair_orbits(n: int, masks: np.ndarray):
+    """Each pair (c, h) of indices into the sorted edge ``masks`` whose code c << C(n,2) | h
+    is the least of its orbit under relabelling and swap, in code order.
+
+    Row p of ``moved`` is the masks relabelled by permutation p, as indices (int16 at n = 6):
+    edge bit r goes to the pair rank of the image of (ij|), the statement of pair r.  A least
+    pair (c, h) has c a class, a least relabelling, and h of class >= c; the pairs of its
+    orbit that start with c are (c, a(h)) for a in Aut(c), the rows that fix c, and when h
+    has class c also (c, q(c)) for the q with q(h) = c, Aut(c) after ``first[h]``.
+    """
+    targets = (ci._perm_index_maps(n)[:, ::1 << (n - 2)] >> (n - 2)).astype(np.int16)
+    moved = np.zeros((len(targets), len(masks)), dtype=np.int16)
+    for r in range(targets.shape[1]):
+        moved |= (masks >> r & 1) << targets[:, r, None]
+    index = np.zeros(1 << targets.shape[1], dtype=np.int16)
+    index[masks] = np.arange(len(masks))
+    moved = index[moved]
+    cls, first, every = moved.min(axis=0), moved.argmin(axis=0), np.arange(len(masks))
+    for c in np.flatnonzero(cls == every).tolist():
+        least = moved[moved[:, c] == c].min(axis=0)
+        h = np.flatnonzero((cls >= c) & (least == every))
+        yield from ((c, x) for x in h[(cls[h] > c) | (h <= least[moved[first[h], c]])].tolist())
 
 
 def enumerate_inequivalent(n: int, connected_only: bool = True) -> EnumerationResult:
     """Count double Markov CI structures modulo isomorphy and duality.
 
-    Iterates ordered pairs of (connected) labeled graphs, canonicalizes the
-    pair under vertex permutations and swapping (duality maps the relation
-    of (G, H) to that of (H, G)), then reduces the surviving orbit
-    representatives by the relation-level canonical form.  Permutation p
-    moves edge bit r to the pair rank of the image of (ij|), the statement
-    of pair r: its entry in the statement maps, shifted down by n - 2.  For
-    connected graphs the relation determines the pair, so both reductions
-    agree; the relation-level pass is what gets counted.  n = 6 is past the
-    budget: its 713M connected pairs would take over an hour.
+    Duality maps the relation of (G, H) to that of (H, G), so each orbit of (connected) pairs
+    under relabelling and swap is kept as its least pair code G << C(n,2) | H (_pair_orbits).
+    A connected pair is read off its relation: (ij|N \\ ij) holds iff ij is not an edge of G,
+    and (ij|) iff ij is not an edge of H.  Over all pairs the least per canonical form is kept.
     """
     if not 3 <= n <= 6:
         raise ValueError("enumeration supported for 3 <= n <= 6")
-    if n == 6:
-        raise BudgetExceeded("enumerate is limited to n <= 5: n = 6 is projected "
-                             "to run for over an hour")
+    if n == 6 and not connected_only:
+        raise BudgetExceeded("enumerate over all pairs is limited to n <= 5: at n = 6 its "
+                             "802,788 orbits take a canonical form each, over half an hour")
     npairs = len(graphs.pairs_lex(n))
-    every = np.arange(1 << npairs, dtype=np.int64)
-    masks = np.array(graphs.connected_graph_masks(n), dtype=np.int64) if connected_only else every
-    # at most 1024^2 pairs at n = 5: one batch holds them all
-    gm, hm = np.repeat(masks, len(masks)), np.tile(masks, len(masks))
-    shift = np.int64(npairs)
-    targets = ci._perm_index_maps(n)[:, ::1 << (n - 2)] >> (n - 2)
-    # row p, column mask: the edge mask relabelled by permutation p
-    tables = np.bitwise_or.reduce(
-        (every[:, None] >> np.arange(npairs) & 1) << targets[:, None, :], axis=2)
-    best = None
-    for table in tables:
-        pg = table[gm]
-        ph = table[hm]
-        code = np.minimum((pg << shift) | ph, (ph << shift) | pg)
-        best = code if best is None else np.minimum(best, code)
-    mask_of = (1 << npairs) - 1
-    by_relation: dict[bytes, tuple] = {}
-    for code in sorted(set(best.tolist())):
-        g = graphs.graph_from_edge_mask(n, code >> npairs)
-        h = graphs.graph_from_edge_mask(n, code & mask_of)
-        key = ci.canonical_form(ci.double_markov_relation(g, h))
-        if key not in by_relation:
-            by_relation[key] = (key, g, h)
-    reps = tuple(sorted(by_relation.values(), key=lambda t: (t[0], t[1].edges, t[2].edges)))
-    return EnumerationResult(n, connected_only, len(reps), reps)
+    masks = np.sort(np.array(graphs.connected_graph_masks(n) if connected_only
+                             else range(1 << npairs), dtype=np.int16))
+    graph = [graphs.graph_from_edge_mask(n, m) for m in masks.tolist()]
+    reps = {}  # in code order, so each relation keeps its least pair
+    for g, h in _pair_orbits(n, masks):
+        code = (int(masks[g]) << npairs | int(masks[h])).to_bytes((2 * npairs + 7) // 8, "big")
+        key = code if connected_only else ci.canonical_form(
+            ci.double_markov_relation(graph[g], graph[h]))
+        reps.setdefault(key, (code, graph[g], graph[h]))
+    return EnumerationResult(n, connected_only, len(reps), tuple(reps.values()))

@@ -41,7 +41,7 @@ def _block_described(g, h) -> bool:
 
 @functools.cache
 def _walk(n):
-    """Per orbit representative: (canonical key, G, H, certificate kind, every block described)."""
+    """Per orbit representative: (pair code key, G, H, certificate kind, every block described)."""
     return [(key, g, h, geometry.connectedness_certificate(g, h).kind,
              all(_block_described(bg, bh) for bg, bh in geometry.decompose(g, h).pairs))
             for key, g, h in classify.enumerate_inequivalent(n).representatives]
@@ -73,7 +73,7 @@ def atlas_text() -> str:
                        for full in (True, False))
             out.append(f"| {kind} | {yes} | {no} | {yes + no} |")
     out += ["", "## Orbits at n = 4 with no certificate or no full description", "",
-            "| canonical hex | G | H | certificate | described |", "|---|---|---|---|---|"]
+            "| pair code (hex) | G | H | certificate | described |", "|---|---|---|---|---|"]
     out += [f"| `{key.hex()}` | {graphs._edge_text(g)} | {graphs._edge_text(h)} | {kind} "
             f"| {'yes' if full else 'no'} |"
             for key, g, h, kind, full in _walk(4) if kind == "Unknown" or not full]

@@ -625,6 +625,29 @@ def test_instance_tables_have_one_row_per_instance(n):
         assert len(set(keys)) == len(keys)
 
 
+@pytest.mark.parametrize("n", range(3, 11))
+def test_triple_tables_match_index_of_per_entry(n):
+    """The square and weak-transitivity tables, formed from each triple's pair ranks and the
+    context rank, equal _index_of on every entry: the triples in permutation order, each with
+    its contexts K avoiding it in ascending order."""
+    def entries(a, b):
+        """i, j, k and K per triple t with t[a] < t[b] and context K avoiding t."""
+        t = ci._ordered_tuples(n, 3)
+        t = t[:, t[a] < t[b]]
+        K = np.arange(1 << n)
+        rows, cols = np.nonzero(K & ((1 << t[0]) | (1 << t[1]) | (1 << t[2]))[:, None] == 0)
+        return (*t[:, rows], K[cols])
+
+    i, j, k, K = entries(1, 2)
+    square = [ci._index_of(n, i, j, K), ci._index_of(n, i, k, K | 1 << j),
+              ci._index_of(n, i, k, K), ci._index_of(n, i, j, K | 1 << k)]
+    assert np.array_equal(ci._quadruple_table(n), np.reshape(square, (2, 2, -1)))
+    i, j, k, K = entries(0, 1)
+    weak = [ci._index_of(n, i, j, K), ci._index_of(n, i, j, K | 1 << k),
+            ci._index_of(n, i, k, K), ci._index_of(n, j, k, K)]
+    assert np.array_equal(ci._weak_transitivity_table(n), weak)
+
+
 @functools.lru_cache(maxsize=None)
 def _reference_horn_tables(n):
     """Per Horn rule, in HORN_RULES order: its instance rows from the per-statement builders."""

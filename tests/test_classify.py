@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from doublemarkov import Graph, complete_graph
+from doublemarkov import Graph, ci, complete_graph
 from doublemarkov.classify import (
     classify_small_intersection,
     enumerate_inequivalent,
@@ -15,6 +16,7 @@ from doublemarkov.geometry import dimension_bound
 from doublemarkov.graphs import (
     connected_graph_masks,
     edge_intersection,
+    edge_mask,
     graph_from_edge_mask,
     induced_subgraph,
     is_connected,
@@ -180,11 +182,43 @@ def test_enumerate_small_counts():
 
 
 def test_enumerate_representatives_realize_their_canonical_form():
-    from doublemarkov import ci
-    for n in (3, 4):
-        res = enumerate_inequivalent(n)
-        for key, g, h in res.representatives:
-            assert ci.canonical_form(ci.double_markov_relation(g, h)) == key
+    """Each key is its pair's canonical form: the code G << C(n,2) | H as big-endian bytes,
+    the least over every relabelling of the pair in both orders (brute force)."""
+    for n, connected_only in itertools.product((3, 4), (True, False)):
+        npairs = n * (n - 1) // 2
+        reps = enumerate_inequivalent(n, connected_only).representatives
+        assert [key for key, _, _ in reps] == sorted(key for key, _, _ in reps)
+        for key, g, h in reps:
+            code = edge_mask(g) << npairs | edge_mask(h)
+            assert key == code.to_bytes((2 * npairs + 7) // 8, "big")
+            codes = set()
+            for perm in itertools.permutations(range(1, n + 1)):
+                pg, ph = (edge_mask(Graph.from_edges(n, [(perm[i - 1], perm[j - 1])
+                                                         for i, j in x.edges]))
+                          for x in (g, h))
+                codes |= {pg << npairs | ph, ph << npairs | pg}
+            assert int.from_bytes(key, "big") == min(codes)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_enumerate_connected_representatives_have_distinct_relations(n):
+    # the relation pass that connected enumeration no longer takes would have merged these
+    reps = enumerate_inequivalent(n).representatives
+    forms = {ci.canonical_form(ci.double_markov_relation(g, h)) for _, g, h in reps}
+    assert len(forms) == len(reps)
+
+
+def test_connected_pair_is_read_off_the_row_ends_of_its_relation():
+    """For connected G and H, (ij|N \\ ij) holds iff ij is not an edge of G and (ij|) iff ij
+    is not an edge of H: the last and the first column of the pair rows."""
+    n = 4
+    full = (1 << n * (n - 1) // 2) - 1
+    for gm, hm in itertools.product(connected_graph_masks(n), repeat=2):
+        rows = ci._pair_rows(ci.double_markov_relation(graph_from_edge_mask(n, gm),
+                                                       graph_from_edge_mask(n, hm)))
+        held = [sum(1 << r for r, b in enumerate(col.tolist()) if b)
+                for col in (rows[:, -1], rows[:, 0])]
+        assert held == [full ^ gm, full ^ hm]
 
 
 def test_enumerate_all_pairs_counts_relations_not_pairs():
@@ -211,14 +245,14 @@ def test_enumerate_rejects_bad_n():
         enumerate_inequivalent(7)
 
 
-@pytest.mark.parametrize("connected_only", [True, False])
+@pytest.mark.parametrize("connected_only", [False])
 def test_enumerate_6_exceeds_its_budget_before_any_table(monkeypatch, connected_only):
     def no_table(*args):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(classify_mod.graphs, "connected_graph_masks", no_table)
     monkeypatch.setattr(classify_mod.ci, "_perm_index_maps", no_table)
-    with pytest.raises(BudgetExceeded, match="over an hour"):
+    with pytest.raises(BudgetExceeded, match="802,788 orbits"):
         enumerate_inequivalent(6, connected_only)
 
 
@@ -228,25 +262,45 @@ def networkx():
     return pytest.importorskip("networkx")
 
 
+def _cycle_type(s):
+    """The sorted cycle lengths of the permutation s of range(len(s))."""
+    lengths, seen = [], set()
+    for v in range(len(s)):
+        if v not in seen:
+            lengths.append(0)
+            while v not in seen:
+                seen.add(v)
+                v = s[v]
+                lengths[-1] += 1
+    return tuple(sorted(lengths))
+
+
 def burnside_orbits(networkx, n, connected_only):
     """Pairs of (connected) labelled graphs modulo relabelling and G/H swap:
-    (1 / (2 n!)) * sum over sigma of fix(sigma)^2 + fix(sigma^2), where fix
-    counts the graphs that sigma maps to themselves."""
+    (1 / (2 n!)) * sum over sigma of fix(sigma)^2 + fix(sigma^2), where fix counts the
+    graphs that sigma maps to themselves.  Both terms depend only on the cycle type of
+    sigma, so the sum takes one sigma per cycle type, times the size of its class."""
     pairs = list(itertools.combinations(range(n), 2))
-    graphs_ = []
-    for bits in itertools.product((False, True), repeat=len(pairs)):
-        edges = frozenset(p for p, b in zip(pairs, bits) if b)
-        g = networkx.Graph(edges)
+    masks = []
+    for mask in range(1 << len(pairs)):
+        g = networkx.Graph(p for r, p in enumerate(pairs) if mask >> r & 1)
         g.add_nodes_from(range(n))
         if not connected_only or networkx.is_connected(g):
-            graphs_.append(edges)
-    perms = list(itertools.permutations(range(n)))
-    fix = {s: sum(frozenset((min(s[i], s[j]), max(s[i], s[j])) for i, j in e) == e
-                  for e in graphs_)
-           for s in perms}
-    total = sum(fix[s] ** 2 + fix[tuple(s[s[v]] for v in range(n))] for s in perms)
-    assert total % (2 * len(perms)) == 0
-    return total // (2 * len(perms))
+            masks.append(mask)
+    masks = np.array(masks)
+
+    def fix(s):
+        image = sum((masks >> r & 1) << pairs.index(tuple(sorted((s[i], s[j]))))
+                    for r, (i, j) in enumerate(pairs))
+        return int(np.count_nonzero(image == masks))
+
+    classes = {}
+    for s in itertools.permutations(range(n)):
+        classes.setdefault(_cycle_type(s), [s, 0])[1] += 1
+    total = sum(size * (fix(s) ** 2 + fix(tuple(s[s[v]] for v in range(n))))
+                for s, size in classes.values())
+    assert total % (2 * math.factorial(n)) == 0
+    return total // (2 * math.factorial(n))
 
 
 def enumerate_counting_canonical_forms(monkeypatch, n, connected_only):
@@ -258,13 +312,12 @@ def enumerate_counting_canonical_forms(monkeypatch, n, connected_only):
     return enumerate_inequivalent(n, connected_only).count, len(calls)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_enumerate_count_matches_burnside(networkx, monkeypatch, n):
-    # the pair pass leaves one candidate per orbit, so the relation pass takes
-    # that many canonical forms; equal counts also mean that a connected
-    # pair's relation determines the pair
+    # one representative per orbit, and no canonical form: a connected pair's
+    # relation determines the pair
     orbits = burnside_orbits(networkx, n, connected_only=True)
-    assert enumerate_counting_canonical_forms(monkeypatch, n, True) == (orbits, orbits)
+    assert enumerate_counting_canonical_forms(monkeypatch, n, True) == (orbits, 0)
 
 
 @pytest.mark.parametrize("n, orbits, count", [(3, 13, 7), (4, 154, 83)])
