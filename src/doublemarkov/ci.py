@@ -570,12 +570,12 @@ def _permuted_indices(n: int, perms) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _perm_index_maps(n: int) -> np.ndarray:
-    """Row p: statement index s maps to row-p permutation of statement s."""
-    perms = list(itertools.permutations(range(n)))
-    # 720 permutations per block keep the temporaries small at n = 7
-    return _read_only(np.concatenate([_permuted_indices(n, perms[b:b + 720])
-                                      for b in range(0, len(perms), 720)]))[0]
+def _pair_images(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The permutations of range(n), lexicographic, and the pair rank of each pair's image."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+    i0, j0 = np.array(pairs_lex(n), dtype=np.intp).reshape(-1, 2).T - 1
+    images = _index_of(n, perms[:, i0], perms[:, j0], 0) >> max(n - 2, 0)
+    return _read_only(perms, images.astype(np.int16))
 
 
 def permute_relation(r: Relation, perm) -> Relation:
@@ -592,21 +592,24 @@ def permute_relation(r: Relation, perm) -> Relation:
 
 
 def canonical_form(r: Relation) -> bytes:
-    """Lexicographically least packed bitset over all vertex permutations of r and its dual.
+    """Least packed relabelling of r or dual(r) among those whose row ends have the least code.
 
-    Equal byte strings mean equivalence modulo isomorphy and duality.
-    Supported for n <= 7 (factorial scan).  Row p of the gather is the
-    relation relabelled by the inverse of permutation p; the permutations are
-    closed under inversion, so the rows are all relabellings.
+    The row ends are the graphs G* and H* of the ij with (ij|N \\ ij), last in its row, and
+    (ij|), first, absent; their code is G* << C(n,2) | H*.  Relabelling relabels both, dual
+    swaps them: equivalent relations share the candidates, the least code and the least
+    bitset with it, so equal bytes mean equivalence modulo isomorphy and duality.  n <= 7.
     """
     if r.n > 7:
-        raise ValueError("canonical forms use a factorial scan; n <= 7 only")
-    if r.n < 2:
-        return b""  # no statements, and the byte rows below would be empty
-    arrs = np.stack([_to_bool_array(r), _to_bool_array(dual(r))])
-    packed = np.packbits(arrs[:, _perm_index_maps(r.n)].reshape(-1, arrs.shape[1]), axis=1)
-    w, raw = packed.shape[1], packed.tobytes()
-    return min(raw[i:i + w] for i in range(0, len(raw), w))
+        raise ValueError("canonical forms scan the n! relabellings of the row ends; n <= 7 only")
+    rows, (perms, images) = _pair_rows(r), _pair_images(r.n)
+    g, h = ((1 << images.astype(np.int64)) @ ~rows[:, [-1, 0]]).T  # p(G*), p(H*) per p
+    codes = np.stack([g << len(rows) | h, h << len(rows) | g])
+    view, p = np.nonzero(codes == codes.min())  # view 1 is the dual, whose ends are swapped
+    arrs = np.stack([rows.ravel(), rows[:, ::-1].ravel()])
+    inverse = np.argsort(perms[p], axis=1)  # the gather by its indices relabels by p
+    blocks = [np.s_[b:b + 720] for b in range(0, len(p), 720)]  # small temporaries at n = 7
+    return min(form for s in blocks for form in map(bytes, np.packbits(
+        arrs[view[s, None], _permuted_indices(r.n, inverse[s])], axis=1)))
 
 
 # -- serialization ------------------------------------------------------------

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ci, graphs, matrices
-from .errors import BudgetExceeded
 from .graphs import Graph
 
 MAX_TRIES = 1000  # rejection draws per sample_from_family call
@@ -270,12 +269,12 @@ def _pair_orbits(n: int, masks: np.ndarray):
     is the least of its orbit under relabelling and swap, in code order.
 
     Row p of ``moved`` is the masks relabelled by permutation p, as indices (int16 at n = 6):
-    edge bit r goes to the pair rank of the image of (ij|), the statement of pair r.  A least
+    edge bit r goes to the pair rank of the image of pair r under p (ci._pair_images).  A least
     pair (c, h) has c a class, a least relabelling, and h of class >= c; the pairs of its
     orbit that start with c are (c, a(h)) for a in Aut(c), the rows that fix c, and when h
     has class c also (c, q(c)) for the q with q(h) = c, Aut(c) after ``first[h]``.
     """
-    targets = (ci._perm_index_maps(n)[:, ::1 << (n - 2)] >> (n - 2)).astype(np.int16)
+    targets = ci._pair_images(n)[1]
     moved = np.zeros((len(targets), len(masks)), dtype=np.int16)
     for r in range(targets.shape[1]):
         moved |= (masks >> r & 1) << targets[:, r, None]
@@ -299,17 +298,15 @@ def enumerate_inequivalent(n: int, connected_only: bool = True) -> EnumerationRe
     """
     if not 3 <= n <= 6:
         raise ValueError("enumeration supported for 3 <= n <= 6")
-    if n == 6 and not connected_only:
-        raise BudgetExceeded("enumerate over all pairs is limited to n <= 5: at n = 6 its "
-                             "802,788 orbits take a canonical form each, over half an hour")
     npairs = len(graphs.pairs_lex(n))
     masks = np.sort(np.array(graphs.connected_graph_masks(n) if connected_only
                              else range(1 << npairs), dtype=np.int16))
     graph = [graphs.graph_from_edge_mask(n, m) for m in masks.tolist()]
+    if not connected_only:  # a pair's relation is <G> | dual(<H>): both once per mask
+        separation = [(s, ci.dual(s)) for s in map(ci.relation_of_graph, graph)]
     reps = {}  # in code order, so each relation keeps its least pair
     for g, h in _pair_orbits(n, masks):
         code = (int(masks[g]) << npairs | int(masks[h])).to_bytes((2 * npairs + 7) // 8, "big")
-        key = code if connected_only else ci.canonical_form(
-            ci.double_markov_relation(graph[g], graph[h]))
+        key = code if connected_only else ci.canonical_form(separation[g][0] | separation[h][1])
         reps.setdefault(key, (code, graph[g], graph[h]))
     return EnumerationResult(n, connected_only, len(reps), tuple(reps.values()))

@@ -5,8 +5,7 @@ inequivalent CI structures), verify (matrix membership), closure (Horn
 closure of a relation file).
 
 Exit codes: 0 success / member, 1 non-member or no verdict, 2 usage or
-input errors, 3 resource exhaustion (the size budgets of analyze, closure and
-enumerate).
+input errors, 3 resource exhaustion (the size budgets of analyze and closure).
 """
 
 from __future__ import annotations
@@ -222,8 +221,9 @@ def cmd_enumerate(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("canonical_hex,n,rep_G_edges,rep_H_edges\n")
+            text = lru_cache(maxsize=None)(graphs._edge_text)  # representatives share graphs
             for key, g, h in res.representatives:
-                fh.write(f"{key.hex()},{res.n},{graphs._edge_text(g)},{graphs._edge_text(h)}\n")
+                fh.write(f"{key.hex()},{res.n},{text(g)},{text(h)}\n")
     print(f"count={res.count}")
     return 0
 

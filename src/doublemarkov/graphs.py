@@ -15,6 +15,8 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import PathCapExceeded
 
 MAX_VERTICES = 16
@@ -203,10 +205,6 @@ def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(blocks))
 
 
-def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
-
-
 def all_paths(g: Graph, k: int, l: int, cap: int = DEFAULT_PATH_CAP):
     """All simple paths from k to l as 1-based vertex tuples, lexicographic order.
 
@@ -371,14 +369,14 @@ def _edge_text(g: Graph) -> str:
 
 @lru_cache(maxsize=8)
 def connected_graph_masks(n: int) -> tuple[int, ...]:
-    """Edge masks of all connected labeled graphs on n vertices (n <= 6)."""
+    """Edge masks of all connected labeled graphs on n vertices (n <= 6), ascending."""
     if not 1 <= n <= 6:
         raise ValueError("connected graph enumeration is supported for n <= 6")
-    out = []
-    for mask in range(1 << len(pairs_lex(n))):
-        if is_connected(graph_from_edge_mask(n, mask)):
-            out.append(mask)
-    return tuple(out)
+    masks, reach = np.arange(1 << len(pairs_lex(n))), 1  # reach: vertices joined to 1, per mask
+    for _, (r, (i, j)) in itertools.product(range(n - 1), enumerate(pairs_lex(n))):
+        ends = 1 << (i - 1) | 1 << (j - 1)  # n - 1 rounds over the edges reach every such vertex
+        reach |= ends * (masks >> r & (reach & ends != 0))  # an edge with one end reached
+    return tuple(np.flatnonzero(reach == (1 << n) - 1).tolist())
 
 
 def all_graphs(n: int):

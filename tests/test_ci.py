@@ -945,22 +945,54 @@ def test_canonical_form_invariance():
         assert canonical_form(r) == canonical_form(dual(r))
 
 
-def _packed(r):
-    """The membership bits of r, statement t at bit 7 - t % 8 of byte t // 8."""
-    out = bytearray(-(-num_statements(r.n) // 8))
-    for t in range(num_statements(r.n)):
-        out[t // 8] |= (r.bits >> t & 1) << 7 - t % 8
-    return bytes(out)
+def _reference_permute(n, stmt, perm):
+    return _index(n, perm[stmt.i - 1], perm[stmt.j - 1], [perm[v - 1] for v in stmt.K])
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_relabellings(n):
+    """Row p < n!: the index of each statement's image under the p-th permutation of 1..n in
+    lexicographic order; row n! + p: the same for the statement's dual (ij|N \\ ijK).
+    Built one statement at a time."""
+    stmts, ground = ci.all_statements(n), frozenset(range(1, n + 1))
+    perms = list(itertools.permutations(range(1, n + 1)))
+    images = np.array([[_reference_permute(n, s, perm) for s in stmts] for perm in perms],
+                      dtype=np.intp).reshape(len(perms), len(stmts))
+    duals = [_index(n, s.i, s.j, ground - s.K - {s.i, s.j}) for s in stmts]
+    return np.concatenate([images, images[:, duals]])
+
+
+def _relabelled_views(r):
+    """Row v: the membership of every statement in the v-th relabelling of r or of its dual."""
+    table = _reference_relabellings(r.n)
+    held = [statement_index(r.n, s) for s in r.statements()]
+    views = np.zeros((len(table), num_statements(r.n)), dtype=bool)
+    views[np.arange(len(table))[:, None], table[:, held]] = True
+    return views
+
+
+def _packed(views):
+    """Each row as a bitset, statement t at bit 7 - t % 8 of byte t // 8."""
+    return [row.tobytes() for row in np.packbits(views, axis=1)]
 
 
 def _oracle_canonical_form(r):
-    """The least packed relabelling of r and of its dual, one statement at a time."""
-    ground = frozenset(range(1, r.n + 1))
-    plain = [(s.i, s.j, s.K) for s in r.statements()]
-    views = [plain, [(i, j, ground - K - {i, j}) for i, j, K in plain]]
-    return min(_packed(Relation.from_statements(r.n, [
-        make_statement(p[i - 1], p[j - 1], [p[v - 1] for v in K]) for i, j, K in view]))
-        for view in views for p in itertools.permutations(range(1, r.n + 1)))
+    """The least packed relabelling of r and of its dual: the full scan."""
+    return min(_packed(_relabelled_views(r)))
+
+
+def _oracle_row_end_form(r):
+    """The least packed relabelling of r and of its dual among those whose row ends have the
+    least pair code G* << C(n,2) | H*: ij is an edge of G* iff (ij|N \\ ij) is absent, and of
+    H* iff (ij|) is absent, read off each relabelling."""
+    pairs = pairs_lex(r.n)
+    ground = set(range(1, r.n + 1))
+    last, first = zip(*[(_index(r.n, i, j, ground - {i, j}), _index(r.n, i, j))
+                        for i, j in pairs]) if pairs else ((), ())
+    views = _relabelled_views(r)
+    weights = 1 << np.arange(len(pairs))
+    codes = (~views[:, list(last)]) @ weights << len(pairs) | (~views[:, list(first)]) @ weights
+    return min(_packed(views[codes == codes.min()]))
 
 
 def test_canonical_form_matches_the_definition():
@@ -971,19 +1003,77 @@ def test_canonical_form_matches_the_definition():
         density = rng.uniform(0.1, 0.9)
         cases.append(Relation(n, sum(1 << t for t in range(m) if rng.random() < density)))
     for r in cases:
-        assert canonical_form(r) == _oracle_canonical_form(r)
+        assert canonical_form(r) == _oracle_row_end_form(r)
 
 
-def _reference_permute(n, stmt, perm):
-    return _index(n, perm[stmt.i - 1], perm[stmt.j - 1], [perm[v - 1] for v in stmt.K])
+def _classes(forms):
+    """The partition of range(len(forms)) into runs of equal forms."""
+    by_form = {}
+    for k, form in enumerate(forms):
+        by_form.setdefault(form, []).append(k)
+    return sorted(by_form.values())
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_perm_index_maps_match_per_statement_builder(n):
-    stmts = ci.all_statements(n)
-    want = [[_reference_permute(n, s, perm) for s in stmts]
-            for perm in itertools.permutations(range(1, n + 1))]
-    assert ci._perm_index_maps(n).tolist() == want
+def _with_relabellings_and_duals(rels, rng):
+    out = []
+    for r in rels:
+        perm = tuple(int(v) for v in rng.permutation(np.arange(1, r.n + 1)))
+        out += [r, permute_relation(r, perm), dual(r), dual(permute_relation(r, perm))]
+    return out
+
+
+def test_canonical_form_has_the_classes_of_the_full_scan():
+    """Equal forms exactly when the full-scan forms are equal, and each form is a packed
+    relabelling of r or of dual(r): on every double Markov relation at n <= 4, seeded
+    samples at n = 5 and 6, and random relations with relabellings and duals at n <= 6."""
+    rng = np.random.default_rng(73)
+    groups = []
+    for n in (1, 2, 3, 4):
+        masks = range(1 << n * (n - 1) // 2)
+        groups.append(list({double_markov_relation(graph_from_edge_mask(n, gm),
+                                                   graph_from_edge_mask(n, hm))
+                            for gm in masks for hm in masks}))
+    for n, count in ((5, 200), (6, 30)):
+        masks = rng.integers(0, 1 << n * (n - 1) // 2, size=(count, 2)).tolist()
+        groups.append(_with_relabellings_and_duals(
+            [double_markov_relation(graph_from_edge_mask(n, gm), graph_from_edge_mask(n, hm))
+             for gm, hm in masks], rng))
+    for n in (2, 3, 4, 5, 6):
+        groups.append(_with_relabellings_and_duals([_random_relation(n, rng.uniform(0.1, 0.9), rng)
+                                                    for _ in range(10)], rng))
+    for rels in groups:
+        forms = [canonical_form(r) for r in rels]
+        assert _classes(forms) == _classes(map(_oracle_canonical_form, rels))
+        for r, form in zip(rels, forms):
+            assert form in _packed(_relabelled_views(r))
+
+
+def test_canonical_form_classes_at_7_vertices():
+    """At n = 7 the full scan's per-statement table would have 5040 x 672 entries, so the
+    classes are certified instead: relabelling and dual keep the number of statements, so
+    relations of distinct sizes are inequivalent, and each relation with its relabelling and
+    its duals is one class."""
+    rng = np.random.default_rng(79)
+    rels = []
+    while len(rels) < 6:
+        r = _random_relation(7, rng.uniform(0.1, 0.9), rng)
+        if all(len(r) != len(x) for x in rels):
+            rels.append(r)
+    forms = [canonical_form(r) for r in _with_relabellings_and_duals(rels, rng)]
+    assert _classes(forms) == [[4 * k, 4 * k + 1, 4 * k + 2, 4 * k + 3] for k in range(6)]
+    assert all(len(form) == -(-num_statements(7) // 8) for form in forms)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_pair_images_match_per_statement_builder(n):
+    """Row p: the pair rank of the image of each pair under permutation p, which is the
+    index of the image of (ij|) under the per-statement builder, shifted right by n - 2."""
+    perms, images = ci._pair_images(n)
+    heads = [make_statement(i, j) for i, j in pairs_lex(n)]
+    everyone = list(itertools.permutations(range(1, n + 1)))
+    assert (perms + 1).tolist() == [list(p) for p in everyone]
+    assert images.tolist() == [[_reference_permute(n, s, perm) >> (n - 2) for s in heads]
+                               for perm in everyone]
 
 
 def test_permute_relation_matches_per_statement_builder():

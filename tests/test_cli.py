@@ -359,13 +359,6 @@ def test_verify_judges_the_correlation_matrix(tmp_path, capsys, scale):
     assert capsys.readouterr().out == "max residual: 5.000000e-09\nmember\n"
 
 
-@pytest.mark.parametrize("flags", [[]])
-def test_enumerate_6_is_past_its_budget(capsys, flags):
-    # over all pairs only: enumerate 6 --connected answers in seconds
-    assert main(["enumerate", "6", *flags]) == 3
-    assert "802,788 orbits" in capsys.readouterr().err
-
-
 RULE17_CLOSED = ["(1 2 |)", "(1 2 | 3)", "(1 2 | 4)", "(1 2 | 3 4)",
                  "(1 3 |)", "(1 3 | 2)", "(1 3 | 4)", "(1 3 | 2 4)",
                  "(2 4 |)", "(2 4 | 1)", "(2 4 | 3)", "(2 4 | 1 3)",
@@ -802,8 +795,8 @@ def _int_or_none(token):
         return None
 
 
-# enumerate 5 and enumerate 6 --connected take seconds, so neither an integer nor a junk
-# string may read as 5 or 6; the example below has the refused all-pairs n = 6
+# enumerate 5 and enumerate 6 take seconds to minutes, so neither an integer nor a junk
+# string may read as 5 or 6
 ENUMERATE_TOKENS = st.one_of(
     st.integers(-5, 40).filter(lambda n: n not in (5, 6)).map(str),
     st.text(max_size=8).filter(lambda t: _int_or_none(t) not in (5, 6)))
@@ -814,7 +807,6 @@ ENUMERATE_TOKENS = st.one_of(
 @example(token="3", connected=False)
 @example(token="4", connected=False)
 @example(token="4", connected=True)
-@example(token="6", connected=False)
 @example(token="-h", connected=False)
 def test_enumerate_never_tracebacks(token, connected):
     err = io.StringIO()

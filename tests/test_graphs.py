@@ -181,6 +181,20 @@ def test_connected_components():
     assert connected_components(empty_graph(3)) == ((1,), (2,), (3,))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_connected_graph_masks_match_networkx(n):
+    nx = pytest.importorskip("networkx")  # a test-only dependency
+    pairs = list(itertools.combinations(range(n), 2))
+    want = []
+    for mask in range(1 << len(pairs)):
+        g = nx.Graph(p for r, p in enumerate(pairs) if mask >> r & 1)
+        g.add_nodes_from(range(n))
+        if nx.is_connected(g):
+            want.append(mask)
+    assert graphs_mod.connected_graph_masks(n) == tuple(want)
+    assert all(type(mask) is int for mask in graphs_mod.connected_graph_masks(n))
+
+
 def test_components_of_direct_sum():
     rng = np.random.default_rng(3)
     for _ in range(20):
