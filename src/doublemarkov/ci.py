@@ -379,6 +379,7 @@ _CORNERS = np.arange(4).reshape(2, 2)
 _LINE_RULES = np.array([no for line in np.ndindex(2, 2)
                         for no, lines in enumerate(_SQUARE_LINES.values()) if line in lines])
 _LINE_CORNERS = np.array([(_CORNERS, _CORNERS.T)[a][[x, 1 - x]] for a, x in np.ndindex(2, 2)])
+_RULE_NAMES = np.array([*_SQUARE_LINES, "weak-transitivity"], dtype=object)  # by rule number
 
 
 def _lines_held(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -418,10 +419,19 @@ def _violation_masks(r: Relation):
     return held, lines & ~lines[:, ::-1], h[0] & h[1] & ~(h[2] | h[3])
 
 
-def _violation_rows(r: Relation) -> list[tuple[str, list, list]]:
-    """Per gaussoid rule, in rule order: the rule, and the premise and missing conclusion indices
-    of each violated instance, ascending within each; the instances ascend by their premises,
-    which name an instance within one rule.  The order of check_axioms and of the report."""
+@lru_cache(maxsize=8)
+def _statement_labels(n: int, texts: bool) -> np.ndarray:
+    """all_statements(n), or with texts their reprs, as an object array that ends in None, the
+    label of the index -1 that marks a held conclusion in _violation_rows."""
+    labels = _statement_texts(n) if texts else all_statements(n)
+    return _read_only(np.fromiter([*labels, None], dtype=object, count=len(labels) + 1))[0]
+
+
+def _violation_rows(r: Relation, labels: np.ndarray) -> list[tuple[str, list, list]]:
+    """(rule, premises, missing conclusions) per violated instance, the statements as their
+    labels in _statement_labels, gathered in one pass.  Rule order, then ascending premises
+    (which name an instance within one rule), each list ascending by index: the order of
+    check_axioms and of the report."""
     held, broken, weak = _violation_masks(r)
     line, s = np.nonzero(broken.reshape(4, -1))
     rows = np.concatenate([
@@ -430,12 +440,16 @@ def _violation_rows(r: Relation) -> list[tuple[str, list, list]]:
     rows.sort(axis=2)
     rule = np.concatenate([_LINE_RULES[line], np.full(len(rows) - len(line), len(_SQUARE_LINES))])
     m = num_statements(r.n)
-    rows = rows[np.argsort((rule * m + rows[:, 0, 0]) * m + rows[:, 0, 1])]
-    ends = np.bincount(rule, minlength=4).cumsum().tolist()
-    # held conclusions become -1; a violated weak transitivity holds neither disjunct
-    prems, missing = rows[:, 0].tolist(), np.where(held[rows[:, 1]], -1, rows[:, 1]).tolist()
-    return [(name, prems[a:b], [[c for c in cs if c >= 0] for cs in missing[a:b]])
-            for name, a, b in zip((*_SQUARE_LINES, "weak-transitivity"), [0, *ends], ends)]
+    order = np.argsort((rule * m + rows[:, 0, 0]) * m + rows[:, 0, 1])
+    rows, rule = rows[order], rule[order]
+    # a held conclusion becomes -1, labelled None: at most one per instance, as a violated one
+    # misses a conclusion (weak transitivity misses both disjuncts)
+    gone = held[rows[:, 1]]
+    rows[:, 1][gone] = -1
+    entries = labels[rows].tolist()
+    for at in np.flatnonzero(gone.any(axis=1)).tolist():
+        entries[at][1].remove(None)
+    return [(name, *e) for name, e in zip(_RULE_NAMES[rule].tolist(), entries)]
 
 
 def check_axioms(r: Relation) -> list[AxiomViolation]:
@@ -451,9 +465,8 @@ def check_axioms(r: Relation) -> list[AxiomViolation]:
     Rule order (as listed), then ascending premise, then conclusion indices (_violation_rows).
     Both tuples ascend by statement index; weak transitivity misses both disjuncts.
     """
-    at = all_statements(r.n).__getitem__
-    return [AxiomViolation(rule, tuple(map(at, ps)), tuple(map(at, ms)))
-            for rule, prems, missing in _violation_rows(r) for ps, ms in zip(prems, missing)]
+    return [AxiomViolation(rule, tuple(ps), tuple(ms))
+            for rule, ps, ms in _violation_rows(r, _statement_labels(r.n, texts=False))]
 
 
 def is_gaussoid(r: Relation) -> bool:
@@ -604,12 +617,16 @@ def canonical_form(r: Relation) -> bytes:
     rows, (perms, images) = _pair_rows(r), _pair_images(r.n)
     g, h = ((1 << images.astype(np.int64)) @ ~rows[:, [-1, 0]]).T  # p(G*), p(H*) per p
     codes = np.stack([g << len(rows) | h, h << len(rows) | g])
-    view, p = np.nonzero(codes == codes.min())  # view 1 is the dual, whose ends are swapped
+    tie = codes == codes.min()  # per view and p; view 1 is the dual, whose ends are swapped
+    p = np.flatnonzero(tie.any(axis=0))  # each p indexed once, though both views may tie
     arrs = np.stack([rows.ravel(), rows[:, ::-1].ravel()])
     inverse = np.argsort(perms[p], axis=1)  # the gather by its indices relabels by p
-    blocks = [np.s_[b:b + 720] for b in range(0, len(p), 720)]  # small temporaries at n = 7
-    return min(form for s in blocks for form in map(bytes, np.packbits(
-        arrs[view[s, None], _permuted_indices(r.n, inverse[s])], axis=1)))
+    forms = []
+    for s in (np.s_[b:b + 720] for b in range(0, len(p), 720)):  # small temporaries at n = 7
+        view, at = np.nonzero(tie[:, p[s]])
+        index = _permuted_indices(r.n, inverse[s])
+        forms += map(bytes, np.packbits(arrs[view[:, None], index[at]], axis=1))
+    return min(forms)
 
 
 # -- serialization ------------------------------------------------------------

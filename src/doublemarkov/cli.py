@@ -79,10 +79,8 @@ def _violation_rows_json(x, inner: str) -> list[str] | None:
 
 def _violation_entries(relation: ci.Relation) -> list[dict]:
     """check_axioms(relation) as report entries of statement texts, with no Statement built."""
-    text = ci._statement_texts(relation.n)
-    return [{"rule": rule, "premises": [text[s] for s in ps], "missing": [text[s] for s in ms]}
-            for rule, prems, missing in ci._violation_rows(relation)
-            for ps, ms in zip(prems, missing)]
+    return [{"rule": rule, "premises": ps, "missing": ms} for rule, ps, ms in
+            ci._violation_rows(relation, ci._statement_labels(relation.n, texts=True))]
 
 
 def _edge_list(g: graphs.Graph) -> list[list[int]]:

@@ -209,10 +209,12 @@ def decompose(g: Graph, h: Graph) -> DecompositionResult:
     """Model matrices are block-diagonal along components of the common edges."""
     shared = graphs.edge_intersection(g, h)
     blocks = graphs.connected_components(shared)
-    pairs = tuple(
-        (graphs.induced_subgraph(g, b), graphs.induced_subgraph(h, b)) for b in blocks
-    )
+    pairs = tuple((graphs.induced_subgraph(g, b), graphs.induced_subgraph(h, b)) if len(b) > 1
+                  else _POINT_PAIR for b in blocks)
     return DecompositionResult(blocks, pairs)
+
+
+_POINT_PAIR = (Graph(1, (0,)),) * 2  # the pair a singleton block induces
 
 
 # -- connectedness certificates ----------------------------------------------
@@ -222,9 +224,21 @@ def _unique_path(g: Graph, h: Graph, witness: int | None) -> bool:
 
 
 def _hub(g: Graph, h: Graph, witness: int | None) -> bool:
-    """Whether vertex witness lies on every h-path between every non-edge pair of g."""
-    return witness is not None and all(
-        witness in (k, l) or graphs.separates(h, k, l, {witness}) for k, l in g.non_edges())
+    """Whether vertex witness lies on every h-path between every non-edge pair of g.
+
+    ValueError refuses a witness outside 1..n on every pair, complete g included.  From each
+    other vertex k with a g-non-neighbour above it, one reachability pass in h without the
+    witness must reach no such non-neighbour but the witness."""
+    if witness is None:
+        return False
+    graphs._same_ground_set(g, h)
+    _, hub = graphs._vertices(g.n, (witness,))
+    rest = (1 << g.n) - 1 & ~hub
+    for k in graphs._bits(rest):
+        later = rest & ~g.adj[k] & -2 << k  # the g-non-neighbours of k above it
+        if later and graphs._reachable(h, k, hub) & later:
+            return False
+    return True
 
 
 # Each kind in search order: its predicate and whether it runs on (H, G).

@@ -1002,8 +1002,14 @@ def test_canonical_form_matches_the_definition():
         m = num_statements(n)
         density = rng.uniform(0.1, 0.9)
         cases.append(Relation(n, sum(1 << t for t in range(m) if rng.random() < density)))
+    # the empty and complete relations tie the two views on every relabelling
+    cases += [Relation(n, bits) for n in (4, 5, 6) for bits in (0, (1 << num_statements(n)) - 1)]
     for r in cases:
         assert canonical_form(r) == _oracle_row_end_form(r)
+    for n in (5, 6, 7):  # every relabelling and dual of those is itself
+        m = num_statements(n)
+        assert canonical_form(Relation(n, 0)) == bytes(-(-m // 8))
+        assert canonical_form(Relation(n, (1 << m) - 1)) == np.packbits(np.ones(m, bool)).tobytes()
 
 
 def _classes(forms):

@@ -649,8 +649,8 @@ def test_violation_entries_equal_check_axioms_for_every_small_relation():
 def test_report_violations_equal_check_axioms_on_seeded_pairs():
     rng = random.Random(8)
     total = 0
-    for t in range(30):
-        n = 5 + t % 3
+    for t in range(40):
+        n = 5 + t % 4
         g, h = (graphs.Graph.from_edges(n, [e for e in graphs.pairs_lex(n) if rng.random() < 0.5])
                 for _ in "GH")
         violations = cli.build_report(g, h).ci["violations"]

@@ -24,7 +24,7 @@ from doublemarkov.geometry import (
     tangent_basis_concentration,
 )
 from doublemarkov.classify import enumerate_inequivalent
-from doublemarkov.graphs import all_graphs, edge_intersection, edge_union
+from doublemarkov.graphs import all_graphs, edge_intersection, edge_union, induced_subgraph
 from doublemarkov.ideal import unique_path_hypothesis
 from doublemarkov.matrices import inverse, is_pd, membership_residual
 
@@ -161,6 +161,27 @@ def test_decompose():
     assert decompose(g2, g2).blocks == ((1, 2, 3, 4),)
 
 
+def test_decompose_pairs_are_the_induced_pairs_of_every_block():
+    # singleton blocks included, which get their one-vertex pair without an induced_subgraph
+    def cases():
+        for n in (1, 2, 3, 4):
+            for g in all_graphs(n):
+                for h in all_graphs(n):
+                    yield g, h
+        rng = np.random.default_rng(31)
+        for n in (5, 6, 7, 8):
+            for t in range(25):
+                yield random_graph(n, rng, 0.3 + 0.1 * (t % 5)), random_graph(n, rng, 0.5)
+
+    sizes = set()
+    for g, h in cases():
+        dec = decompose(g, h)
+        assert dec.pairs == tuple((induced_subgraph(g, b), induced_subgraph(h, b))
+                                  for b in dec.blocks)
+        sizes.update(map(len, dec.blocks))
+    assert {1, 2, 8} <= sizes
+
+
 def test_certificate_forest_unique_path():
     rng = np.random.default_rng(11)
     forest = Graph.from_edges(6, [(1, 2), (2, 3), (4, 5)])
@@ -253,8 +274,31 @@ def test_check_verdicts_of_every_kind():
                 assert ConnectednessCertificate("UniquePathSwapped").check(a, b) == \
                     unique_path_hypothesis(b, a)
                 for w in range(1, n + 1):
+                    assert ConnectednessCertificate("Hub", w).check(a, b) == oracle_is_hub(a, b, w)
                     assert ConnectednessCertificate("HubSwapped", w).check(a, b) == \
                         oracle_is_hub(b, a, w)
+    rng = np.random.default_rng(29)
+    verdicts = set()
+    for n in (5, 6, 7, 8):
+        for t in range(8):
+            a, b = random_graph(n, rng, 0.2 + 0.1 * (t % 6)), random_graph(n, rng, 0.5)
+            for w in range(1, n + 1):
+                hub = ConnectednessCertificate("Hub", w).check(a, b)
+                assert hub == oracle_is_hub(a, b, w)
+                assert ConnectednessCertificate("HubSwapped", w).check(a, b) == \
+                    oracle_is_hub(b, a, w)
+                verdicts.add(hub)
+    assert verdicts == {False, True}
+    # a witness outside 1..n is refused on every pair, also where a complete graph leaves no
+    # non-edge to check it against
+    for n in (1, 4, 6):
+        k, e = complete_graph(n), empty_graph(n)
+        path = Graph.from_edges(n, zip(range(1, n), range(2, n + 1)))
+        for pair in ((k, k), (k, e), (e, k), (path, k), (e, path)):
+            for w in (0, -1, n + 1, 99):
+                for kind in ("Hub", "HubSwapped"):
+                    with pytest.raises(ValueError, match="out of range"):
+                        ConnectednessCertificate(kind, w).check(*pair)
 
 
 def test_hadamard_shrink():
